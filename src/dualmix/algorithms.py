@@ -90,8 +90,14 @@ def clip(v, eta, delta):
 
 
 def clip_rows(V, eta, delta):
-    """Row-wise clipping; also reports whether any row was actually clipped."""
+    """Row-wise clipping; also reports whether any row was actually clipped.
+
+    An infinite ``delta`` clips nothing, so the norms are not computed: a
+    row whose norm overflows would otherwise give inf/inf = nan.
+    """
     V = np.asarray(V, dtype=float)
+    if delta == math.inf:
+        return V * eta, False
     norms = np.linalg.norm(V, axis=1, keepdims=True)
     factors = np.where(norms > 0, np.minimum(eta, delta / np.where(norms > 0, norms, 1.0)), eta)
     return V * factors, bool(np.any(eta * norms > delta))

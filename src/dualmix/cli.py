@@ -70,14 +70,27 @@ def kernel_for_algorithm(kind: str, kernel, x0):
     return kernels.shifted(kernel, shift)
 
 
-def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
-                eta=None, delta=None, run_id=None):
-    """Build and execute one (algorithm, seed) cell; returns (result, meta)."""
+def assemble(cfg, seed):
+    """Build one seed's ``(prob, kernel, mix, x0, L)``, shared by all of its
+    cells: everything a cell needs that does not depend on its algorithm."""
     prob = build_problem(cfg, seed)
     kernel = build_kernel(cfg, prob.d)
     mix = build_mixing(cfg, prob.m)
     x0 = config.initial_point(cfg, prob, kernel, seed)
     L = resolve_L(cfg, prob, kernel, seed)
+    return prob, kernel, mix, x0, L
+
+
+def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
+                eta=None, delta=None, run_id=None, assembly=None):
+    """Execute one (algorithm, seed) cell; returns (result, meta).
+
+    ``assembly`` is the seed's :func:`assemble` output, built here when it
+    is not given.
+    """
+    if assembly is None:
+        assembly = assemble(cfg, seed)
+    prob, kernel, mix, x0, L = assembly
     spec = dict(algo_spec)
     if eta is not None:
         spec["eta"] = eta
@@ -114,6 +127,39 @@ def _final_metric(result, metric: str) -> float:
     return val if math.isfinite(val) else math.inf
 
 
+def _tune_grid(cfg):
+    """Every (algorithm index, eta, delta) cell of the tuning grid, in table
+    order; delta is None for algorithms that do not clip."""
+    for ai, spec in enumerate(cfg.algorithms):
+        deltas = cfg.tuning["delta_grid"] if spec["kind"] == "dmgt" else [None]
+        for eta in cfg.tuning["eta_grid"]:
+            for delta in deltas:
+                yield ai, float(eta), None if delta is None else float(delta)
+
+
+def _map_seed_major(cfg, cells, threads, work):
+    """``{(cell, seed): work(cell, seed, assembly)}`` over every cell and seed.
+
+    Seeds run one after another; each is assembled once and dropped before
+    the next is built, and its cells go through a pool of ``threads``.
+    """
+    out = {}
+    for seed in cfg.seeds:
+        assembly = assemble(cfg, seed)
+
+        def one(cell):
+            return work(cell, seed, assembly)
+
+        if threads > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
+                vals = list(ex.map(one, cells))
+        else:
+            vals = [one(cell) for cell in cells]
+        out.update(((cell, seed), val) for cell, val in zip(cells, vals))
+        del assembly, one
+    return out
+
+
 def tune(cfg: config.ExperimentConfig, threads=1, max_iter=None) -> dict:
     """Grid-search eta (and delta for dmgt) per algorithm.
 
@@ -122,59 +168,35 @@ def tune(cfg: config.ExperimentConfig, threads=1, max_iter=None) -> dict:
     scoring worst.  Ties break toward smaller eta, then smaller delta.
     """
     metric = cfg.tuning["select_by"]
-    cells = []
-    for ai, spec in enumerate(cfg.algorithms):
-        etas = cfg.tuning["eta_grid"]
-        deltas = cfg.tuning["delta_grid"] if spec["kind"] == "dmgt" else [None]
-        for eta in etas:
-            for delta in deltas:
-                for seed in cfg.seeds:
-                    cells.append((ai, float(eta),
-                                  None if delta is None else float(delta), seed))
+    grid = list(_tune_grid(cfg))
 
-    def work(cell):
-        ai, eta, delta, seed = cell
+    def work(cell, seed, assembly):
+        ai, eta, delta = cell
         result, _ = execute_run(cfg, cfg.algorithms[ai], seed,
                                 max_iter=max_iter, record_every=0,
-                                eta=eta, delta=delta)
-        return cell, _final_metric(result, metric)
+                                eta=eta, delta=delta, assembly=assembly)
+        return _final_metric(result, metric)
 
-    scores = {}
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            for cell, val in ex.map(work, cells):
-                scores[cell] = val
-    else:
-        for cell in cells:
-            _, val = work(cell)
-            scores[cell] = val
+    scores = _map_seed_major(cfg, grid, threads, work)
+    best = {}
+    for ai, eta, delta in grid:
+        vals = [scores[(ai, eta, delta), s] for s in cfg.seeds]
+        mean = math.inf if any(not math.isfinite(v) for v in vals) \
+            else sum(vals) / len(vals)
+        key = (mean, eta, math.inf if delta is None else delta)
+        if ai not in best or key < best[ai][0]:
+            best[ai] = (key, eta, delta, mean)
 
     table = {}
-    for ai, spec in enumerate(cfg.algorithms):
-        etas = cfg.tuning["eta_grid"]
-        deltas = cfg.tuning["delta_grid"] if spec["kind"] == "dmgt" else [None]
-        best = None
-        for eta in etas:
-            for delta in deltas:
-                vals = [scores[(ai, float(eta),
-                                None if delta is None else float(delta), s)]
-                        for s in cfg.seeds]
-                mean = math.inf if any(not math.isfinite(v) for v in vals) \
-                    else sum(vals) / len(vals)
-                key = (mean, float(eta),
-                       math.inf if delta is None else float(delta))
-                if best is None or key < best[0]:
-                    best = (key, eta, delta, mean)
-        _, eta, delta, mean = best
-        name = f"{spec['kind']}#{ai}"
+    for ai, (_, eta, delta, mean) in best.items():
+        kind = cfg.algorithms[ai]["kind"]
+        name = f"{kind}#{ai}"
         if not math.isfinite(mean):
-            table[name] = {"kind": spec["kind"], "status": "all-diverged",
+            table[name] = {"kind": kind, "status": "all-diverged",
                            "eta": None, "delta": None, "metric": None}
         else:
-            table[name] = {"kind": spec["kind"], "status": "ok",
-                           "eta": float(eta),
-                           "delta": None if delta is None else float(delta),
-                           "metric": mean}
+            table[name] = {"kind": kind, "status": "ok", "eta": eta,
+                           "delta": delta, "metric": mean}
     return table
 
 
@@ -197,24 +219,14 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
     out.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        cells = [(ai, seed) for ai in range(len(cfg.algorithms))
-                 for seed in cfg.seeds]
-
-        def work(cell):
-            ai, seed = cell
+        def work(ai, seed, assembly):
             rid = f"{ai:02d}_{cfg.algorithms[ai]['kind']}_s{seed}"
-            return cell, execute_run(cfg, cfg.algorithms[ai], seed,
-                                     max_iter=max_iter, record_every=1,
-                                     run_id=rid)
+            return execute_run(cfg, cfg.algorithms[ai], seed,
+                               max_iter=max_iter, record_every=1,
+                               run_id=rid, assembly=assembly)
 
-        results = {}
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-                for cell, payload in ex.map(work, cells):
-                    results[cell] = payload
-        else:
-            for cell in cells:
-                results[cell] = work(cell)[1]
+        results = _map_seed_major(cfg, range(len(cfg.algorithms)), threads,
+                                  work)
 
         finite_f = [r.f_bar
                     for result, _ in results.values()

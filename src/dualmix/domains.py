@@ -31,6 +31,8 @@ class Domain:
         if np.any(self.lo >= self.hi):
             raise ValueError("empty domain interval")
         self.simplex = bool(simplex)
+        self._lo_side = _finite_side(self.lo)
+        self._hi_side = _finite_side(self.hi)
 
     @property
     def kind(self) -> str:
@@ -47,12 +49,20 @@ class Domain:
         return "interval"
 
     def is_interior(self, x) -> bool:
+        """Finite, of last dimension ``dim``, and more than BOUNDARY_GUARD
+        inside every finite bound; unbounded sides are not tested."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim or not np.all(np.isfinite(x)):
+        if x.shape[-1] != self.dim or not np.isfinite(x).all():
             return False
-        lo_ok = np.where(np.isfinite(self.lo), x - self.lo > BOUNDARY_GUARD, True)
-        hi_ok = np.where(np.isfinite(self.hi), self.hi - x > BOUNDARY_GUARD, True)
-        return bool(np.all(lo_ok) and np.all(hi_ok))
+        if self._lo_side is not None:
+            cols, lo = self._lo_side
+            if not (x[..., cols] - lo > BOUNDARY_GUARD).all():
+                return False
+        if self._hi_side is not None:
+            cols, hi = self._hi_side
+            if not (hi - x[..., cols] > BOUNDARY_GUARD).all():
+                return False
+        return True
 
     def require_interior(self, x, what="point"):
         if not self.is_interior(x):
@@ -130,6 +140,18 @@ class Domain:
         if np.any(free):
             x[:, free] = g[:, free]
         return x
+
+
+def _finite_side(bound):
+    """``(cols, bound[cols])`` for the finite entries of ``bound``, where
+    ``cols`` is a full slice when every entry is finite; None when none is."""
+    finite = np.isfinite(bound)
+    if finite.all():
+        return slice(None), bound
+    if not finite.any():
+        return None
+    cols = np.flatnonzero(finite)
+    return cols, bound[cols]
 
 
 def reals(dim) -> Domain:

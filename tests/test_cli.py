@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,55 @@ def test_tune_tie_breaks_toward_smaller_eta(monkeypatch):
     monkeypatch.setattr(cli, "execute_run", lambda *a, **k: (_Fake(), {}))
     table = cli.tune(cfg)
     assert table["dmd#0"]["eta"] == pytest.approx(0.1)
+
+
+def test_tune_and_run_batch_assemble_each_seed_once(tmp_path, monkeypatch):
+    cfg = config.parse_config_text(MINIMAL)
+    cfg.seeds = [1, 2, 3]
+    cfg.tuning["eta_grid"] = [0.01, 0.05]
+    cfg.tuning["delta_grid"] = [0.1, 1.0]
+    built = []
+    build_problem = cli.build_problem
+    monkeypatch.setattr(cli, "build_problem",
+                        lambda c, seed: built.append(seed) or build_problem(c, seed))
+    execute_run = cli.execute_run
+    scores = {}
+
+    def logged_run(c, spec, seed, **kwargs):
+        result, meta = execute_run(c, spec, seed, **kwargs)
+        assert kwargs["assembly"] is not None
+        if kwargs.get("eta") is not None:  # a tune cell
+            scores[spec["kind"], seed, kwargs["eta"], kwargs["delta"]] = \
+                cli._final_metric(result, "stationarity")
+        return result, meta
+
+    monkeypatch.setattr(cli, "execute_run", logged_run)
+    table = cli.tune(cfg, max_iter=15)
+    assert built == cfg.seeds
+    assert len(scores) == (4 + 2) * len(cfg.seeds)
+
+    built.clear()
+    cli.run_batch(cfg, tmp_path / "out", max_iter=5)
+    assert built == cfg.seeds
+
+    # every tune score equals a fresh run of its cell that builds its own seed
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    for (kind, seed, eta, delta), score in scores.items():
+        spec = next(s for s in cfg.algorithms if s["kind"] == kind)
+        result, _ = execute_run(cfg, spec, seed, max_iter=15, record_every=0,
+                                eta=eta, delta=delta)
+        assert cli._final_metric(result, "stationarity") == score
+    for name, row in table.items():
+        vals = [scores[row["kind"], s, row["eta"], row["delta"]]
+                for s in cfg.seeds]
+        assert row["metric"] == sum(vals) / len(vals), name
+    # the seed's assembly is shared read-only by the pool's threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert cli.tune(cfg, threads=4, max_iter=15) == table
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
