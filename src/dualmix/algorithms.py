@@ -177,8 +177,17 @@ _DIVERGENCE_ERRORS = (DomainViolation, NotInImage, NoConvergence, SingularHessia
 
 
 def _finite(s: AgentSystem) -> bool:
-    return bool(np.all(np.isfinite(s.X)) and np.all(np.isfinite(s.Z))
-                and np.all(np.isfinite(s.Y)) and np.all(np.isfinite(s.grads)))
+    """Z, Y and the cached gradients are finite.  X needs no check: every
+    step rule has passed it through ``require_interior``, which rejects
+    non-finite entries."""
+    return bool(np.isfinite(s.Z).all() and np.isfinite(s.Y).all()
+                and np.isfinite(s.grads).all())
+
+
+def _observe_finite(recorder, system) -> bool:
+    """Record ``system``; False when its objective or stationarity is not finite."""
+    rec = recorder.observe(system, clipped=system.clipped, status="running")
+    return math.isfinite(rec.f_bar) and math.isfinite(rec.stationarity)
 
 
 def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
@@ -187,12 +196,15 @@ def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
 
     ``record_every=1`` emits a full diagnostics record per iteration (plus
     the initial state); ``record_every=0`` records only the initial and
-    final states, which is what grid tuning needs.  Hooks are called as
-    ``hook(t, prev_system, next_system)`` after every accepted step.
-    Divergence (domain exit, failed inversion, non-finite state) freezes the
-    run with status ``diverged``.  Everything is deterministic given the
-    inputs; no randomness is consumed here.
+    final states, which is what grid tuning needs.  Other values raise
+    ``ValueError``: a stride k > 1 is not implemented yet (ROADMAP item 3).
+    Hooks are called as ``hook(t, prev_system, next_system)`` after every
+    accepted step.  Divergence (domain exit, failed inversion, non-finite
+    state) freezes the run with status ``diverged``.  Everything is
+    deterministic given the inputs; no randomness is consumed here.
     """
+    if record_every not in (0, 1):
+        raise ValueError(f"record_every must be 0 or 1, got {record_every!r}")
     W = mixing.W
     rho = mixing.rho
     step = _STEPS[cfg.algorithm]
@@ -202,7 +214,7 @@ def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
             prob, kernel, rho, L_eff, cfg.eta, cfg.delta,
             run_id=run_id, algorithm=cfg.algorithm)
     system = init_system(prob, kernel, x0, cfg)
-    record_state = recorder.observe(system, clipped=False, status="running")
+    recorder.observe(system, clipped=False, status="running")
     status, diverged_at, reason = "done", None, ""
     emit_all = record_every == 1
     for t in range(cfg.max_iter):
@@ -219,18 +231,11 @@ def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
         for hook in hooks:
             hook(t, system, new_system)
         system = new_system
-        if emit_all:
-            record_state = recorder.observe(system, clipped=system.clipped,
-                                            status="running")
-            if not (math.isfinite(record_state.f_bar)
-                    and math.isfinite(record_state.stationarity)):
-                status, diverged_at, reason = "diverged", system.t, "non-finite metric"
-                break
+        if emit_all and not _observe_finite(recorder, system):
+            status, diverged_at, reason = "diverged", system.t, "non-finite metric"
+            break
     if status == "done" and not emit_all and system.t > 0:
-        record_state = recorder.observe(system, clipped=system.clipped,
-                                        status="running")
-        if not (math.isfinite(record_state.f_bar)
-                and math.isfinite(record_state.stationarity)):
+        if not _observe_finite(recorder, system):
             status, diverged_at, reason = "diverged", system.t, "non-finite metric"
     if status == "diverged" and not emit_all and _finite(system):
         try:

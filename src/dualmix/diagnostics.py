@@ -127,27 +127,19 @@ def lambda_of(kernel, m, rho, delta) -> float:
 def consensus_potential(system, kernel, L, rho, lambda_val) -> float:
     """E_t: tracker disagreement plus xi-weighted dual disagreement, both in
     the inverse-Hessian norm at the averaged dual iterate."""
-    m = system.X.shape[0]
-    zbar, xbar = dual_average(system, kernel)
-    ybar = system.Y.mean(axis=0)
-    xi = xi_const(L, rho, lambda_val)
-    Yc = system.Y - ybar
-    Zc = system.Z - zbar
-    HY = kernel.hess_solve(np.broadcast_to(xbar, Yc.shape), Yc)
-    HZ = kernel.hess_solve(np.broadcast_to(xbar, Zc.shape), Zc)
-    with np.errstate(over="ignore"):  # diverging runs may overflow to inf
-        total = float(np.sum(HY * Yc) + xi * np.sum(HZ * Zc))
-    return total / m
+    return _consensus(system, kernel, dual_average(system, kernel),
+                      xi_const(L, rho, lambda_val))
 
 
 def descent_potential(system, prob, kernel, L, rho, lambda_val,
                       f_bar=None, E=None) -> float:
     """M_t = f(xbar) + E_t / (8 L)."""
-    if f_bar is None:
-        _, xbar = dual_average(system, kernel)
-        f_bar = prob.value(xbar)
-    if E is None:
-        E = consensus_potential(system, kernel, L, rho, lambda_val)
+    if f_bar is None or E is None:
+        dual = dual_average(system, kernel)
+        if f_bar is None:
+            f_bar = prob.value(dual[1])
+        if E is None:
+            E = _consensus(system, kernel, dual, xi_const(L, rho, lambda_val))
     return float(f_bar) + E / (8.0 * L)
 
 
@@ -159,12 +151,32 @@ def optimality_measure(system, system_next, kernel, L, eta, rho,
     Bregman residual of the averaged primal iterates, and the consensus
     potential, with the weights of the convergence analysis.
     """
-    zbar, xbar = dual_average(system, kernel)
-    zbar_next, xbar_next = dual_average(system_next, kernel)
-    dz = zbar_next - zbar
+    dual = dual_average(system, kernel)
+    E = _consensus(system, kernel, dual, xi_const(L, rho, lambda_val))
+    return _optimality(kernel, dual, dual_average(system_next, kernel), E,
+                       L, eta, rho)
+
+
+def _consensus(system, kernel, dual, xi) -> float:
+    """E_t of a state whose ``dual_average`` is ``dual``: one inverse-Hessian
+    solve at xbar on the stacked tracker and dual deviations."""
+    zbar, xbar = dual
+    m = system.X.shape[0]
+    Yc = system.Y - system.Y.mean(axis=0)
+    Zc = system.Z - zbar
+    dev = np.concatenate([Yc, Zc])
+    H = kernel.hess_solve(np.broadcast_to(xbar, dev.shape), dev)
+    with np.errstate(over="ignore"):  # diverging runs may overflow to inf
+        total = float(np.sum(H[:m] * Yc) + xi * np.sum(H[m:] * Zc))
+    return total / m
+
+
+def _optimality(kernel, dual, dual_next, E, L, eta, rho) -> float:
+    """G from the dual averages of a (t, t+1) pair and E_t of state t."""
+    zbar, xbar = dual
+    dz = dual_next[0] - zbar
     dual_sq = float(dz @ kernel.hess_solve(xbar, dz))
-    breg = kernel.bregman(xbar, xbar_next)
-    E = consensus_potential(system, kernel, L, rho, lambda_val)
+    breg = kernel.bregman(xbar, dual_next[1])
     return (dual_sq / (12.0 * eta * eta)
             + (L / eta) * breg
             + (1.0 - rho) / (32.0 * L * eta) * E)
@@ -234,7 +246,9 @@ class Recorder:
 
     The optimality measure of iteration t needs the successor state, so the
     record for t is back-filled when t+1 arrives; the final record keeps
-    G = nan.
+    G = nan.  Each state's dual average and consensus potential are computed
+    once, and only those of the last observed state are kept for that
+    back-fill.
     """
 
     def __init__(self, prob, kernel, rho, L, eta, delta, run_id="run",
@@ -250,34 +264,35 @@ class Recorder:
         m = prob.m if m is None else m
         lam = lambda_of(kernel, m, rho, delta)
         self.lambda_val = lam if math.isfinite(lam) else 1.0
+        self._xi = xi_const(L, rho, self.lambda_val)
         self.records = []
-        self._prev_system = None
+        self._prev = None      # (dual average, E) of the last observed state
 
     def observe(self, system, clipped=False, status="running"):
-        if self._prev_system is not None and self.records:
+        dual = dual_average(system, self.kernel)
+        if self._prev is not None and self.records:
             last = self.records[-1]
             if math.isnan(last.G_proxy):
-                last.G_proxy = optimality_measure(
-                    self._prev_system, system, self.kernel, self.L, self.eta,
-                    self.rho, self.lambda_val)
-        rec = self._make_record(system, clipped=clipped, status=status)
+                prev_dual, prev_E = self._prev
+                last.G_proxy = _optimality(self.kernel, prev_dual, dual, prev_E,
+                                           self.L, self.eta, self.rho)
+        rec = self._make_record(system, dual, clipped=clipped, status=status)
         self.records.append(rec)
-        self._prev_system = system
+        self._prev = (dual, rec.E_t_proxy)
         return rec
 
     def mark_final(self, status):
         if self.records:
             self.records[-1].status = status
 
-    def _make_record(self, system, clipped, status):
-        zbar, xbar = dual_average(system, self.kernel)
+    def _make_record(self, system, dual, clipped, status):
+        zbar, xbar = dual
         f_bar = self.prob.value(xbar)
         stat = stationarity(self.prob, self.kernel, xbar)
         xbar_rows = system.X.mean(axis=0)
         cons_p = float(np.sum((system.X - xbar_rows) ** 2)) / system.X.shape[0]
         cons_d = float(np.sum((system.Z - zbar) ** 2)) / system.Z.shape[0]
-        E = consensus_potential(system, self.kernel, self.L, self.rho,
-                                self.lambda_val)
+        E = _consensus(system, self.kernel, dual, self._xi)
         M = f_bar + E / (8.0 * self.L)
         return RunRecord(
             run_id=self.run_id, algorithm=self.algorithm,

@@ -75,7 +75,12 @@ def poisson_sample(rng, lam):
 
 @dataclass
 class Problem:
-    """m local objectives over a shared domain, with gradient oracles."""
+    """m local objectives over a shared domain, with gradient oracles.
+
+    Families whose local objectives depend on x only through A_i x keep
+    their data stacked in ``rows`` (see :class:`_Rows`); ``locals`` then
+    holds views of those stacks.
+    """
 
     name: str
     m: int
@@ -86,14 +91,23 @@ class Problem:
     x_true: np.ndarray = None
     paired_kernel: str = ""
     meta: dict = field(default_factory=dict)
+    rows: "_Rows" = None
 
     def value(self, x) -> float:
-        return float(sum(loc.value(x) for loc in self.locals) / self.m)
+        if self.rows is not None:
+            values = self.rows.values(x)
+        else:
+            values = (loc.value(x) for loc in self.locals)
+        return float(sum(values) / self.m)
 
     def grad(self, x) -> np.ndarray:
-        g = self.locals[0].grad(x).astype(float, copy=True)
-        for loc in self.locals[1:]:
-            g += loc.grad(x)
+        if self.rows is not None:
+            grads = iter(self.rows.grads(x))
+        else:
+            grads = (loc.grad(x) for loc in self.locals)
+        g = next(grads).astype(float, copy=True)
+        for gi in grads:
+            g += gi
         return g / self.m
 
     def local_value(self, i, x) -> float:
@@ -104,19 +118,47 @@ class Problem:
 
     def grads_rowwise(self, X) -> np.ndarray:
         """Per-agent gradients of the m rows of X, stacked (m, d)."""
-        if self._batch_grad is not None:
-            return self._batch_grad(X)
+        if self.rows is not None:
+            return self.rows.grads_rowwise(X)
         return np.stack([self.locals[i].grad(X[i]) for i in range(self.m)])
-
-    _batch_grad = None
 
     def permuted(self, perm) -> "Problem":
         """Same problem with agents relabelled by the permutation."""
         import copy
 
         p = copy.copy(self)
-        p.locals = [self.locals[j] for j in perm]
+        if self.rows is not None:
+            p.rows = self.rows.permuted(perm)
+            p.locals = p.rows.locals
+        else:
+            p.locals = [self.locals[j] for j in perm]
         return p
+
+
+class _Rows:
+    """Stacked data of a family whose local objective reads x only through
+    A_i x: the (m, n, d) designs ``A`` and the (m, n) observations ``b``.
+
+    ``values(x)`` and ``grads(x)`` give the m local values and gradients at
+    one point from a single stacked product A x, with the same
+    floating-point operations as the per-agent ``local`` objects, which are
+    views of the stacks.
+    """
+
+    local = None
+
+    def __init__(self, A, b):
+        self.A = A
+        self.b = b
+        self.n = A.shape[1]
+        self.locals = [self.local(A[i], b[i]) for i in range(A.shape[0])]
+
+    def permuted(self, perm):
+        return type(self)(self.A[perm], self.b[perm])
+
+    def _AT_dot(self, W):
+        """A_i^T w_i for every agent, stacked (m, d)."""
+        return (self.A.transpose(0, 2, 1) @ W[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +262,24 @@ class _PhaseRetrievalLocal:
         return (-4.0 / self.n) * (self.A.T @ (r * ax))
 
 
+class _PhaseRetrievalRows(_Rows):
+    local = _PhaseRetrievalLocal
+
+    def values(self, x):
+        r = self.b - (self.A @ np.asarray(x, dtype=float)) ** 2
+        return np.sum(r * r, axis=-1) / self.n
+
+    def grads(self, x):
+        ax = self.A @ np.asarray(x, dtype=float)
+        r = self.b - ax * ax
+        return (-4.0 / self.n) * self._AT_dot(r * ax)
+
+    def grads_rowwise(self, X):
+        ax = np.einsum("mnd,md->mn", self.A, X)
+        w = (self.b - ax * ax) * ax
+        return (-4.0 / self.n) * np.einsum("mnd,mn->md", self.A, w)
+
+
 def phase_retrieval(d, n, m, noise_sd, seed) -> Problem:
     """Quartic sensing: f_i(x) = (1/n) sum_l (b - <a, x>^2)^2.
 
@@ -229,28 +289,20 @@ def phase_retrieval(d, n, m, noise_sd, seed) -> Problem:
     """
     rng = np.random.default_rng(seed)
     x_true = rng.uniform(0.0, 1.0, d)
-    locs = []
+    As, bs = [], []
     for _ in range(m):
         A = rng.standard_normal((n, d))
         b = (A @ x_true) ** 2
         if noise_sd > 0:
             b = b + noise_sd * rng.standard_normal(n)
-        locs.append(_PhaseRetrievalLocal(A, b))
-    prob = Problem(
-        name="phase_retrieval", m=m, d=d, locals=locs,
+        As.append(A)
+        bs.append(b)
+    rows = _PhaseRetrievalRows(np.stack(As), np.stack(bs))
+    return Problem(
+        name="phase_retrieval", m=m, d=d, locals=rows.locals,
         domain=domains.reals(d), f_lower=0.0, x_true=x_true,
-        paired_kernel="quartic",
+        paired_kernel="quartic", rows=rows,
     )
-    A_stack = np.stack([loc.A for loc in locs])
-    b_stack = np.stack([loc.b for loc in locs])
-
-    def batch_grad(X):
-        ax = np.einsum("mnd,md->mn", A_stack, X)
-        w = (b_stack - ax * ax) * ax
-        return (-4.0 / n) * np.einsum("mnd,mn->md", A_stack, w)
-
-    prob._batch_grad = batch_grad
-    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +312,15 @@ def phase_retrieval(d, n, m, noise_sd, seed) -> Problem:
 _KL_FLOOR = 1e-300
 
 
-def _kl_value(b, ax):
+def _kl_rows(b, ax):
+    """Generalized KL divergence of ``b`` from ``ax``, summed over the last axis."""
     ax = np.maximum(ax, _KL_FLOOR)
     terms = np.where(b > 0, b * np.log(np.maximum(b, _KL_FLOOR) / ax) - b, 0.0)
-    return float(np.sum(terms + ax))
+    return np.sum(terms + ax, axis=-1)
+
+
+def _kl_value(b, ax):
+    return float(_kl_rows(b, ax))
 
 
 class _PoissonLocal:
@@ -279,6 +336,21 @@ class _PoissonLocal:
         return self.A.T @ (1.0 - self.b / ax)
 
 
+class _PoissonRows(_Rows):
+    local = _PoissonLocal
+
+    def values(self, x):
+        return _kl_rows(self.b, self.A @ np.asarray(x, dtype=float))
+
+    def grads(self, x):
+        ax = np.maximum(self.A @ np.asarray(x, dtype=float), _KL_FLOOR)
+        return self._AT_dot(1.0 - self.b / ax)
+
+    def grads_rowwise(self, X):
+        ax = np.maximum(np.einsum("mnd,md->mn", self.A, X), _KL_FLOOR)
+        return np.einsum("mnd,mn->md", self.A, 1.0 - self.b / ax)
+
+
 def poisson_inverse(d, n, m, seed) -> Problem:
     """Generalized KL fit of Poisson counts against a nonnegative design.
 
@@ -289,7 +361,7 @@ def poisson_inverse(d, n, m, seed) -> Problem:
     """
     rng = np.random.default_rng(seed)
     x_true = rng.uniform(0.0, 1.0, d)
-    locs = []
+    As, bs = [], []
     for _ in range(m):
         A = np.abs(rng.standard_t(5, size=(n, d)))
         for _ in range(100):
@@ -297,22 +369,15 @@ def poisson_inverse(d, n, m, seed) -> Problem:
             if len(dead) == 0:
                 break
             A[dead] = np.abs(rng.standard_t(5, size=(len(dead), d)))
-        b = poisson_sample(rng, A @ x_true).astype(float)
-        locs.append(_PoissonLocal(A, b))
+        As.append(A)
+        bs.append(poisson_sample(rng, A @ x_true).astype(float))
+    rows = _PoissonRows(np.stack(As), np.stack(bs))
     prob = Problem(
-        name="poisson_inverse", m=m, d=d, locals=locs,
+        name="poisson_inverse", m=m, d=d, locals=rows.locals,
         domain=domains.orthant(d), f_lower=0.0, x_true=x_true,
-        paired_kernel="burg",
+        paired_kernel="burg", rows=rows,
     )
-    prob.meta["L_analytic"] = float(max(np.sum(loc.b) for loc in locs))
-    A_stack = np.stack([loc.A for loc in locs])
-    b_stack = np.stack([loc.b for loc in locs])
-
-    def batch_grad(X):
-        ax = np.maximum(np.einsum("mnd,md->mn", A_stack, X), _KL_FLOOR)
-        return np.einsum("mnd,mn->md", A_stack, 1.0 - b_stack / ax)
-
-    prob._batch_grad = batch_grad
+    prob.meta["L_analytic"] = float(max(np.sum(b) for b in bs))
     return prob
 
 

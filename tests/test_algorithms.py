@@ -266,16 +266,36 @@ def test_clipping_bounds_forced_clipping():
 
 def test_permutation_equivariance():
     prob, mix, k, L = _quad_setup(d=4, m=5, seed=11, gseed=7)
+    burg_prob = problems.poisson_inverse(d=6, n=5, m=5, seed=1)
+    cases = (
+        (prob, mix, k, L, np.full(4, 0.2)),
+        # the stacked family: permuted() must reindex the data stacks that
+        # grads_rowwise reads, not only the locals
+        (burg_prob, network.metropolis_weights(network.ring_graph(5)),
+         kernels.burg(6), burg_prob.meta["L_analytic"], np.full(6, 0.5)),
+    )
     perm = np.array([3, 0, 4, 1, 2])
     P = np.eye(5)[perm]
-    mix_p = network.MixingMatrix(m=5, W=P @ mix.W @ P.T, rho=mix.rho)
-    prob_p = prob.permuted(perm)
-    x0 = np.full(4, 0.2)
     cfg = AlgoConfig("dmgt", eta=0.05, delta=0.4, max_iter=25)
-    res = algorithms.run(prob, k, mix, cfg, x0, L=L)
-    res_p = algorithms.run(prob_p, k, mix_p, cfg, x0, L=L)
-    np.testing.assert_allclose(res_p.system.X, res.system.X[perm],
-                               atol=1e-12)
+    for prob, mix, k, L, x0 in cases:
+        mix_p = network.MixingMatrix(m=5, W=P @ mix.W @ P.T, rho=mix.rho)
+        prob_p = prob.permuted(perm)
+        res = algorithms.run(prob, k, mix, cfg, x0, L=L)
+        res_p = algorithms.run(prob_p, k, mix_p, cfg, x0, L=L)
+        assert res.status == res_p.status == "done"
+        np.testing.assert_allclose(res_p.system.X, res.system.X[perm],
+                                   rtol=1e-10, atol=1e-12)
+
+
+def test_record_every_accepts_only_zero_and_one():
+    prob, mix, k, L = _quad_setup()
+    cfg = AlgoConfig("dmgt", eta=0.05, delta=0.7, max_iter=3)
+    for every in (2, 5, -1):
+        with pytest.raises(ValueError, match="record_every"):
+            algorithms.run(prob, k, mix, cfg, np.zeros(prob.d), L=L,
+                           record_every=every)
+    assert len(algorithms.run(prob, k, mix, cfg, np.zeros(prob.d), L=L,
+                              record_every=0).records) == 2
 
 
 def test_run_zero_iterations_yields_initial_record():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualmix import algorithms, diagnostics, kernels, network, problems
+from dualmix import algorithms, cli, diagnostics, kernels, network, problems
 from dualmix.algorithms import AgentSystem, AlgoConfig
 
 
@@ -264,3 +264,79 @@ def test_recorder_backfills_G_and_marks_final():
     assert math.isnan(res.records[-1].G_proxy)
     assert res.records[-1].status == "done"
     assert all(r.status == "running" for r in res.records[:-1])
+
+
+def _two_solve_consensus(s, k, L, rho, lam):
+    """E_t with one inverse-Hessian solve per block, written out."""
+    m = s.X.shape[0]
+    xbar = k.grad_conj(s.Z.mean(axis=0))
+    Yc = s.Y - s.Y.mean(axis=0)
+    Zc = s.Z - s.Z.mean(axis=0)
+    HY = k.hess_solve(np.broadcast_to(xbar, Yc.shape), Yc)
+    HZ = k.hess_solve(np.broadcast_to(xbar, Zc.shape), Zc)
+    xi = diagnostics.xi_const(L, rho, lam)
+    return float(np.sum(HY * Yc) + xi * np.sum(HZ * Zc)) / m
+
+
+def _recorded_case(case):
+    """One short run of a (problem, kernel, algorithm) case used by the CSV
+    equivalence tests: its result, every state it passed through, and the
+    parameters its recorder used."""
+    if case.startswith("poisson"):
+        prob = problems.poisson_inverse(d=8, n=6, m=4, seed=2)
+        kernel, x0, L = kernels.burg(8), np.full(8, 0.5), prob.meta["L_analytic"]
+    else:
+        prob = problems.phase_retrieval(d=6, n=12, m=4, noise_sd=0.1, seed=2)
+        kernel, x0, L = kernels.quartic(6), np.full(6, 0.3), 50.0
+    algo = case.split("-")[1]
+    delta = 1.0 if algo == "dmgt" else math.inf
+    if algo == "dda":
+        kernel = cli.kernel_for_algorithm("dda", kernel, x0)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    cfg = AlgoConfig(algo, eta=1e-3, delta=delta, max_iter=20)
+    states = []
+
+    def keep(t, prev, cur):
+        if not states:
+            states.append(prev)
+        states.append(cur)
+
+    res = algorithms.run(prob, kernel, mix, cfg, x0, L=L, run_id="r",
+                         hooks=[keep])
+    lam = diagnostics.lambda_of(kernel, prob.m, mix.rho, delta)
+    lam = lam if math.isfinite(lam) else 1.0
+    return res, states, prob, kernel, L, cfg.eta, mix.rho, lam
+
+
+_CSV_CASES = ["poisson-dmgt", "poisson-dda", "phase-dgt"]
+
+
+@pytest.mark.parametrize("case", _CSV_CASES)
+def test_recorder_rows_equal_public_metrics(case):
+    res, states, prob, k, L, eta, rho, lam = _recorded_case(case)
+    assert res.status == "done" and len(res.records) == len(states) == 21
+    for t, s in enumerate(states):
+        zbar, xbar = diagnostics.dual_average(s, k)
+        last = t + 1 == len(states)
+        want = diagnostics.RunRecord(
+            run_id="r", algorithm=case.split("-")[1], kernel=k.name, t=s.t,
+            f_bar=prob.value(xbar),
+            stationarity=diagnostics.stationarity(prob, k, xbar),
+            consensus_primal=float(np.sum((s.X - s.X.mean(axis=0)) ** 2)) / prob.m,
+            consensus_dual=float(np.sum((s.Z - zbar) ** 2)) / prob.m,
+            E_t_proxy=diagnostics.consensus_potential(s, k, L, rho, lam),
+            M_t_proxy=diagnostics.descent_potential(s, prob, k, L, rho, lam),
+            G_proxy=(math.nan if last else diagnostics.optimality_measure(
+                s, states[t + 1], k, L, eta, rho, lam)),
+            clipped=s.clipped, status="done" if last else "running")
+        assert res.records[t].csv_row() == want.csv_row()
+
+
+@pytest.mark.parametrize("case", _CSV_CASES)
+def test_consensus_potential_stacked_solve_equals_two_solves(case):
+    # one hess_solve on [Y - ybar; Z - zbar] must give the bits of two
+    # separate solves, or recorded E, M and G would move
+    _, states, _, k, L, _, rho, lam = _recorded_case(case)
+    for s in states:
+        assert diagnostics.consensus_potential(s, k, L, rho, lam) == \
+            _two_solve_consensus(s, k, L, rho, lam)

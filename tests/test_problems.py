@@ -97,6 +97,59 @@ def test_poisson_batch_grad_matches_local_grads():
         rtol=1e-12)
 
 
+# more than 8 agents: there numpy's pairwise sum over the agent axis would
+# differ from the agent-order sum, so a vectorized mean is caught
+_STACKED_FAMILIES = {
+    "poisson": lambda seed: problems.poisson_inverse(d=30, n=12, m=9, seed=seed),
+    "phase_retrieval": lambda seed: problems.phase_retrieval(
+        d=20, n=15, m=10, noise_sd=0.1, seed=seed),
+}
+
+
+def _agent_loop(prob, x):
+    """f(x) and grad f(x) accumulated agent by agent over ``prob.locals``."""
+    value = float(sum(loc.value(x) for loc in prob.locals) / prob.m)
+    g = prob.locals[0].grad(x).astype(float, copy=True)
+    for loc in prob.locals[1:]:
+        g += loc.grad(x)
+    return value, g / prob.m
+
+
+@pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
+def test_stacked_value_grad_equal_agent_loop_bitwise(family):
+    # the recorder's f(xbar) and stationarity go into byte-checked CSVs, so
+    # the stacked evaluation must reproduce the per-agent loop exactly
+    for seed in (1, 2, 3):
+        prob = _STACKED_FAMILIES[family](seed)
+        for loc in prob.locals:
+            assert np.shares_memory(loc.A, prob.rows.A)
+            assert np.shares_memory(loc.b, prob.rows.b)
+        X = prob.domain.sample_interior(np.random.default_rng(seed), 40)
+        for x in X:
+            value, g = _agent_loop(prob, x)
+            assert prob.value(x) == value
+            assert np.array_equal(prob.grad(x), g)
+
+
+@pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
+def test_permuted_stacked_problem_follows_permutation(family):
+    prob = _STACKED_FAMILIES[family](1)
+    perm = [3, 0, 4, 1, 2] + list(range(5, prob.m))
+    p = prob.permuted(perm)
+    X = prob.domain.sample_interior(np.random.default_rng(5), prob.m)
+    for i, j in enumerate(perm):
+        assert np.array_equal(p.locals[i].A, prob.locals[j].A)
+    np.testing.assert_allclose(
+        p.grads_rowwise(X),
+        np.stack([prob.locals[j].grad(X[i]) for i, j in enumerate(perm)]),
+        rtol=1e-12)
+    for x in X:
+        value, g = _agent_loop(p, x)
+        assert p.value(x) == value
+        assert np.array_equal(p.grad(x), g)
+        assert p.value(x) == pytest.approx(prob.value(x), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Poisson sampling
 # ---------------------------------------------------------------------------
