@@ -16,6 +16,7 @@ nonconvergence is itself an experimental observable.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,6 @@ from .errors import (
     NotInImage,
     SingularHessian,
 )
-
-ALGORITHMS = ("dmgt", "dmd", "dgt", "dda")
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,24 @@ class AlgoConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.eta <= 0 or self.delta <= 0:
-            raise ValueError("eta and delta must be positive")
+        for name in ("eta", "delta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.y0 not in ("grad", "zero"):
             raise ValueError("y0 must be 'grad' or 'zero'")
+
+    @classmethod
+    def from_spec(cls, spec: dict, max_iter=None) -> "AlgoConfig":
+        """Config of an ``algorithms`` entry of an experiment config, with
+        numeric ``eta``/``delta``; ``max_iter`` overrides its budget."""
+        return cls(
+            algorithm=spec.get("kind"),
+            eta=float(spec.get("eta", 0.1)),
+            delta=float(spec.get("delta", math.inf)),
+            max_iter=int(spec.get("max_iter", 1000) if max_iter is None
+                         else max_iter),
+            y0=spec.get("y0", "grad"),
+        )
 
 
 @dataclass
@@ -172,6 +185,7 @@ def dgt_step(s: AgentSystem, prob, kernel, W, cfg: AlgoConfig) -> AgentSystem:
 
 
 _STEPS = {"dmgt": dmgt_step, "dmd": dmd_step, "dgt": dgt_step, "dda": dda_step}
+ALGORITHMS = tuple(_STEPS)
 
 _DIVERGENCE_ERRORS = (DomainViolation, NotInImage, NoConvergence, SingularHessian)
 
@@ -234,14 +248,14 @@ def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
         if emit_all and not _observe_finite(recorder, system):
             status, diverged_at, reason = "diverged", system.t, "non-finite metric"
             break
-    if status == "done" and not emit_all and system.t > 0:
-        if not _observe_finite(recorder, system):
-            status, diverged_at, reason = "diverged", system.t, "non-finite metric"
-    if status == "diverged" and not emit_all and _finite(system):
-        try:
-            recorder.observe(system, clipped=system.clipped, status="running")
-        except _DIVERGENCE_ERRORS:
-            pass
+    if not emit_all and system.t > 0 and _finite(system):
+        # the final state, observed once; a diverged run's may admit no record
+        if status == "done":
+            if not _observe_finite(recorder, system):
+                status, diverged_at, reason = "diverged", system.t, "non-finite metric"
+        else:
+            with contextlib.suppress(*_DIVERGENCE_ERRORS):
+                recorder.observe(system, clipped=system.clipped, status="running")
     recorder.mark_final(status)
     return RunResult(records=recorder.records, system=system, status=status,
                      diverged_at=diverged_at, reason=reason)

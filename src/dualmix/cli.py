@@ -51,17 +51,6 @@ def resolve_L(cfg, prob, kernel, seed) -> float:
                                             seed=[seed, 23])
 
 
-def _algo_cfg(spec: dict, max_iter_override=None) -> algorithms.AlgoConfig:
-    return algorithms.AlgoConfig(
-        algorithm=spec["kind"],
-        eta=float(spec.get("eta", 0.1)),
-        delta=float(spec.get("delta", math.inf)),
-        max_iter=int(max_iter_override if max_iter_override is not None
-                     else spec.get("max_iter", 1000)),
-        y0=spec.get("y0", "grad"),
-    )
-
-
 def kernel_for_algorithm(kind: str, kernel, x0):
     """DDA runs over the kernel shifted so the initial point minimizes it."""
     if kind != "dda":
@@ -103,7 +92,7 @@ def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
             spec["eta"] = eta_auto
         if spec.get("delta") == "auto":
             spec["delta"] = delta_auto
-    acfg = _algo_cfg(spec, max_iter)
+    acfg = algorithms.AlgoConfig.from_spec(spec, max_iter)
     run_kernel = kernel_for_algorithm(acfg.algorithm, kernel, x0)
     rid = run_id or f"{acfg.algorithm}_s{seed}"
     result = algorithms.run(prob, run_kernel, mix, acfg, x0, L=L,

@@ -9,37 +9,14 @@ from __future__ import annotations
 
 import copy
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
+from . import _spec, algorithms, kernels, network, problems
 from .errors import ParseError, ValidationError
 
-_TOP_KEYS = {"problem", "kernel", "graph", "algorithms", "tuning", "seeds",
-             "output", "init", "L"}
-_PROBLEM_KEYS = {
-    "quadratic": {"d", "m", "seed", "cond"},
-    "entropy": {"d", "m", "seed"},
-    "phase_retrieval": {"d", "n", "m", "noise_sd", "seed"},
-    "poisson": {"d", "n", "m", "seed"},
-    "tv_deblur": {"d_img", "m", "blur_len", "alpha", "lambda_tv", "seed"},
-}
-_KERNEL_KEYS = {
-    "euclidean": {"A"},
-    "boltzmann_shannon": set(),
-    "burg": {"mu"},
-    "power": {"mu", "r"},
-    "quartic": set(),
-    "tsallis": {"mu", "q"},
-    "exponential": {"mu"},
-    "norm_exponential": set(),
-    "harmonic": {"mu", "p"},
-    "hellinger": set(),
-    "fermi_dirac": set(),
-    "shifted": {"base", "shift"},
-}
-_GRAPH_KEYS = {"erdos_renyi": {"p", "seed"}, "complete": set(), "ring": set()}
 _ALGO_KEYS = {"kind", "eta", "delta", "max_iter", "y0"}
 _TUNING_KEYS = {"eta_grid", "delta_grid", "select_by"}
 _INIT_KEYS = {"kind", "scale"}
@@ -67,121 +44,63 @@ class ExperimentConfig:
     L: float = None
 
 
-def _check_keys(mapping, allowed, where):
-    if not isinstance(mapping, dict):
-        raise ValidationError(where, "expected a mapping")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValidationError(f"{where}.{sorted(unknown)[0]}", "unknown key")
-
-
-def _check_kinded(mapping, table, where):
-    _check_keys(mapping, set().union(*table.values(), {"kind"}), where)
-    kind = mapping.get("kind")
-    if kind not in table:
-        raise ValidationError(f"{where}.kind", f"must be one of {sorted(table)}")
-    extra = set(mapping) - table[kind] - {"kind"}
-    if extra:
-        raise ValidationError(f"{where}.{sorted(extra)[0]}",
-                              f"not valid for kind {kind!r}")
-
-
 def validate(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, _TOP_KEYS, "config")
-    for required in ("problem", "kernel", "graph", "algorithms"):
-        if required not in raw:
-            raise ValidationError(f"config.{required}", "missing required key")
-    _check_kinded(raw["problem"], _PROBLEM_KEYS, "problem")
-    _check_kinded(raw["kernel"], _KERNEL_KEYS, "kernel")
-    if raw["kernel"].get("kind") == "shifted":
-        _check_kinded(raw["kernel"]["base"], _KERNEL_KEYS, "kernel.base")
-    _check_kinded(raw["graph"], _GRAPH_KEYS, "graph")
+    _spec.check_keys(raw, [f.name for f in fields(ExperimentConfig)], "config",
+                     ctor=ExperimentConfig)
+    cfg = ExperimentConfig(**{k: copy.deepcopy(v) for k, v in raw.items()
+                              if k not in ("tuning", "init")})
+    for name, allowed in (("tuning", _TUNING_KEYS), ("init", _INIT_KEYS)):
+        if name in raw:  # given keys replace the defaults one by one
+            _spec.check_keys(raw[name], allowed, name)
+            getattr(cfg, name).update(copy.deepcopy(raw[name]))
 
-    algos = raw["algorithms"]
-    if not isinstance(algos, list) or not algos:
+    problem_domain = problems.spec_domain(cfg.problem)
+    kernel = kernels.kernel_from_spec(cfg.kernel, problem_domain.dim)
+    _check_domain_compat(kernel.domain, problem_domain)
+    _spec.check(network.GRAPHS, cfg.graph, "graph")
+
+    if not isinstance(cfg.algorithms, list) or not cfg.algorithms:
         raise ValidationError("algorithms", "need a nonempty list")
-    for i, a in enumerate(algos):
-        _check_keys(a, _ALGO_KEYS, f"algorithms[{i}]")
-        if a.get("kind") not in ("dmgt", "dmd", "dgt", "dda"):
-            raise ValidationError(f"algorithms[{i}].kind",
-                                  "must be one of dmgt, dmd, dgt, dda")
-        if "y0" in a and a["y0"] not in ("grad", "zero"):
-            raise ValidationError(f"algorithms[{i}].y0", "must be grad or zero")
+    for i, a in enumerate(cfg.algorithms):
+        _spec.check_keys(a, _ALGO_KEYS, f"algorithms[{i}]")
+        # an ``auto`` step is worked out per run; the default stands in here
+        fixed = {k: v for k, v in a.items()
+                 if v != "auto" or k not in ("eta", "delta")}
+        _spec.call(algorithms.AlgoConfig.from_spec, f"algorithms[{i}]", fixed)
 
-    tuning = copy.deepcopy(DEFAULT_TUNING)
-    if "tuning" in raw:
-        _check_keys(raw["tuning"], _TUNING_KEYS, "tuning")
-        tuning.update(raw["tuning"])
     for grid in ("eta_grid", "delta_grid"):
-        if not isinstance(tuning[grid], list) or not tuning[grid]:
+        values = cfg.tuning[grid]
+        if not isinstance(values, list) or not values:
             raise ValidationError(f"tuning.{grid}", "must be a nonempty list")
-        if any(not isinstance(v, (int, float)) or v <= 0 for v in tuning[grid]):
+        if any(not isinstance(v, (int, float)) or v <= 0 for v in values):
             raise ValidationError(f"tuning.{grid}", "entries must be positive")
-    if tuning["select_by"] not in _SELECT_METRICS:
+    if cfg.tuning["select_by"] not in _SELECT_METRICS:
         raise ValidationError("tuning.select_by",
                               f"must be one of {sorted(_SELECT_METRICS)}")
-
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or \
-            any(not isinstance(s, int) for s in seeds):
+    if not isinstance(cfg.seeds, list) or not cfg.seeds or \
+            any(not isinstance(s, int) for s in cfg.seeds):
         raise ValidationError("seeds", "must be a nonempty list of integers")
-
-    init = {"kind": "random_positive", "scale": 1.0}
-    if "init" in raw:
-        _check_keys(raw["init"], _INIT_KEYS, "init")
-        init.update(raw["init"])
-    if init["kind"] not in _INIT_KINDS:
+    if cfg.init["kind"] not in _INIT_KINDS:
         raise ValidationError("init.kind", f"must be one of {sorted(_INIT_KINDS)}")
-
-    L = raw.get("L")
-    if L is not None and (not isinstance(L, (int, float)) or L <= 0):
-        raise ValidationError("L", "must be a positive number")
-
-    cfg = ExperimentConfig(
-        problem=copy.deepcopy(raw["problem"]),
-        kernel=copy.deepcopy(raw["kernel"]),
-        graph=copy.deepcopy(raw["graph"]),
-        algorithms=copy.deepcopy(algos),
-        tuning=tuning,
-        seeds=list(seeds),
-        output=raw.get("output", "runs"),
-        init=init,
-        L=None if L is None else float(L),
-    )
-    _check_domain_compat(cfg)
+    if not isinstance(cfg.init["scale"], (int, float)):
+        raise ValidationError("init.scale", "must be a number")
+    if not isinstance(cfg.output, str):
+        raise ValidationError("output", "must be a path")
+    if cfg.L is not None:
+        if not isinstance(cfg.L, (int, float)) or cfg.L <= 0:
+            raise ValidationError("L", "must be a positive number")
+        cfg.L = float(cfg.L)
     return cfg
 
 
-def _check_domain_compat(cfg: ExperimentConfig):
-    """Mirror iterates live in the kernel domain; the objective must be
-    defined there, so the kernel domain must sit inside the problem's."""
-    problem_domains = {
-        "quadratic": "reals", "entropy": "orthant", "phase_retrieval": "reals",
-        "poisson": "orthant", "tv_deblur": "orthant",
-    }
-    kernel_domains = {
-        "euclidean": "reals", "boltzmann_shannon": "orthant", "burg": "orthant",
-        "power": "reals", "quartic": "reals", "tsallis": "orthant",
-        "exponential": "reals", "norm_exponential": "reals",
-        "harmonic": "orthant", "hellinger": "box", "fermi_dirac": "box",
-        "shifted": None,
-    }
-    pdom = problem_domains[cfg.problem["kind"]]
-    kkind = cfg.kernel["kind"]
-    kdom = kernel_domains[kkind]
-    if kkind == "shifted":
-        return  # shifted domains are data-dependent; checked at run time
-    # kernel domains contained in each problem domain
-    allowed = {
-        "reals": {"reals"},
-        "orthant": {"orthant", "box01"},
-    }[pdom]
-    if kdom == "box" and kkind == "fermi_dirac":
-        kdom = "box01"  # (0, 1)^d sits inside the orthant
-    if kdom not in allowed:
-        raise ValidationError(
-            "kernel.kind",
-            f"kernel domain {kdom!r} is not contained in the problem's {pdom!r}")
+def _check_domain_compat(kdom, pdom):
+    """Mirror iterates live in the kernel domain and the objective must be
+    defined there: the kernel's bounds lie inside the problem's, and the
+    kernel is unbounded below wherever the problem is."""
+    inside = (kdom.lo >= pdom.lo).all() and (kdom.hi <= pdom.hi).all()
+    if not inside or np.isfinite(kdom.lo[np.isneginf(pdom.lo)]).any():
+        raise ValidationError("kernel", f"domain {kdom.describe()} does not "
+                              f"fit the problem's {pdom.describe()}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -204,18 +123,9 @@ def parse_config(path) -> ExperimentConfig:
 
 def serialize(cfg: ExperimentConfig) -> str:
     """Canonical YAML echo of the config; parsing it reproduces the config."""
-    raw = {
-        "problem": cfg.problem,
-        "kernel": cfg.kernel,
-        "graph": cfg.graph,
-        "algorithms": cfg.algorithms,
-        "tuning": cfg.tuning,
-        "seeds": cfg.seeds,
-        "output": cfg.output,
-        "init": cfg.init,
-    }
-    if cfg.L is not None:
-        raw["L"] = cfg.L
+    raw = asdict(cfg)
+    if cfg.L is None:
+        del raw["L"]
     return yaml.safe_dump(raw, sort_keys=True)
 
 

@@ -49,10 +49,6 @@ class DisconnectedAfterRetries(Disconnected):
     """Random graph generation never produced a connected graph."""
 
 
-class DegenerateRow(DualmixError):
-    """A generated measurement matrix has an all-zero row."""
-
-
 class ParseError(DualmixError):
     """A config file could not be parsed; carries line/column if known."""
 
@@ -62,13 +58,9 @@ class ParseError(DualmixError):
         self.column = column
 
 
-class ValidationError(DualmixError):
-    """A parsed config failed validation; names the offending key."""
+class ValidationError(DualmixError, ValueError):
+    """A config or spec failed validation; names the offending key path."""
 
     def __init__(self, key, message=""):
         super().__init__(f"{key}: {message}" if message else key)
         self.key = key
-
-
-class AllDiverged(DualmixError):
-    """Every tuning cell of an algorithm diverged."""

@@ -23,10 +23,9 @@ import math
 import numpy as np
 import scipy.linalg
 
-from . import domains
+from . import _spec, domains
 from ._scalar import solve_increasing
 from .errors import (
-    DomainViolation,
     ModeMismatch,
     NoConvergence,
     NotInImage,
@@ -979,7 +978,16 @@ def table_catalogue(dim, mu=1.0, rs=(0.5, 1.0, 2.0), q=0.5, p=1.0, M=1.0):
 # Config-facing constructor
 # ---------------------------------------------------------------------------
 
-_SIMPLE_KINDS = {
+
+def _shifted_spec(dim, base, shift) -> Kernel:
+    """The ``shifted`` config kind: ``base`` is itself a kernel spec."""
+    if np.shape(shift) != (dim,):
+        raise ValueError(f"shift must be a vector of length {dim}")
+    return shifted(_spec.build(KERNELS, base, "kernel.base", dim), shift)
+
+
+# kind: (constructor, allowed keys); the constructor takes the dimension first
+KERNELS = {
     "euclidean": (euclidean, {"A"}),
     "boltzmann_shannon": (boltzmann_shannon, set()),
     "burg": (burg, {"mu"}),
@@ -991,35 +999,14 @@ _SIMPLE_KINDS = {
     "harmonic": (harmonic, {"mu", "p"}),
     "hellinger": (hellinger, set()),
     "fermi_dirac": (fermi_dirac, set()),
+    "shifted": (_shifted_spec, {"base", "shift"}),
 }
 
 
 def kernel_from_spec(spec: dict, dim: int) -> Kernel:
-    """Build a kernel from a config mapping like {kind: power, mu: 1, r: 2}.
+    """Build a kernel from a config mapping like {kind: power, mu: 1, r: 2};
+    a bad spec raises :class:`ValidationError` naming its key path.
 
-    ``{kind: shifted, base: {...}, shift: [..]}`` wraps another spec; a shift
-    of the string "auto-init" is resolved by the experiment runner.
+    ``{kind: shifted, base: {...}, shift: [..]}`` wraps another spec.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise DomainViolation("kernel spec must be a mapping with a 'kind'")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "shifted":
-        base = kernel_from_spec(spec.pop("base"), dim)
-        shift_val = spec.pop("shift")
-        if spec:
-            raise ValueError(f"unknown kernel keys: {sorted(spec)}")
-        if isinstance(shift_val, str):
-            if shift_val != "auto-init":
-                raise ValueError("shift must be a vector or 'auto-init'")
-            return base  # runner substitutes the resolved shift
-        return shifted(base, np.asarray(shift_val, dtype=float))
-    if kind not in _SIMPLE_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    ctor, allowed = _SIMPLE_KINDS[kind]
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
-    if "A" in spec and spec["A"] is not None:
-        spec["A"] = np.asarray(spec["A"], dtype=float)
-    return ctor(dim, **spec)
+    return _spec.build(KERNELS, spec, "kernel", dim)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _spec
 from .errors import Disconnected, DisconnectedAfterRetries, PreconditionViolated
 
 MAX_GRAPH_RETRIES = 1000
@@ -57,7 +58,7 @@ def ring_graph(m: int) -> Graph:
                            for i in range(m)))
 
 
-def erdos_renyi(m: int, p: float, seed: int) -> Graph:
+def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
     """Connected Erdos-Renyi draw; resamples with fresh substreams until
     connected (at most MAX_GRAPH_RETRIES attempts, retry count recorded)."""
     if m < 2:
@@ -76,24 +77,16 @@ def erdos_renyi(m: int, p: float, seed: int) -> Graph:
         f"no connected graph in {MAX_GRAPH_RETRIES} attempts (m={m}, p={p})")
 
 
+# kind: (constructor, allowed keys); the constructor takes the agent count first
+GRAPHS = {
+    "erdos_renyi": (erdos_renyi, {"p", "seed"}),
+    "complete": (complete_graph, set()),
+    "ring": (ring_graph, set()),
+}
+
+
 def graph_from_spec(spec: dict, m: int) -> Graph:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "complete":
-        extra = set(spec)
-    elif kind == "ring":
-        extra = set(spec)
-    elif kind == "erdos_renyi":
-        extra = set(spec) - {"p", "seed"}
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}")
-    if extra:
-        raise ValueError(f"unknown graph keys: {sorted(extra)}")
-    if kind == "complete":
-        return complete_graph(m)
-    if kind == "ring":
-        return ring_graph(m)
-    return erdos_renyi(m, float(spec.get("p", 0.3)), int(spec.get("seed", 0)))
+    return _spec.build(GRAPHS, spec, "graph", m)
 
 
 @dataclass

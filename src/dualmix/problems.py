@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from . import domains, kernels
+from . import _spec, domains
 from .errors import SamplingExhausted
 
 
@@ -89,7 +89,6 @@ class Problem:
     domain: domains.Domain
     f_lower: float = 0.0
     x_true: np.ndarray = None
-    paired_kernel: str = ""
     meta: dict = field(default_factory=dict)
     rows: "_Rows" = None
 
@@ -109,9 +108,6 @@ class Problem:
         for gi in grads:
             g += gi
         return g / self.m
-
-    def local_value(self, i, x) -> float:
-        return float(self.locals[i].value(x))
 
     def local_grad(self, i, x) -> np.ndarray:
         return self.locals[i].grad(x)
@@ -179,7 +175,7 @@ class _QuadraticLocal:
         return self.Q @ (np.asarray(x, dtype=float) - self.c)
 
 
-def quadratic_consensus(d, m, seed, cond=10.0) -> Problem:
+def quadratic_consensus(d, m, seed=0, cond=10.0) -> Problem:
     """Strongly convex quadratics with distinct centers; exact L and f*."""
     rng = np.random.default_rng(seed)
     locs = []
@@ -195,7 +191,7 @@ def quadratic_consensus(d, m, seed, cond=10.0) -> Problem:
     x_star = np.linalg.solve(Qbar, rhs)
     prob = Problem(
         name="quadratic", m=m, d=d, locals=locs, domain=domains.reals(d),
-        x_true=x_star, paired_kernel="euclidean",
+        x_true=x_star,
     )
     prob.f_lower = prob.value(x_star)
     prob.meta["L_exact"] = float(max(np.linalg.norm(loc.Q, 2) for loc in locs))
@@ -223,7 +219,7 @@ class _EntropyLocal:
         return self.c * np.log(x) + self.a
 
 
-def entropy_consensus(d, m, seed) -> Problem:
+def entropy_consensus(d, m, seed=0) -> Problem:
     """Orthant problem exactly smooth relative to Boltzmann-Shannon."""
     rng = np.random.default_rng(seed)
     cs = rng.uniform(0.5, 2.0, m)
@@ -235,7 +231,7 @@ def entropy_consensus(d, m, seed) -> Problem:
     f_lower = float(-cbar * np.sum(np.exp(-abar / cbar)))
     prob = Problem(
         name="entropy", m=m, d=d, locals=locs, domain=domains.orthant(d),
-        f_lower=f_lower, paired_kernel="boltzmann_shannon",
+        f_lower=f_lower,
     )
     prob.meta["L_exact"] = float(np.max(cs))
     return prob
@@ -280,7 +276,7 @@ class _PhaseRetrievalRows(_Rows):
         return (-4.0 / self.n) * np.einsum("mnd,mn->md", self.A, w)
 
 
-def phase_retrieval(d, n, m, noise_sd, seed) -> Problem:
+def phase_retrieval(d, n, m, noise_sd, seed=0) -> Problem:
     """Quartic sensing: f_i(x) = (1/n) sum_l (b - <a, x>^2)^2.
 
     Sensing vectors are standard normal, measurements are squared inner
@@ -300,8 +296,7 @@ def phase_retrieval(d, n, m, noise_sd, seed) -> Problem:
     rows = _PhaseRetrievalRows(np.stack(As), np.stack(bs))
     return Problem(
         name="phase_retrieval", m=m, d=d, locals=rows.locals,
-        domain=domains.reals(d), f_lower=0.0, x_true=x_true,
-        paired_kernel="quartic", rows=rows,
+        domain=domains.reals(d), f_lower=0.0, x_true=x_true, rows=rows,
     )
 
 
@@ -351,7 +346,7 @@ class _PoissonRows(_Rows):
         return np.einsum("mnd,mn->md", self.A, 1.0 - self.b / ax)
 
 
-def poisson_inverse(d, n, m, seed) -> Problem:
+def poisson_inverse(d, n, m, seed=0) -> Problem:
     """Generalized KL fit of Poisson counts against a nonnegative design.
 
     Design entries are absolute Student-t(5) draws (all-zero rows are
@@ -374,8 +369,7 @@ def poisson_inverse(d, n, m, seed) -> Problem:
     rows = _PoissonRows(np.stack(As), np.stack(bs))
     prob = Problem(
         name="poisson_inverse", m=m, d=d, locals=rows.locals,
-        domain=domains.orthant(d), f_lower=0.0, x_true=x_true,
-        paired_kernel="burg", rows=rows,
+        domain=domains.orthant(d), f_lower=0.0, x_true=x_true, rows=rows,
     )
     prob.meta["L_analytic"] = float(max(np.sum(b) for b in bs))
     return prob
@@ -505,7 +499,6 @@ def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Probl
     return Problem(
         name="tv_deblur", m=m, d=d_img * d_img, locals=locs,
         domain=domains.orthant(d_img * d_img), f_lower=0.0, x_true=x_true,
-        paired_kernel="burg",
         meta={"alpha": alpha, "lambda_tv": lambda_tv, "blur_len": blur_len},
     )
 
@@ -571,33 +564,28 @@ def psnr(X, X_ref, peak=255.0) -> float:
 # ---------------------------------------------------------------------------
 
 
+# kind: (constructor, allowed keys, domain); the domain is read from the
+# spec's keys, so a config is checked without generating its data
+PROBLEMS = {
+    "quadratic": (quadratic_consensus, {"d", "m", "seed", "cond"},
+                  lambda d, **_: domains.reals(d)),
+    "entropy": (entropy_consensus, {"d", "m", "seed"},
+                lambda d, **_: domains.orthant(d)),
+    "phase_retrieval": (phase_retrieval, {"d", "n", "m", "noise_sd", "seed"},
+                        lambda d, **_: domains.reals(d)),
+    "poisson": (poisson_inverse, {"d", "n", "m", "seed"},
+                lambda d, **_: domains.orthant(d)),
+    "tv_deblur": (tv_deblur, {"d_img", "m", "blur_len", "alpha", "lambda_tv",
+                              "seed"},
+                  lambda d_img, **_: domains.orthant(d_img * d_img)),
+}
+
+
 def problem_from_spec(spec: dict) -> Problem:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    builders = {
-        "quadratic": (quadratic_consensus, {"d", "m", "seed", "cond"}),
-        "entropy": (entropy_consensus, {"d", "m", "seed"}),
-        "phase_retrieval": (phase_retrieval, {"d", "n", "m", "noise_sd", "seed"}),
-        "poisson": (poisson_inverse, {"d", "n", "m", "seed"}),
-        "tv_deblur": (tv_deblur, {"d_img", "m", "blur_len", "alpha",
-                                  "lambda_tv", "seed"}),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    ctor, allowed = builders[kind]
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-    return ctor(**spec)
+    return _spec.build(PROBLEMS, spec, "problem")
 
 
-def default_kernel_for(prob: Problem, dim=None):
-    """The geometry each problem family pairs with in the experiments."""
-    dim = prob.d if dim is None else dim
-    table = {
-        "euclidean": kernels.euclidean,
-        "quartic": kernels.quartic,
-        "burg": kernels.burg,
-        "boltzmann_shannon": kernels.boltzmann_shannon,
-    }
-    return table[prob.paired_kernel](dim)
+def spec_domain(spec: dict) -> domains.Domain:
+    """Domain of the problem a spec describes, without generating its data."""
+    (_, _, domain), kwargs = _spec.check(PROBLEMS, spec, "problem")
+    return _spec.call(domain, "problem", **kwargs)

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from dualmix import kernels
+from dualmix.invariants import fd_gradient, safe_eps  # noqa: F401
 
 
 def catalogue(dim=5):
@@ -14,22 +14,3 @@ def catalogue(dim=5):
 @pytest.fixture(params=sorted(catalogue().keys()))
 def any_kernel(request):
     return catalogue()[request.param]
-
-
-def fd_gradient(fun, x, eps):
-    """Central-difference gradient, the independent oracle for grad checks."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = eps
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * eps)
-    return g
-
-
-def safe_eps(domain, x, base=1e-6):
-    """Step that keeps x +- eps*v strictly inside the domain."""
-    lo_gap = np.min(np.where(np.isfinite(domain.lo), x - domain.lo, np.inf))
-    hi_gap = np.min(np.where(np.isfinite(domain.hi), domain.hi - x, np.inf))
-    eps = min(base * (1.0 + float(np.linalg.norm(x))), 0.25 * min(lo_gap, hi_gap))
-    return eps if np.isfinite(eps) and eps > 0 else base

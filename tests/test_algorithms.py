@@ -353,3 +353,22 @@ def test_config_validation():
         AlgoConfig("dmgt", eta=-1.0)
     with pytest.raises(ValueError):
         AlgoConfig("dmgt", eta=0.1, y0="both")
+
+
+def test_unrecorded_run_observes_a_nonfinite_final_state_once():
+    prob = problems.quadratic_consensus(3, 3, 0)
+    mix = network.metropolis_weights(network.complete_graph(3))
+    value, calls = prob.value, []
+
+    def value_inf_after_first(x):  # the final state's objective overflows
+        calls.append(1)
+        return value(x) if len(calls) == 1 else math.inf
+
+    prob.value = value_inf_after_first
+    cfg = AlgoConfig("dmgt", eta=0.05, delta=0.7, max_iter=3)
+    res = algorithms.run(prob, kernels.euclidean(3), mix, cfg, np.zeros(3),
+                         L=prob.meta["L_exact"], record_every=0)
+    assert [r.t for r in res.records] == [0, 3]
+    assert (res.status, res.diverged_at, res.reason) == \
+        ("diverged", 3, "non-finite metric")
+    assert math.isnan(res.records[-1].G_proxy)

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,6 +80,91 @@ def test_kernel_problem_domain_compatibility():
     raw["kernel"] = {"kind": "burg"}  # orthant kernel cannot host reals problem
     with pytest.raises(ValidationError):
         config.validate(raw)
+
+
+# Problem kind -> the catalogue kernel kinds the name table of the previous
+# domain check accepted: reals problems take the whole-space kernels, orthant
+# problems the orthant kernels and Fermi-Dirac's (0, 1)^d.
+_REALS_KERNELS = {"euclidean", "power", "quartic", "exponential",
+                  "norm_exponential"}
+_ORTHANT_KERNELS = {"boltzmann_shannon", "burg", "tsallis", "harmonic",
+                    "fermi_dirac"}
+_PROBLEM_SPECS = {
+    "quadratic": ({"d": 4, "m": 2}, _REALS_KERNELS),
+    "entropy": ({"d": 4, "m": 2}, _ORTHANT_KERNELS),
+    "phase_retrieval": ({"d": 4, "n": 3, "m": 2, "noise_sd": 0.1},
+                        _REALS_KERNELS),
+    "poisson": ({"d": 4, "n": 3, "m": 2}, _ORTHANT_KERNELS),
+    "tv_deblur": ({"d_img": 4, "m": 2}, _ORTHANT_KERNELS),
+}
+_CATALOGUE_KINDS = sorted(_REALS_KERNELS | _ORTHANT_KERNELS | {"hellinger"})
+
+
+@pytest.mark.parametrize("problem", sorted(_PROBLEM_SPECS))
+@pytest.mark.parametrize("kernel", _CATALOGUE_KINDS)
+def test_domain_verdict_matches_name_table(problem, kernel):
+    keys, accepted = _PROBLEM_SPECS[problem]
+    raw = yaml.safe_load(MINIMAL)
+    raw["problem"] = {"kind": problem, "seed": 0, **keys}
+    raw["kernel"] = {"kind": kernel}
+    if kernel in accepted:
+        config.validate(raw)
+    else:
+        with pytest.raises(ValidationError):
+            config.validate(raw)
+
+
+def _shifted_burg(shift, **base):
+    return lambda raw: raw.update(kernel={
+        "kind": "shifted", "base": {"kind": "burg", **base}, "shift": shift})
+
+
+# case -> (edit of MINIMAL, key path of the error)
+_BAD_CONFIGS = {
+    "missing problem.d": (lambda raw: raw["problem"].pop("d"), "problem.d"),
+    "kernel.mu -1": (lambda raw: raw["kernel"].update(mu=-1), "kernel"),
+    "algorithms[0].eta -0.05": (
+        lambda raw: raw["algorithms"][0].update(eta=-0.05), "algorithms[0]"),
+    "algorithms[1].y0 both": (
+        lambda raw: raw["algorithms"][1].update(y0="both"), "algorithms[1]"),
+    "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
+                        "graph.kind"),
+    "shifted euclidean on poisson": (
+        lambda raw: raw.update(kernel={"kind": "shifted",
+                                       "base": {"kind": "euclidean"},
+                                       "shift": [0.0] * 12}), "kernel"),
+    "shift auto-init": (_shifted_burg("auto-init"), "kernel"),
+    "shifted burg below the orthant": (
+        _shifted_burg([0.5] * 11 + [-0.01]), "kernel"),
+    "kernel.base.mu 0": (_shifted_burg([0.0] * 12, mu=0.0), "kernel.base"),
+    "missing kernel.shift": (
+        lambda raw: raw.update(kernel={"kind": "shifted",
+                                       "base": {"kind": "burg"}}),
+        "kernel.shift"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_config_errors_name_their_key_at_parse_time(case, tmp_path, capsys):
+    edit, key = _BAD_CONFIGS[case]
+    raw = yaml.safe_load(MINIMAL)
+    edit(raw)
+    with pytest.raises(ValidationError) as ei:
+        config.validate(raw)
+    assert ei.value.key == key
+    cfgfile = _write(tmp_path, yaml.safe_dump(raw))
+    assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_shifted_kernel_within_the_orthant_is_accepted():
+    raw = yaml.safe_load(MINIMAL)
+    raw["kernel"] = {"kind": "shifted", "base": {"kind": "burg", "mu": 1.0},
+                     "shift": [0.0] * 6 + [0.25] * 6}
+    cfg = config.validate(raw)
+    kernel = cli.build_kernel(cfg, cfg.problem["d"])
+    np.testing.assert_array_equal(kernel.domain.lo, [0.0] * 6 + [0.25] * 6)
 
 
 def test_parse_error_carries_location():
@@ -293,6 +380,20 @@ def test_cli_error_reporting(tmp_path, capsys):
     rc = cli.main(["run", str(bad)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_check_invariants_is_independent_of_the_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualmix.cli", "check-invariants"],
+            env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "7/7 checks passed"
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_dda_uses_shifted_kernel():

@@ -351,3 +351,23 @@ def test_entropy_consensus_lower_bound():
     vals = [prob.value(X[i]) for i in range(200)]
     assert min(vals) >= prob.f_lower - 1e-12
     _check_gradients(prob, n_pts=30)
+
+
+_SMALL_SPECS = {
+    "quadratic": {"d": 4, "m": 2},
+    "entropy": {"d": 4, "m": 2},
+    "phase_retrieval": {"d": 4, "n": 3, "m": 2, "noise_sd": 0.1},
+    "poisson": {"d": 4, "n": 3, "m": 2},
+    "tv_deblur": {"d_img": 4, "m": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(problems.PROBLEMS))
+def test_spec_domain_is_the_built_problems_domain(kind):
+    # config validation reads the domain from the spec without building
+    spec = {"kind": kind, **_SMALL_SPECS[kind]}
+    built = problems.problem_from_spec(spec).domain
+    read = problems.spec_domain(spec)
+    assert read.dim == built.dim
+    np.testing.assert_array_equal(read.lo, built.lo)
+    np.testing.assert_array_equal(read.hi, built.hi)
