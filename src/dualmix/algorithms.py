@@ -61,6 +61,8 @@ class AlgoConfig:
                 raise ValueError(f"{name} must be positive")
         if self.y0 not in ("grad", "zero"):
             raise ValueError("y0 must be 'grad' or 'zero'")
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be nonnegative")
 
     @classmethod
     def from_spec(cls, spec: dict, max_iter=None) -> "AlgoConfig":
@@ -112,8 +114,10 @@ def clip_rows(V, eta, delta):
     if delta == math.inf:
         return V * eta, False
     norms = np.linalg.norm(V, axis=1, keepdims=True)
-    factors = np.where(norms > 0, np.minimum(eta, delta / np.where(norms > 0, norms, 1.0)), eta)
-    return V * factors, bool(np.any(eta * norms > delta))
+    # delta / 0 counts as inf, so a zero (or nan) row keeps the factor eta
+    ratios = np.divide(delta, norms, out=np.full_like(norms, np.inf),
+                       where=norms > 0)
+    return V * np.minimum(eta, ratios), bool(np.any(eta * norms > delta))
 
 
 def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:

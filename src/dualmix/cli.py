@@ -366,6 +366,13 @@ def _cmd_check(args):
     return 1 if failures else 0
 
 
+def _iter_budget(text) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dualmix",
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed list with one seed")
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--max-iter", type=int, default=None,
+    common.add_argument("--max-iter", type=_iter_budget, default=None,
                         help="override every algorithm's iteration budget")
 
     pr = sub.add_parser("run", parents=[common],

@@ -20,7 +20,6 @@ from .errors import ParseError, ValidationError
 _ALGO_KEYS = {"kind", "eta", "delta", "max_iter", "y0"}
 _TUNING_KEYS = {"eta_grid", "delta_grid", "select_by"}
 _INIT_KEYS = {"kind", "scale"}
-_INIT_KINDS = {"random_positive", "gauss", "truth_perturbed", "ones"}
 _SELECT_METRICS = {"stationarity", "f_bar", "rel_error"}
 
 DEFAULT_TUNING = {
@@ -80,8 +79,8 @@ def validate(raw: dict) -> ExperimentConfig:
     if not isinstance(cfg.seeds, list) or not cfg.seeds or \
             any(not isinstance(s, int) for s in cfg.seeds):
         raise ValidationError("seeds", "must be a nonempty list of integers")
-    if cfg.init["kind"] not in _INIT_KINDS:
-        raise ValidationError("init.kind", f"must be one of {sorted(_INIT_KINDS)}")
+    if cfg.init["kind"] not in _INIT_DRAWS:
+        raise ValidationError("init.kind", f"must be one of {sorted(_INIT_DRAWS)}")
     if not isinstance(cfg.init["scale"], (int, float)):
         raise ValidationError("init.scale", "must be a number")
     if not isinstance(cfg.output, str):
@@ -129,21 +128,24 @@ def serialize(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(raw, sort_keys=True)
 
 
+def _truth_perturbed(rng, prob, scale):
+    if prob.x_true is None:
+        raise ValidationError("init.kind", "problem has no ground truth")
+    return prob.x_true + scale * np.abs(rng.standard_normal(prob.d)) + 1e-8
+
+
+# init kind: draw(rng, prob, scale) of the consensus initial point
+_INIT_DRAWS = {
+    "random_positive": lambda rng, prob, scale:
+        scale * np.abs(rng.standard_normal(prob.d)) + 1e-8,
+    "gauss": lambda rng, prob, scale: scale * rng.standard_normal(prob.d),
+    "truth_perturbed": _truth_perturbed,
+    "ones": lambda rng, prob, scale: scale * np.ones(prob.d),
+}
+
+
 def initial_point(cfg: ExperimentConfig, prob, kernel, seed: int) -> np.ndarray:
     """Draw the (consensus) initial point for one seed."""
     rng = np.random.default_rng([seed, 17])
-    kind = cfg.init["kind"]
     scale = float(cfg.init.get("scale", 1.0))
-    if kind == "random_positive":
-        x0 = scale * np.abs(rng.standard_normal(prob.d)) + 1e-8
-    elif kind == "gauss":
-        x0 = scale * rng.standard_normal(prob.d)
-    elif kind == "truth_perturbed":
-        if prob.x_true is None:
-            raise ValidationError("init.kind", "problem has no ground truth")
-        x0 = prob.x_true + scale * np.abs(rng.standard_normal(prob.d)) + 1e-8
-    elif kind == "ones":
-        x0 = scale * np.ones(prob.d)
-    else:  # pragma: no cover - validated earlier
-        raise ValidationError("init.kind", kind)
-    return x0
+    return _INIT_DRAWS[cfg.init["kind"]](rng, prob, scale)

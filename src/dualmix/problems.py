@@ -1,8 +1,10 @@
 """Objective suites and synthetic data generation.
 
-Three families: quadratic consensus (testing), phase retrieval with the
-quartic geometry, and Poisson inverse problems (dense sensing or blurred
-imaging with a smoothed total-variation penalty) with the Burg geometry.
+Five families, each a :class:`Problem` subclass built from stacked
+per-agent arrays: quadratic consensus and an entropy-matched problem (test
+problems with exact constants), phase retrieval with the quartic geometry,
+and Poisson inverse problems (dense sensing, or blurred imaging with a
+smoothed total-variation penalty) with the Burg geometry.
 Data generation is deterministic given the seed; the Poisson sampler is
 hand-rolled from uniforms so the byte stream never depends on numpy's
 internal distribution algorithms.
@@ -11,7 +13,7 @@ internal distribution algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -73,88 +75,45 @@ def poisson_sample(rng, lam):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Problem:
-    """m local objectives over a shared domain, with gradient oracles.
+    """m local objectives f_i over a shared domain, f = (1/m) sum_i f_i.
 
-    Families whose local objectives depend on x only through A_i x keep
-    their data stacked in ``rows`` (see :class:`_Rows`); ``locals`` then
-    holds views of those stacks.
+    Each family is a subclass that holds its data as arrays stacked along a
+    leading agent axis, reads ``m`` and ``d`` from them, and provides three
+    oracles: ``_values(x)``, the m local values at one point, (m,);
+    ``_grads(x)``, the m local gradients there, (m, d); and
+    ``grads_rowwise(X)``, agent i's gradient at row i of X, (m, d).
+    ``value`` and ``grad`` add the agents in order, from agent 0, and then
+    divide by m: recorded CSVs are byte-checked, and a vectorized mean
+    would round differently.
+    ``permuted`` reindexes the arrays named in ``_stacked``.
     """
 
     name: str
-    m: int
-    d: int
-    locals: list                      # objects with .value(x) and .grad(x)
     domain: domains.Domain
     f_lower: float = 0.0
     x_true: np.ndarray = None
     meta: dict = field(default_factory=dict)
-    rows: "_Rows" = None
+    m: int = field(init=False)
+    d: int = field(init=False)
+
+    _stacked = ()
 
     def value(self, x) -> float:
-        if self.rows is not None:
-            values = self.rows.values(x)
-        else:
-            values = (loc.value(x) for loc in self.locals)
-        return float(sum(values) / self.m)
+        return float(sum(self._values(np.asarray(x, dtype=float))) / self.m)
 
     def grad(self, x) -> np.ndarray:
-        if self.rows is not None:
-            grads = iter(self.rows.grads(x))
-        else:
-            grads = (loc.grad(x) for loc in self.locals)
-        g = next(grads).astype(float, copy=True)
-        for gi in grads:
+        G = self._grads(np.asarray(x, dtype=float))
+        g = G[0].copy()
+        for gi in G[1:]:
             g += gi
         return g / self.m
 
-    def local_grad(self, i, x) -> np.ndarray:
-        return self.locals[i].grad(x)
-
-    def grads_rowwise(self, X) -> np.ndarray:
-        """Per-agent gradients of the m rows of X, stacked (m, d)."""
-        if self.rows is not None:
-            return self.rows.grads_rowwise(X)
-        return np.stack([self.locals[i].grad(X[i]) for i in range(self.m)])
-
     def permuted(self, perm) -> "Problem":
         """Same problem with agents relabelled by the permutation."""
-        import copy
-
-        p = copy.copy(self)
-        if self.rows is not None:
-            p.rows = self.rows.permuted(perm)
-            p.locals = p.rows.locals
-        else:
-            p.locals = [self.locals[j] for j in perm]
-        return p
-
-
-class _Rows:
-    """Stacked data of a family whose local objective reads x only through
-    A_i x: the (m, n, d) designs ``A`` and the (m, n) observations ``b``.
-
-    ``values(x)`` and ``grads(x)`` give the m local values and gradients at
-    one point from a single stacked product A x, with the same
-    floating-point operations as the per-agent ``local`` objects, which are
-    views of the stacks.
-    """
-
-    local = None
-
-    def __init__(self, A, b):
-        self.A = A
-        self.b = b
-        self.n = A.shape[1]
-        self.locals = [self.local(A[i], b[i]) for i in range(A.shape[0])]
-
-    def permuted(self, perm):
-        return type(self)(self.A[perm], self.b[perm])
-
-    def _AT_dot(self, W):
-        """A_i^T w_i for every agent, stacked (m, d)."""
-        return (self.A.transpose(0, 2, 1) @ W[..., None])[..., 0]
+        return replace(self, **{k: getattr(self, k)[perm]
+                                for k in self._stacked})
 
 
 # ---------------------------------------------------------------------------
@@ -162,39 +121,47 @@ class _Rows:
 # ---------------------------------------------------------------------------
 
 
-class _QuadraticLocal:
-    def __init__(self, Q, c):
-        self.Q = Q
-        self.c = c
+@dataclass(kw_only=True)
+class Quadratic(Problem):
+    """f_i(x) = (x - c_i)' Q_i (x - c_i) / 2; ``Q`` (m, d, d), ``c`` (m, d)."""
 
-    def value(self, x):
-        r = np.asarray(x, dtype=float) - self.c
-        return 0.5 * float(r @ self.Q @ r)
+    Q: np.ndarray
+    c: np.ndarray
+    _stacked = ("Q", "c")
 
-    def grad(self, x):
-        return self.Q @ (np.asarray(x, dtype=float) - self.c)
+    def __post_init__(self):
+        self.m, self.d = self.c.shape
+
+    def _values(self, x):
+        # per-agent (1, d) products round like agent i's r @ Q_i @ r
+        r = (x - self.c)[:, None, :]
+        return 0.5 * ((r @ self.Q) @ r.transpose(0, 2, 1))[:, 0, 0]
+
+    def _grads(self, x):
+        return (self.Q @ (x - self.c)[..., None])[..., 0]
+
+    def grads_rowwise(self, X):
+        return self._grads(X)
 
 
 def quadratic_consensus(d, m, seed=0, cond=10.0) -> Problem:
     """Strongly convex quadratics with distinct centers; exact L and f*."""
     rng = np.random.default_rng(seed)
-    locs = []
-    for _ in range(m):
-        M = rng.standard_normal((d, d))
-        Q, _ = np.linalg.qr(M)
+    Q = np.empty((m, d, d))
+    c = np.empty((m, d))
+    for i in range(m):
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
         vals = np.exp(rng.uniform(0.0, np.log(cond), d))
-        Q = (Q * vals) @ Q.T
-        Q = 0.5 * (Q + Q.T)
-        locs.append(_QuadraticLocal(Q, rng.standard_normal(d)))
-    Qbar = sum(loc.Q for loc in locs) / m
-    rhs = sum(loc.Q @ loc.c for loc in locs) / m
+        Qi = (U * vals) @ U.T
+        Q[i] = 0.5 * (Qi + Qi.T)
+        c[i] = rng.standard_normal(d)
+    Qbar = sum(Q) / m
+    rhs = sum((Q @ c[..., None])[..., 0]) / m
     x_star = np.linalg.solve(Qbar, rhs)
-    prob = Problem(
-        name="quadratic", m=m, d=d, locals=locs, domain=domains.reals(d),
-        x_true=x_star,
-    )
+    prob = Quadratic(name="quadratic", domain=domains.reals(d), x_true=x_star,
+                     Q=Q, c=c)
     prob.f_lower = prob.value(x_star)
-    prob.meta["L_exact"] = float(max(np.linalg.norm(loc.Q, 2) for loc in locs))
+    prob.meta["L_exact"] = float(max(np.linalg.norm(Qi, 2) for Qi in Q))
     return prob
 
 
@@ -203,20 +170,28 @@ def quadratic_consensus(d, m, seed=0, cond=10.0) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-class _EntropyLocal:
-    """c * sum(x log x - x) + a.x: Hessian is exactly c * diag(1/x)."""
+@dataclass(kw_only=True)
+class Entropy(Problem):
+    """f_i(x) = c_i sum(x log x - x) + a_i.x, whose Hessian is exactly
+    c_i diag(1/x); ``c`` (m,), ``a`` (m, d)."""
 
-    def __init__(self, c, a):
-        self.c = c
-        self.a = a
+    c: np.ndarray
+    a: np.ndarray
+    _stacked = ("c", "a")
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.c * float(np.sum(x * np.log(x) - x)) + float(self.a @ x)
+    def __post_init__(self):
+        self.m, self.d = self.a.shape
 
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.c * np.log(x) + self.a
+    def _values(self, x):
+        # a (1, d) @ (d,) product per agent rounds like a_i @ x
+        return (self.c * np.sum(x * np.log(x) - x)
+                + (self.a[:, None, :] @ x)[:, 0])
+
+    def _grads(self, x):
+        return self.c[:, None] * np.log(x) + self.a
+
+    def grads_rowwise(self, X):
+        return self._grads(X)
 
 
 def entropy_consensus(d, m, seed=0) -> Problem:
@@ -224,56 +199,59 @@ def entropy_consensus(d, m, seed=0) -> Problem:
     rng = np.random.default_rng(seed)
     cs = rng.uniform(0.5, 2.0, m)
     As = rng.uniform(0.0, 1.0, (m, d))
-    locs = [_EntropyLocal(float(cs[i]), As[i]) for i in range(m)]
     cbar = float(np.mean(cs))
     abar = As.mean(axis=0)
     # coordinatewise minimum of cbar*(t log t - t) + abar_j t is -cbar*exp(-abar_j/cbar)
     f_lower = float(-cbar * np.sum(np.exp(-abar / cbar)))
-    prob = Problem(
-        name="entropy", m=m, d=d, locals=locs, domain=domains.orthant(d),
-        f_lower=f_lower,
-    )
+    prob = Entropy(name="entropy", domain=domains.orthant(d), f_lower=f_lower,
+                   c=cs, a=As)
     prob.meta["L_exact"] = float(np.max(cs))
     return prob
 
 
 # ---------------------------------------------------------------------------
-# Phase retrieval
+# Families that read x only through A_i x
 # ---------------------------------------------------------------------------
 
 
-class _PhaseRetrievalLocal:
-    def __init__(self, A, b):
-        self.A = A  # (n, d) sensing vectors as rows
-        self.b = b
-        self.n = A.shape[0]
+@dataclass(kw_only=True)
+class _Design(Problem):
+    """Designs ``A`` (m, n, d), one sensing vector per row, and
+    observations ``b`` (m, n).
 
-    def value(self, x):
-        r = self.b - (self.A @ np.asarray(x, dtype=float)) ** 2
-        return float(np.sum(r * r)) / self.n
+    ``_values`` and ``_grads`` round exactly like agent i's own products
+    ``A_i @ x`` and ``A_i.T @ w``; ``grads_rowwise`` keeps the two einsums
+    that the reference CSVs were recorded with.
+    """
 
-    def grad(self, x):
-        ax = self.A @ np.asarray(x, dtype=float)
+    A: np.ndarray
+    b: np.ndarray
+    _stacked = ("A", "b")
+
+    def __post_init__(self):
+        self.m, _, self.d = self.A.shape
+
+    def _AT_dot(self, W):
+        """A_i^T w_i for every agent, stacked (m, d)."""
+        return (self.A.transpose(0, 2, 1) @ W[..., None])[..., 0]
+
+
+class PhaseRetrieval(_Design):
+    """f_i(x) = (1/n) sum_l (b_il - <a_il, x>^2)^2."""
+
+    def _values(self, x):
+        r = self.b - (self.A @ x) ** 2
+        return np.sum(r * r, axis=-1) / self.A.shape[1]
+
+    def _grads(self, x):
+        ax = self.A @ x
         r = self.b - ax * ax
-        return (-4.0 / self.n) * (self.A.T @ (r * ax))
-
-
-class _PhaseRetrievalRows(_Rows):
-    local = _PhaseRetrievalLocal
-
-    def values(self, x):
-        r = self.b - (self.A @ np.asarray(x, dtype=float)) ** 2
-        return np.sum(r * r, axis=-1) / self.n
-
-    def grads(self, x):
-        ax = self.A @ np.asarray(x, dtype=float)
-        r = self.b - ax * ax
-        return (-4.0 / self.n) * self._AT_dot(r * ax)
+        return (-4.0 / self.A.shape[1]) * self._AT_dot(r * ax)
 
     def grads_rowwise(self, X):
         ax = np.einsum("mnd,md->mn", self.A, X)
         w = (self.b - ax * ax) * ax
-        return (-4.0 / self.n) * np.einsum("mnd,mn->md", self.A, w)
+        return (-4.0 / self.A.shape[1]) * np.einsum("mnd,mn->md", self.A, w)
 
 
 def phase_retrieval(d, n, m, noise_sd, seed=0) -> Problem:
@@ -293,16 +271,10 @@ def phase_retrieval(d, n, m, noise_sd, seed=0) -> Problem:
             b = b + noise_sd * rng.standard_normal(n)
         As.append(A)
         bs.append(b)
-    rows = _PhaseRetrievalRows(np.stack(As), np.stack(bs))
-    return Problem(
-        name="phase_retrieval", m=m, d=d, locals=rows.locals,
-        domain=domains.reals(d), f_lower=0.0, x_true=x_true, rows=rows,
-    )
+    return PhaseRetrieval(name="phase_retrieval", domain=domains.reals(d),
+                          f_lower=0.0, x_true=x_true, A=np.stack(As),
+                          b=np.stack(bs))
 
-
-# ---------------------------------------------------------------------------
-# Poisson inverse
-# ---------------------------------------------------------------------------
 
 _KL_FLOOR = 1e-300
 
@@ -314,31 +286,14 @@ def _kl_rows(b, ax):
     return np.sum(terms + ax, axis=-1)
 
 
-def _kl_value(b, ax):
-    return float(_kl_rows(b, ax))
+class Poisson(_Design):
+    """f_i(x) = KL(b_i, A_i x), the generalized Kullback-Leibler divergence."""
 
+    def _values(self, x):
+        return _kl_rows(self.b, self.A @ x)
 
-class _PoissonLocal:
-    def __init__(self, A, b):
-        self.A = A
-        self.b = b
-
-    def value(self, x):
-        return _kl_value(self.b, self.A @ np.asarray(x, dtype=float))
-
-    def grad(self, x):
-        ax = np.maximum(self.A @ np.asarray(x, dtype=float), _KL_FLOOR)
-        return self.A.T @ (1.0 - self.b / ax)
-
-
-class _PoissonRows(_Rows):
-    local = _PoissonLocal
-
-    def values(self, x):
-        return _kl_rows(self.b, self.A @ np.asarray(x, dtype=float))
-
-    def grads(self, x):
-        ax = np.maximum(self.A @ np.asarray(x, dtype=float), _KL_FLOOR)
+    def _grads(self, x):
+        ax = np.maximum(self.A @ x, _KL_FLOOR)
         return self._AT_dot(1.0 - self.b / ax)
 
     def grads_rowwise(self, X):
@@ -366,11 +321,8 @@ def poisson_inverse(d, n, m, seed=0) -> Problem:
             A[dead] = np.abs(rng.standard_t(5, size=(len(dead), d)))
         As.append(A)
         bs.append(poisson_sample(rng, A @ x_true).astype(float))
-    rows = _PoissonRows(np.stack(As), np.stack(bs))
-    prob = Problem(
-        name="poisson_inverse", m=m, d=d, locals=rows.locals,
-        domain=domains.orthant(d), f_lower=0.0, x_true=x_true, rows=rows,
-    )
+    prob = Poisson(name="poisson_inverse", domain=domains.orthant(d),
+                   f_lower=0.0, x_true=x_true, A=np.stack(As), b=np.stack(bs))
     prob.meta["L_analytic"] = float(max(np.sum(b) for b in bs))
     return prob
 
@@ -447,34 +399,53 @@ def tv_value(X, eps=EPS_TV) -> float:
 
 
 def tv_grad(X, eps=EPS_TV) -> np.ndarray:
-    dv = np.diff(X, axis=0, append=X[-1:, :])
-    dh = np.diff(X, axis=1, append=X[:, -1:])
+    """Gradient of :func:`tv_value` of each image in the last two axes."""
+    dv = np.diff(X, axis=-2, append=X[..., -1:, :])
+    dh = np.diff(X, axis=-1, append=X[..., :, -1:])
     s = np.sqrt(dv * dv + dh * dh + eps * eps)
     gv = dv / s
     gh = dh / s
     g = -gv - gh
-    g[1:, :] += gv[:-1, :]
-    g[:, 1:] += gh[:, :-1]
+    g[..., 1:, :] += gv[..., :-1, :]
+    g[..., :, 1:] += gh[..., :, :-1]
     return g
 
 
-class _TVDeblurLocal:
-    def __init__(self, A, b, lam, d_img):
-        self.A = A
-        self.b = b
-        self.lam = lam
-        self.d_img = d_img
+@dataclass(kw_only=True)
+class TVDeblur(Problem):
+    """f_i(x) = KL(b_i, A_i x) + lam TV(x) on a d_img x d_img image: ``A`` is
+    the block-diagonal (m d, m d) CSR of the m blur matrices, ``b`` (m, d)."""
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        val = _kl_value(self.b, self.A @ x)
-        return val + self.lam * tv_value(x.reshape(self.d_img, self.d_img))
+    A: scipy.sparse.csr_matrix
+    b: np.ndarray
+    lam: float
+    d_img: int = field(init=False)
 
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        ax = np.maximum(self.A @ x, _KL_FLOOR)
-        g = self.A.T @ (1.0 - self.b / ax)
-        return g + self.lam * tv_grad(x.reshape(self.d_img, self.d_img)).ravel()
+    def __post_init__(self):
+        self.m, self.d = self.b.shape
+        self.d_img = math.isqrt(self.d)
+
+    def _blur(self, X):
+        """A_i x_i for every agent, (m, d); a shared x (d,) serves all."""
+        X = np.broadcast_to(X, self.b.shape)
+        return (self.A @ X.ravel()).reshape(self.b.shape)
+
+    def _values(self, x):
+        tv = tv_value(x.reshape(self.d_img, self.d_img))
+        return _kl_rows(self.b, self._blur(x)) + self.lam * tv
+
+    def _grads(self, X):
+        ax = np.maximum(self._blur(X), _KL_FLOOR)
+        g = (self.A.T @ (1.0 - self.b / ax).ravel()).reshape(self.b.shape)
+        images = X.reshape(X.shape[:-1] + (self.d_img, self.d_img))
+        return g + self.lam * tv_grad(images).reshape(X.shape)
+
+    def grads_rowwise(self, X):
+        return self._grads(X)
+
+    def permuted(self, perm):
+        idx = (np.asarray(perm)[:, None] * self.d + np.arange(self.d)).ravel()
+        return replace(self, A=self.A[idx][:, idx], b=self.b[perm])
 
 
 def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Problem:
@@ -489,17 +460,19 @@ def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Probl
     rng = np.random.default_rng(seed)
     X_true = phantom_image(d_img)
     x_true = X_true.ravel()
-    locs = []
+    blurs, bs = [], []
     for i in range(m):
         angle = (i % 8) * math.pi / 8.0
         A = blur_matrix(d_img, blur_len, angle)
         lam_img = alpha * np.asarray(A @ x_true)
-        b = poisson_sample(rng, lam_img).astype(float) / alpha
-        locs.append(_TVDeblurLocal(A, b, lambda_tv, d_img))
-    return Problem(
-        name="tv_deblur", m=m, d=d_img * d_img, locals=locs,
-        domain=domains.orthant(d_img * d_img), f_lower=0.0, x_true=x_true,
+        bs.append(poisson_sample(rng, lam_img).astype(float) / alpha)
+        blurs.append(A)
+    return TVDeblur(
+        name="tv_deblur", domain=domains.orthant(d_img * d_img), f_lower=0.0,
+        x_true=x_true,
         meta={"alpha": alpha, "lambda_tv": lambda_tv, "blur_len": blur_len},
+        A=scipy.sparse.block_diag(blurs, format="csr"), b=np.stack(bs),
+        lam=lambda_tv,
     )
 
 
@@ -535,12 +508,11 @@ def estimate_rel_smoothness(prob: Problem, kernel, n_samples=100, seed=0,
                   0.25 * min(lo_gap, hi_gap))
         if not np.isfinite(eps) or eps <= 0:
             eps = 1e-5
-        denom_all = kernel.hess_apply(x, v) @ v
-        for idx in range(prob.m):
-            hv = (prob.local_grad(idx, x + eps * v)
-                  - prob.local_grad(idx, x - eps * v)) / (2.0 * eps)
-            num = abs(float(hv @ v))
-            ratio_max = max(ratio_max, num / float(denom_all))
+        denom = float(kernel.hess_apply(x, v) @ v)
+        HV = (prob._grads(x + eps * v)
+              - prob._grads(x - eps * v)) / (2.0 * eps)
+        for hv in HV:  # one dot per agent: a stacked HV @ v rounds differently
+            ratio_max = max(ratio_max, abs(float(hv @ v)) / denom)
         used += 1
     if used == 0:
         raise SamplingExhausted("no interior sample lay in the problem domain")

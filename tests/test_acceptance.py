@@ -69,13 +69,13 @@ def test_c02_euclidean_reduction_matches_reference_gt():
     # reference gradient-tracking loop, written out independently
     W = mix.W
     X = np.tile(x0, (m, 1))
-    G = np.stack([prob.locals[i].grad(X[i]) for i in range(m)])
+    G = np.stack([prob.Q[i] @ (X[i] - prob.c[i]) for i in range(m)])
     Y = G.copy()
     worst = 0.0
     states = [X.copy()]
     for _ in range(T):
         X = W @ (X - eta * Y)
-        G_new = np.stack([prob.locals[i].grad(X[i]) for i in range(m)])
+        G_new = np.stack([prob.Q[i] @ (X[i] - prob.c[i]) for i in range(m)])
         Y = W @ Y + G_new - G
         G = G_new
         states.append(X.copy())

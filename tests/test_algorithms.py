@@ -16,6 +16,11 @@ def _quad_setup(d=6, m=5, seed=0, p=0.6, gseed=3):
     return prob, mix, kernels.euclidean(d), prob.meta["L_exact"]
 
 
+def _quad_grad(prob, i, x):
+    """Gradient Q_i (x - c_i) of agent i's quadratic."""
+    return prob.Q[i] @ (x - prob.c[i])
+
+
 # ---------------------------------------------------------------------------
 # Clipping operator
 # ---------------------------------------------------------------------------
@@ -41,6 +46,45 @@ def test_clip_properties(v, eta, delta):
         np.testing.assert_allclose(c, eta * v, rtol=1e-12, atol=0)
     else:
         assert np.linalg.norm(c) == pytest.approx(delta, rel=1e-9)
+
+
+def test_clip_rows_is_bitwise_the_nested_where_formula():
+    # the formula clip_rows had before, written out
+    def nested_where(V, eta, delta):
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        factors = np.where(norms > 0, np.minimum(
+            eta, delta / np.where(norms > 0, norms, 1.0)), eta)
+        return V * factors, bool(np.any(eta * norms > delta))
+
+    tiny = np.finfo(float).tiny
+    rows = {
+        "zero": [0.0, 0.0, 0.0],
+        "subnormal": [5e-324, 0.0, -1e-320],
+        "tiny": [tiny, -tiny, 0.0],
+        "huge": [1e200, -3e199, 0.0],
+        "overflowing": [1e300, 1e300, 0.0],
+        "at delta": [2.0, 0.0, 0.0],       # eta * |v| = 0.5 * 2 = delta
+        "below": [0.3, -0.4, 0.0],
+        "above": [30.0, 40.0, -1.0],
+        "nan": [np.nan, 1.0, 0.0],
+    }
+    for name, row in rows.items():
+        for others in ([], [[0.25, 0.5, 1.0]]):
+            V = np.array([row] + others)
+            for eta, delta in ((0.5, 1.0), (0.1, 0.3), (1e-3, 1e-300),
+                               (2.0, 1e300)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got_S, got_clipped = algorithms.clip_rows(V, eta, delta)
+                    want_S, want_clipped = nested_where(V, eta, delta)
+                assert got_S.tobytes() == want_S.tobytes(), (name, eta, delta)
+                assert got_clipped == want_clipped, (name, eta, delta)
+
+
+def test_clip_rows_zero_row_raises_no_warning():
+    with np.errstate(all="raise"):
+        S, clipped = algorithms.clip_rows(np.zeros((2, 3)), 0.5, 1.0)
+    assert not clipped
+    assert S.tobytes() == np.zeros((2, 3)).tobytes()
 
 
 def test_clip_rows_reports_events():
@@ -70,11 +114,11 @@ def test_dmgt_matches_independent_gradient_tracking():
 
     W = mix.W
     X = np.tile(x0, (prob.m, 1))
-    G = np.stack([prob.locals[i].grad(X[i]) for i in range(prob.m)])
+    G = np.stack([_quad_grad(prob, i, X[i]) for i in range(prob.m)])
     Y = G.copy()
     for _ in range(50):
         X = W @ (X - eta * Y)
-        G_new = np.stack([prob.locals[i].grad(X[i]) for i in range(prob.m)])
+        G_new = np.stack([_quad_grad(prob, i, X[i]) for i in range(prob.m)])
         Y = W @ Y + G_new - G
         G = G_new
     np.testing.assert_allclose(res.system.X, X, atol=1e-10, rtol=0)
@@ -98,17 +142,12 @@ def test_dmgt_single_agent_is_clipped_mirror_descent():
 
 
 def test_dmgt_scalar_trace():
-    # 1-D Boltzmann-Shannon, m=1, f(x) = x: hand-rolled scalar recursion
-    class _Lin:
-        def value(self, x):
-            return float(x[0])
-
-        def grad(self, x):
-            return np.ones(1)
-
-    prob = problems.Problem(name="lin", m=1, d=1, locals=[_Lin()],
+    # 1-D Boltzmann-Shannon, m=1, f(x) = x: hand-rolled scalar recursion;
+    # f is the entropy family with c = 0, a = 1
+    prob = problems.Entropy(name="lin",
                             domain=kernels.boltzmann_shannon(1).domain,
-                            f_lower=-math.inf)
+                            f_lower=-math.inf, c=np.zeros(1),
+                            a=np.ones((1, 1)))
     mix = network.MixingMatrix(m=1, W=np.ones((1, 1)), rho=0.0)
     k = kernels.boltzmann_shannon(1)
     eta, delta = 0.5, 1.0
@@ -148,7 +187,8 @@ def test_dmd_step_hand_rolled():
     res = algorithms.run(prob, k, mix, cfg, x0, L=1.0)
     for i in range(2):
         mixed = 0.5 * (x0[0] + x0[0])
-        z = (mixed - 1 / mixed) - eta * prob.locals[i].grad(x0)[0]
+        grad_i = prob.c[i] * math.log(x0[0]) + prob.a[i, 0]
+        z = (mixed - 1 / mixed) - eta * grad_i
         x_next = (z + math.sqrt(z * z + 4)) / 2
         assert res.system.X[i, 0] == pytest.approx(x_next, rel=1e-12)
 
@@ -160,7 +200,7 @@ def test_dmd_consensus_start_mixing_is_identity():
     res = algorithms.run(prob, k, mix, cfg, x0, L=L)
     # W 1 = 1: the mixed point equals x0, so the step uses local gradients only
     for i in range(prob.m):
-        expected = x0 - 0.01 * prob.locals[i].grad(x0)
+        expected = x0 - 0.01 * _quad_grad(prob, i, x0)
         np.testing.assert_allclose(res.system.X[i], expected, rtol=1e-12)
 
 
@@ -269,8 +309,8 @@ def test_permutation_equivariance():
     burg_prob = problems.poisson_inverse(d=6, n=5, m=5, seed=1)
     cases = (
         (prob, mix, k, L, np.full(4, 0.2)),
-        # the stacked family: permuted() must reindex the data stacks that
-        # grads_rowwise reads, not only the locals
+        # a second family: permuted() must reindex the design stacks that
+        # grads_rowwise reads
         (burg_prob, network.metropolis_weights(network.ring_graph(5)),
          kernels.burg(6), burg_prob.meta["L_analytic"], np.full(6, 0.5)),
     )
@@ -285,6 +325,12 @@ def test_permutation_equivariance():
         assert res.status == res_p.status == "done"
         np.testing.assert_allclose(res_p.system.X, res.system.X[perm],
                                    rtol=1e-10, atol=1e-12)
+
+
+def test_algo_config_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        AlgoConfig("dmd", eta=0.1, max_iter=-4)
+    assert AlgoConfig("dmd", eta=0.1, max_iter=0).max_iter == 0
 
 
 def test_record_every_accepts_only_zero_and_one():

@@ -127,8 +127,12 @@ _BAD_CONFIGS = {
         lambda raw: raw["algorithms"][0].update(eta=-0.05), "algorithms[0]"),
     "algorithms[1].y0 both": (
         lambda raw: raw["algorithms"][1].update(y0="both"), "algorithms[1]"),
+    "algorithms[1].max_iter -4": (
+        lambda raw: raw["algorithms"][1].update(max_iter=-4), "algorithms[1]"),
     "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
                         "graph.kind"),
+    "init.kind uniform": (lambda raw: raw.update(init={"kind": "uniform"}),
+                          "init.kind"),
     "shifted euclidean on poisson": (
         lambda raw: raw.update(kernel={"kind": "shifted",
                                        "base": {"kind": "euclidean"},
@@ -156,6 +160,41 @@ def test_config_errors_name_their_key_at_parse_time(case, tmp_path, capsys):
     assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_negative_max_iter_flag_exits_2(command, tmp_path, capsys):
+    cfgfile = _write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as ei:
+        cli.main([command, str(cfgfile), "--out", str(tmp_path / "o"),
+                  "--max-iter", "-4"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --max-iter: must be a nonnegative integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# init kind -> its draw of x0, written out
+_INIT_DRAWS = {
+    "random_positive": lambda rng, prob, scale:
+        scale * np.abs(rng.standard_normal(prob.d)) + 1e-8,
+    "gauss": lambda rng, prob, scale: scale * rng.standard_normal(prob.d),
+    "truth_perturbed": lambda rng, prob, scale:
+        prob.x_true + scale * np.abs(rng.standard_normal(prob.d)) + 1e-8,
+    "ones": lambda rng, prob, scale: scale * np.ones(prob.d),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INIT_DRAWS))
+def test_initial_point_draws_each_kind(kind):
+    raw = yaml.safe_load(MINIMAL)
+    raw["init"] = {"kind": kind, "scale": 0.5}
+    cfg = config.validate(raw)
+    prob = cli.build_problem(cfg, 3)
+    x0 = config.initial_point(cfg, prob, None, 3)
+    want = _INIT_DRAWS[kind](np.random.default_rng([3, 17]), prob, 0.5)
+    assert x0.tobytes() == want.tobytes()
 
 
 def test_shifted_kernel_within_the_orthant_is_accepted():

@@ -34,17 +34,19 @@ def test_stationarity_orthant_interior_is_gradient_norm():
         pytest.approx(np.linalg.norm(prob.grad(x)))
 
 
+def _zero_quadratic(domain):
+    """f = 0 on ``domain``, a stand-in whose ``grad`` a test then replaces."""
+    return problems.Quadratic(name="g", domain=domain,
+                              Q=np.zeros((1, domain.dim, domain.dim)),
+                              c=np.zeros((1, domain.dim)))
+
+
 def test_stationarity_orthant_active_projection():
     # x_1 active, grad = (-2, 3, 0): the projection onto -N keeps the
     # nonnegative part at the active coordinate, so the residual is
     # (min(g_1, 0), g_2, g_3) with norm sqrt(13).  (g_1 = -2 means descent
     # into the feasible region is still possible, so it must count.)
-    class _G:
-        def grad(self, x):
-            return np.array([-2.0, 3.0, 0.0])
-
-    prob = problems.Problem(name="g", m=1, d=3, locals=[_G()],
-                            domain=problems.domains.orthant(3))
+    prob = _zero_quadratic(problems.domains.orthant(3))
     prob.grad = lambda x: np.array([-2.0, 3.0, 0.0])
     x = np.array([0.0, 1.0, 1.0])
     got = diagnostics.stationarity(prob, kernels.burg(3), x)
@@ -58,11 +60,7 @@ def test_stationarity_orthant_active_projection():
 
 
 def test_stationarity_box_faces():
-    class _G:
-        pass
-
-    prob = problems.Problem(name="g", m=1, d=2, locals=[_G()],
-                            domain=problems.domains.box(2))
+    prob = _zero_quadratic(problems.domains.box(2))
     prob.grad = lambda x: np.array([-1.5, 2.5])
     # at the upper face the positive part remains; at the lower the negative
     assert diagnostics.stationarity(prob, kernels.hellinger(2),
@@ -73,29 +71,16 @@ def test_stationarity_box_faces():
         pytest.approx(math.hypot(1.5, 2.5))
 
 
-class _ShiftedSquare:
-    """f(x) = |x - c|^2 / 2."""
-
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-
-    def value(self, x):
-        r = np.asarray(x, dtype=float) - self.c
-        return 0.5 * float(r @ r)
-
-    def grad(self, x):
-        return np.asarray(x, dtype=float) - self.c
-
-
 def test_local_stationarity_vanishes_at_boundary_active_optimum():
     # On the orthant the minimizer is max(c, 0), active where c_i < 0 with
     # gradient -c_i there.  Interior points approaching it keep the full
     # gradient norm as normal-cone stationarity, while the Burg local norm
     # goes to 0 because the inverse Hessian x^2 / (mu x^2 + 1) does.
     c = np.array([-2.0, 1.5, -0.5, 3.0])
-    prob = problems.Problem(name="shifted_square", m=1, d=4,
-                            locals=[_ShiftedSquare(c)],
-                            domain=problems.domains.orthant(4))
+    # f(x) = |x - c|^2 / 2: the quadratic family with Q = I
+    prob = problems.Quadratic(name="shifted_square",
+                              domain=problems.domains.orthant(4),
+                              Q=np.eye(4)[None], c=c[None])
     k = kernels.burg(4)
     x_star = np.maximum(c, 0.0)
     c_active = np.linalg.norm(c[c < 0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, safe_eps
-from dualmix import kernels, problems
+from dualmix import domains, kernels, problems
 
 
 def _check_gradients(prob, n_pts=100, tol=1e-6, seed=0):
@@ -34,13 +34,12 @@ def test_phase_retrieval_interpolation():
 
 def test_phase_retrieval_hand_case():
     # d=1, n=1, a=1, b=1, x=0: f = (1-0)^2 = 1, grad = -4(1-0)*0*1 = 0
-    prob = problems.phase_retrieval(d=1, n=1, m=1, noise_sd=0.0, seed=0)
-    loc = prob.locals[0]
-    loc.A = np.array([[1.0]])
-    loc.b = np.array([1.0])
+    prob = problems.PhaseRetrieval(name="phase_retrieval",
+                                   domain=domains.reals(1),
+                                   A=np.array([[[1.0]]]), b=np.array([[1.0]]))
     x = np.array([0.0])
-    assert loc.value(x) == pytest.approx(1.0)
-    assert loc.grad(x) == pytest.approx(0.0)
+    assert prob.value(x) == pytest.approx(1.0)
+    assert prob.grad(x) == pytest.approx(0.0)
 
 
 def test_phase_retrieval_gradients():
@@ -54,23 +53,22 @@ def test_phase_retrieval_gradients():
 
 
 def test_poisson_perfect_fit_is_stationary():
-    prob = problems.poisson_inverse(d=5, n=8, m=2, seed=0)
-    loc = prob.locals[0]
+    data = problems.poisson_inverse(d=5, n=8, m=2, seed=0)
     x = np.abs(np.random.default_rng(1).standard_normal(5)) + 0.5
-    loc.b = loc.A @ x  # exact fit
-    assert loc.value(x) == pytest.approx(0.0, abs=1e-10)
-    np.testing.assert_allclose(loc.grad(x), 0.0, atol=1e-10)
+    A = data.A[:1]
+    prob = problems.Poisson(name="poisson_inverse", domain=data.domain, A=A,
+                            b=A @ x)  # exact fit
+    assert prob.value(x) == pytest.approx(0.0, abs=1e-10)
+    np.testing.assert_allclose(prob.grad(x), 0.0, atol=1e-10)
 
 
 def test_poisson_hand_case():
     # d=1, n=1, A=1, b=0, x=1: f = 0 - 0 + 1, grad = 1 (0 log 0 := 0)
-    prob = problems.poisson_inverse(d=1, n=1, m=1, seed=0)
-    loc = prob.locals[0]
-    loc.A = np.array([[1.0]])
-    loc.b = np.array([0.0])
+    prob = problems.Poisson(name="poisson_inverse", domain=domains.orthant(1),
+                            A=np.array([[[1.0]]]), b=np.array([[0.0]]))
     x = np.array([1.0])
-    assert loc.value(x) == pytest.approx(1.0)
-    assert loc.grad(x) == pytest.approx(1.0)
+    assert prob.value(x) == pytest.approx(1.0)
+    assert prob.grad(x) == pytest.approx(1.0)
 
 
 def test_poisson_gradients_and_nonnegativity():
@@ -83,9 +81,9 @@ def test_poisson_gradients_and_nonnegativity():
 
 def test_poisson_design_has_no_zero_rows():
     prob = problems.poisson_inverse(d=4, n=30, m=5, seed=9)
-    for loc in prob.locals:
-        assert np.all(loc.A.sum(axis=1) > 0)
-        assert np.all(loc.A >= 0)
+    for A in prob.A:
+        assert np.all(A.sum(axis=1) > 0)
+        assert np.all(A >= 0)
 
 
 def test_poisson_batch_grad_matches_local_grads():
@@ -93,26 +91,73 @@ def test_poisson_batch_grad_matches_local_grads():
     X = prob.domain.sample_interior(np.random.default_rng(0), 4)
     np.testing.assert_allclose(
         prob.grads_rowwise(X),
-        np.stack([prob.locals[i].grad(X[i]) for i in range(4)]),
+        np.stack([_local(prob, i, X[i])[1] for i in range(4)]),
         rtol=1e-12)
+
+
+def _kl_local(A, b, x):
+    """Generalized KL divergence of b from A x and its gradient."""
+    ax = np.maximum(A @ x, 1e-300)
+    terms = np.where(b > 0, b * np.log(np.maximum(b, 1e-300) / ax) - b, 0.0)
+    return float(np.sum(terms + ax)), A.T @ (1.0 - b / ax)
+
+
+def _local(prob, i, x):
+    """f_i(x) and grad f_i(x), written out for agent i from its family's
+    formula and its slice of the stacked data."""
+    if prob.name == "quadratic":
+        r = x - prob.c[i]
+        return 0.5 * float(r @ prob.Q[i] @ r), prob.Q[i] @ r
+    if prob.name == "entropy":
+        return (prob.c[i] * float(np.sum(x * np.log(x) - x))
+                + float(prob.a[i] @ x), prob.c[i] * np.log(x) + prob.a[i])
+    if prob.name == "phase_retrieval":
+        A, b = prob.A[i], prob.b[i]
+        ax = A @ x
+        r = b - ax * ax
+        return (float(np.sum(r * r)) / len(b),
+                (-4.0 / len(b)) * (A.T @ (r * ax)))
+    if prob.name == "poisson_inverse":
+        return _kl_local(prob.A[i], prob.b[i], x)
+    assert prob.name == "tv_deblur"
+    block = slice(i * prob.d, (i + 1) * prob.d)
+    value, g = _kl_local(prob.A[block, block], prob.b[i], x)
+    image = x.reshape(prob.d_img, prob.d_img)
+    return (value + prob.lam * problems.tv_value(image),
+            g + prob.lam * problems.tv_grad(image).ravel())
 
 
 # more than 8 agents: there numpy's pairwise sum over the agent axis would
 # differ from the agent-order sum, so a vectorized mean is caught
 _STACKED_FAMILIES = {
+    "quadratic": lambda seed: problems.quadratic_consensus(d=6, m=9, seed=seed),
+    "entropy": lambda seed: problems.entropy_consensus(d=12, m=10, seed=seed),
     "poisson": lambda seed: problems.poisson_inverse(d=30, n=12, m=9, seed=seed),
     "phase_retrieval": lambda seed: problems.phase_retrieval(
         d=20, n=15, m=10, noise_sd=0.1, seed=seed),
+    "tv_deblur": lambda seed: problems.tv_deblur(d_img=5, m=9, blur_len=3,
+                                                 seed=seed),
 }
+# grads_rowwise of these two is an einsum over the stacks, which rounds
+# differently from agent i's matrix-vector products
+_ROWWISE_RTOL = {"poisson": 1e-12, "phase_retrieval": 1e-12}
 
 
 def _agent_loop(prob, x):
-    """f(x) and grad f(x) accumulated agent by agent over ``prob.locals``."""
-    value = float(sum(loc.value(x) for loc in prob.locals) / prob.m)
-    g = prob.locals[0].grad(x).astype(float, copy=True)
-    for loc in prob.locals[1:]:
-        g += loc.grad(x)
+    """f(x) and grad f(x) accumulated agent by agent from :func:`_local`."""
+    terms = [_local(prob, i, x) for i in range(prob.m)]
+    value = float(sum(v for v, _ in terms) / prob.m)
+    g = terms[0][1].astype(float, copy=True)
+    for _, gi in terms[1:]:
+        g += gi
     return value, g / prob.m
+
+
+def _check_rowwise(family, got, expected):
+    if family in _ROWWISE_RTOL:
+        np.testing.assert_allclose(got, expected, rtol=_ROWWISE_RTOL[family])
+    else:
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
@@ -121,14 +166,14 @@ def test_stacked_value_grad_equal_agent_loop_bitwise(family):
     # the stacked evaluation must reproduce the per-agent loop exactly
     for seed in (1, 2, 3):
         prob = _STACKED_FAMILIES[family](seed)
-        for loc in prob.locals:
-            assert np.shares_memory(loc.A, prob.rows.A)
-            assert np.shares_memory(loc.b, prob.rows.b)
         X = prob.domain.sample_interior(np.random.default_rng(seed), 40)
         for x in X:
             value, g = _agent_loop(prob, x)
             assert prob.value(x) == value
             assert np.array_equal(prob.grad(x), g)
+        _check_rowwise(family, prob.grads_rowwise(X[:prob.m]),
+                       np.stack([_local(prob, i, X[i])[1]
+                                 for i in range(prob.m)]))
 
 
 @pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
@@ -136,18 +181,45 @@ def test_permuted_stacked_problem_follows_permutation(family):
     prob = _STACKED_FAMILIES[family](1)
     perm = [3, 0, 4, 1, 2] + list(range(5, prob.m))
     p = prob.permuted(perm)
+    assert (p.m, p.d) == (prob.m, prob.d)
     X = prob.domain.sample_interior(np.random.default_rng(5), prob.m)
     for i, j in enumerate(perm):
-        assert np.array_equal(p.locals[i].A, prob.locals[j].A)
-    np.testing.assert_allclose(
-        p.grads_rowwise(X),
-        np.stack([prob.locals[j].grad(X[i]) for i, j in enumerate(perm)]),
-        rtol=1e-12)
+        value, g = _local(p, i, X[i])
+        value_j, g_j = _local(prob, j, X[i])
+        assert value == value_j
+        assert np.array_equal(g, g_j)
+    _check_rowwise(family, p.grads_rowwise(X),
+                   np.stack([_local(prob, j, X[i])[1]
+                             for i, j in enumerate(perm)]))
     for x in X:
         value, g = _agent_loop(p, x)
         assert p.value(x) == value
         assert np.array_equal(p.grad(x), g)
         assert p.value(x) == pytest.approx(prob.value(x), rel=1e-12)
+
+
+def test_estimate_rel_smoothness_is_the_per_agent_loop_bitwise():
+    # each agent's ratio takes its own 1-D dot hv_i @ v; a stacked HV @ v
+    # rounds differently, and the estimated L feeds the recorded E, M and G
+    prob = problems.poisson_inverse(d=40, n=10, m=8, seed=1)
+    k = kernels.burg(prob.d)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        X = k.sample_interior(rng, 20)
+        ratio_max = 0.0
+        for x in X:
+            assert prob.domain.is_interior(x)
+            v = rng.standard_normal(prob.d)
+            v /= np.linalg.norm(v)
+            eps = min(1e-5 * (1.0 + float(np.linalg.norm(x))),
+                      0.25 * float(np.min(x)))
+            denom = float(k.hess_apply(x, v) @ v)
+            for i in range(prob.m):
+                hv = (_local(prob, i, x + eps * v)[1]
+                      - _local(prob, i, x - eps * v)[1]) / (2.0 * eps)
+                ratio_max = max(ratio_max, abs(float(hv @ v)) / denom)
+        assert problems.estimate_rel_smoothness(
+            prob, k, n_samples=20, seed=seed) == 1.2 * ratio_max
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +279,12 @@ def test_tv_gradient_matches_fd():
 
 
 def test_tv_deblur_perfect_fit():
-    prob = problems.tv_deblur(d_img=6, m=2, blur_len=3, lambda_tv=0.0, seed=0)
-    loc = prob.locals[0]
-    loc.b = np.asarray(loc.A @ prob.x_true)
-    assert loc.value(prob.x_true) == pytest.approx(0.0, abs=1e-9)
-    np.testing.assert_allclose(loc.grad(prob.x_true), 0.0, atol=1e-9)
+    data = problems.tv_deblur(d_img=6, m=2, blur_len=3, lambda_tv=0.0, seed=0)
+    A = data.A[:data.d, :data.d]
+    prob = problems.TVDeblur(name="tv_deblur", domain=data.domain, A=A,
+                             b=(A @ data.x_true)[None], lam=0.0)
+    assert prob.value(data.x_true) == pytest.approx(0.0, abs=1e-9)
+    np.testing.assert_allclose(prob.grad(data.x_true), 0.0, atol=1e-9)
 
 
 def test_tv_deblur_gradients():
@@ -253,12 +326,11 @@ def test_phantom_deterministic():
 def test_generation_is_seed_deterministic():
     a = problems.poisson_inverse(d=6, n=5, m=3, seed=123)
     b = problems.poisson_inverse(d=6, n=5, m=3, seed=123)
-    for la, lb in zip(a.locals, b.locals):
-        assert np.array_equal(la.A, lb.A)
-        assert np.array_equal(la.b, lb.b)
+    assert np.array_equal(a.A, b.A)
+    assert np.array_equal(a.b, b.b)
     c = problems.phase_retrieval(d=6, n=5, m=3, noise_sd=0.1, seed=77)
     d = problems.phase_retrieval(d=6, n=5, m=3, noise_sd=0.1, seed=77)
-    assert np.array_equal(c.locals[2].b, d.locals[2].b)
+    assert np.array_equal(c.b[2], d.b[2])
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +340,9 @@ def test_generation_is_seed_deterministic():
 
 def test_estimate_identity_when_f_equals_h():
     k = kernels.boltzmann_shannon(4)
-
-    class _HLocal:
-        def value(self, x):
-            return k.value(x)
-
-        def grad(self, x):
-            return k.grad(x)
-
-    prob = problems.Problem(name="h", m=2, d=4, locals=[_HLocal(), _HLocal()],
-                            domain=k.domain)
+    # f_i = sum(x log x - x), the kernel itself: entropy with c = 1, a = 0
+    prob = problems.Entropy(name="h", domain=k.domain, c=np.ones(2),
+                            a=np.zeros((2, 4)))
     L = problems.estimate_rel_smoothness(prob, k, n_samples=60, seed=0,
                                          inflation=1.0)
     assert L == pytest.approx(1.0, rel=1e-4)
