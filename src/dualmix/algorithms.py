@@ -215,7 +215,7 @@ def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
     ``record_every=1`` emits a full diagnostics record per iteration (plus
     the initial state); ``record_every=0`` records only the initial and
     final states, which is what grid tuning needs.  Other values raise
-    ``ValueError``: a stride k > 1 is not implemented yet (ROADMAP item 3).
+    ``ValueError``: a stride k > 1 is not implemented yet (ROADMAP item 4).
     Hooks are called as ``hook(t, prev_system, next_system)`` after every
     accepted step.  Divergence (domain exit, failed inversion, non-finite
     state) freezes the run with status ``diverged``.  Everything is

@@ -10,6 +10,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -200,13 +201,16 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
 
     Outputs are byte-deterministic for a fixed config: every cell is an
     independent deterministic computation and files are written serially in
-    sorted order after all cells complete.  The manifest is written last as
-    the commit marker; on failure, partial outputs are removed.
+    sorted order after all cells complete.  They are written into a staging
+    directory beside ``out_dir`` and then moved into it one by one with
+    ``os.replace``, the manifest last as the commit marker.  On failure only
+    the staging directory is removed, so a previous batch in ``out_dir``
+    stays as it was.
     """
     out = Path(out_dir)
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", suffix=".staging",
+                                  dir=out.parent))
     try:
         def work(ai, seed, assembly):
             rid = f"{ai:02d}_{cfg.algorithms[ai]['kind']}_s{seed}"
@@ -226,20 +230,21 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
                 if math.isfinite(r.f_bar):
                     r.rel_error = r.f_bar - f_star
 
+        written = []
+
+        def write(name, text):
+            (stage / name).write_text(text, encoding="utf-8")
+            written.append(name)
+
         csv_files = []
         for cell in sorted(results):
             result, meta = results[cell]
             fname = f"run_{meta['run_id']}.csv"
-            path = out / fname
-            path.write_text(diagnostics.records_to_csv(result.records),
-                            encoding="utf-8")
-            written.append(path)
+            write(fname, diagnostics.records_to_csv(result.records))
             csv_files.append(fname)
 
         for metric in ("stationarity", "rel_error", "f_bar"):
-            path = out / f"plot_{metric}.csv"
-            path.write_text(_plot_data(results, metric), encoding="utf-8")
-            written.append(path)
+            write(f"plot_{metric}.csv", _plot_data(results, metric))
 
         manifest = {
             "config": yaml.safe_load(config.serialize(cfg)),
@@ -260,17 +265,15 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
         for entry in manifest["runs"]:
             if entry["delta"] is not None and math.isinf(entry["delta"]):
                 entry["delta"] = "inf"
-        mpath = out / "manifest.json"
-        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
-        written.append(mpath)
+        write("manifest.json",
+              json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+        out.mkdir(exist_ok=True)
+        for name in written:
+            os.replace(stage / name, out / name)
         return manifest
-    except Exception:
-        for p in written:
-            p.unlink(missing_ok=True)
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _plot_data(results, metric) -> str:

@@ -9,7 +9,6 @@ interpolation, which is what the 1.1 assertion slack accounts for.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,16 +21,6 @@ CSV_COLUMNS = [
     "consensus_primal", "consensus_dual", "E_t_proxy", "M_t_proxy", "G_proxy",
     "clipped", "status",
 ]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
 
 
 @dataclass
@@ -52,20 +41,19 @@ class RunRecord:
     status: str = "running"
 
     def csv_row(self) -> str:
-        vals = [self.run_id, self.algorithm, self.kernel, _fmt(self.t),
-                _fmt(self.f_bar), _fmt(self.stationarity), _fmt(self.rel_error),
-                _fmt(self.consensus_primal), _fmt(self.consensus_dual),
-                _fmt(self.E_t_proxy), _fmt(self.M_t_proxy), _fmt(self.G_proxy),
-                _fmt(self.clipped), self.status]
-        return ",".join(vals)
+        """One CSV line: integers and flags as digits, floats with 17
+        significant digits (they round-trip), and no line terminator."""
+        return (f"{self.run_id},{self.algorithm},{self.kernel},{self.t:d},"
+                f"{self.f_bar:.17g},{self.stationarity:.17g},"
+                f"{self.rel_error:.17g},{self.consensus_primal:.17g},"
+                f"{self.consensus_dual:.17g},{self.E_t_proxy:.17g},"
+                f"{self.M_t_proxy:.17g},{self.G_proxy:.17g},"
+                f"{self.clipped:d},{self.status}")
 
 
 def records_to_csv(records) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for r in records:
-        buf.write(r.csv_row() + "\n")
-    return buf.getvalue()
+    lines = [",".join(CSV_COLUMNS)] + [r.csv_row() for r in records]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +69,22 @@ def stationarity(prob, kernel, x) -> float:
     componentwise projection residual).
     """
     x = np.asarray(x, dtype=float)
-    g = prob.grad(x)
-    dom = prob.domain
-    r = g.copy()
-    at_lo = np.isfinite(dom.lo) & (x - dom.lo <= BND_TOL)
-    at_hi = np.isfinite(dom.hi) & (dom.hi - x <= BND_TOL)
-    # at a lower bound, -N contains all v >= 0: only the negative part remains
-    r[at_lo] = np.minimum(g[at_lo], 0.0)
-    r[at_hi] = np.maximum(g[at_hi], 0.0)
-    return float(np.linalg.norm(r))
+    return _stationarity(prob.domain, x, prob.grad(x))
+
+
+def _stationarity(dom, x, g) -> float:
+    """:func:`stationarity` at ``x`` from the gradient ``g`` there.  An
+    infinite bound is never within BND_TOL of x: the gap is inf or nan."""
+    at_lo = x - dom.lo <= BND_TOL
+    at_hi = dom.hi - x <= BND_TOL
+    if at_lo.any() or at_hi.any():
+        r = g.copy()
+        # at a lower bound, -N contains all v >= 0: only the negative
+        # part remains
+        r[at_lo] = np.minimum(g[at_lo], 0.0)
+        r[at_hi] = np.maximum(g[at_hi], 0.0)
+        g = r
+    return float(np.linalg.norm(g))
 
 
 def local_stationarity(prob, kernel, x) -> float:
@@ -127,19 +122,18 @@ def lambda_of(kernel, m, rho, delta) -> float:
 def consensus_potential(system, kernel, L, rho, lambda_val) -> float:
     """E_t: tracker disagreement plus xi-weighted dual disagreement, both in
     the inverse-Hessian norm at the averaged dual iterate."""
-    return _consensus(system, kernel, dual_average(system, kernel),
+    zbar, xbar = dual_average(system, kernel)
+    return _consensus(system.Y, system.Z - zbar, kernel.hess_solver(xbar),
                       xi_const(L, rho, lambda_val))
 
 
 def descent_potential(system, prob, kernel, L, rho, lambda_val,
                       f_bar=None, E=None) -> float:
     """M_t = f(xbar) + E_t / (8 L)."""
-    if f_bar is None or E is None:
-        dual = dual_average(system, kernel)
-        if f_bar is None:
-            f_bar = prob.value(dual[1])
-        if E is None:
-            E = _consensus(system, kernel, dual, xi_const(L, rho, lambda_val))
+    if f_bar is None:
+        f_bar = prob.value(dual_average(system, kernel)[1])
+    if E is None:
+        E = consensus_potential(system, kernel, L, rho, lambda_val)
     return float(f_bar) + E / (8.0 * L)
 
 
@@ -151,32 +145,29 @@ def optimality_measure(system, system_next, kernel, L, eta, rho,
     Bregman residual of the averaged primal iterates, and the consensus
     potential, with the weights of the convergence analysis.
     """
-    dual = dual_average(system, kernel)
-    E = _consensus(system, kernel, dual, xi_const(L, rho, lambda_val))
-    return _optimality(kernel, dual, dual_average(system_next, kernel), E,
-                       L, eta, rho)
+    zbar, xbar = dual_average(system, kernel)
+    solve = kernel.hess_solver(xbar)
+    E = _consensus(system.Y, system.Z - zbar, solve,
+                   xi_const(L, rho, lambda_val))
+    zbar_next, xbar_next = dual_average(system_next, kernel)
+    return _optimality(solve, zbar_next - zbar,
+                       kernel.bregman(xbar, xbar_next), E, L, eta, rho)
 
 
-def _consensus(system, kernel, dual, xi) -> float:
-    """E_t of a state whose ``dual_average`` is ``dual``: one inverse-Hessian
-    solve at xbar on the stacked tracker and dual deviations."""
-    zbar, xbar = dual
-    m = system.X.shape[0]
-    Yc = system.Y - system.Y.mean(axis=0)
-    Zc = system.Z - zbar
-    dev = np.concatenate([Yc, Zc])
-    H = kernel.hess_solve(np.broadcast_to(xbar, dev.shape), dev)
+def _consensus(Y, Zc, solve, xi) -> float:
+    """E_t of a state with trackers ``Y`` and dual deviations ``Zc = Z -
+    zbar``, where ``solve`` is the inverse Hessian at xbar."""
+    Yc = Y - Y.mean(axis=0)
+    HY, HZ = solve(Yc), solve(Zc)
     with np.errstate(over="ignore"):  # diverging runs may overflow to inf
-        total = float(np.sum(H[:m] * Yc) + xi * np.sum(H[m:] * Zc))
-    return total / m
+        total = float((HY * Yc).sum() + xi * (HZ * Zc).sum())
+    return total / Y.shape[0]
 
 
-def _optimality(kernel, dual, dual_next, E, L, eta, rho) -> float:
-    """G from the dual averages of a (t, t+1) pair and E_t of state t."""
-    zbar, xbar = dual
-    dz = dual_next[0] - zbar
-    dual_sq = float(dz @ kernel.hess_solve(xbar, dz))
-    breg = kernel.bregman(xbar, dual_next[1])
+def _optimality(solve, dz, breg, E, L, eta, rho) -> float:
+    """G of iteration t from the inverse Hessian at xbar_t, the dual step
+    dz = zbar_{t+1} - zbar_t, D_h(xbar_t, xbar_{t+1}) and E_t."""
+    dual_sq = float(dz @ solve(dz))
     return (dual_sq / (12.0 * eta * eta)
             + (L / eta) * breg
             + (1.0 - rho) / (32.0 * L * eta) * E)
@@ -246,9 +237,11 @@ class Recorder:
 
     The optimality measure of iteration t needs the successor state, so the
     record for t is back-filled when t+1 arrives; the final record keeps
-    G = nan.  Each state's dual average and consensus potential are computed
-    once, and only those of the last observed state are kept for that
-    back-fill.
+    G = nan.  Each state is evaluated once: its dual average, one
+    ``value_and_grad`` of the problem at xbar, one inverse Hessian at xbar
+    (where xbar passes its one interior check), and h(xbar).  The last
+    state's dual average, Hessian, h(xbar) and E are kept for the back-fill,
+    whose Bregman term evaluates h and grad h at the new xbar unchecked.
     """
 
     def __init__(self, prob, kernel, rho, L, eta, delta, run_id="run",
@@ -266,37 +259,36 @@ class Recorder:
         self.lambda_val = lam if math.isfinite(lam) else 1.0
         self._xi = xi_const(L, rho, self.lambda_val)
         self.records = []
-        self._prev = None      # (dual average, E) of the last observed state
+        self._prev = None   # (zbar, xbar, solve, h(xbar), E) of the last state
 
     def observe(self, system, clipped=False, status="running"):
-        dual = dual_average(system, self.kernel)
-        if self._prev is not None and self.records:
-            last = self.records[-1]
-            if math.isnan(last.G_proxy):
-                prev_dual, prev_E = self._prev
-                last.G_proxy = _optimality(self.kernel, prev_dual, dual, prev_E,
-                                           self.L, self.eta, self.rho)
-        rec = self._make_record(system, dual, clipped=clipped, status=status)
+        kernel = self.kernel
+        X, Y, Z = system.X, system.Y, system.Z
+        m = X.shape[0]
+        zbar, xbar = dual_average(system, kernel)
+        solve = kernel.hess_solver(xbar)  # xbar's one interior check
+        h = kernel._value(xbar)
+        f_bar, g = self.prob.value_and_grad(xbar)
+        Zc = Z - zbar
+        E = _consensus(Y, Zc, solve, self._xi)
+        if self.records and math.isnan(self.records[-1].G_proxy):
+            zbar0, xbar0, solve0, h0, E0 = self._prev
+            self.records[-1].G_proxy = _optimality(
+                solve0, zbar - zbar0, kernel._bregman(xbar0, xbar, h0, h),
+                E0, self.L, self.eta, self.rho)
+        rec = RunRecord(
+            run_id=self.run_id, algorithm=self.algorithm, kernel=kernel.name,
+            t=system.t, f_bar=f_bar,
+            stationarity=_stationarity(self.prob.domain, xbar, g),
+            consensus_primal=float(((X - X.mean(axis=0)) ** 2).sum()) / m,
+            consensus_dual=float((Zc ** 2).sum()) / m,
+            E_t_proxy=E, M_t_proxy=f_bar + E / (8.0 * self.L),
+            clipped=clipped, status=status,
+        )
         self.records.append(rec)
-        self._prev = (dual, rec.E_t_proxy)
+        self._prev = (zbar, xbar, solve, h, E)
         return rec
 
     def mark_final(self, status):
         if self.records:
             self.records[-1].status = status
-
-    def _make_record(self, system, dual, clipped, status):
-        zbar, xbar = dual
-        f_bar = self.prob.value(xbar)
-        stat = stationarity(self.prob, self.kernel, xbar)
-        xbar_rows = system.X.mean(axis=0)
-        cons_p = float(np.sum((system.X - xbar_rows) ** 2)) / system.X.shape[0]
-        cons_d = float(np.sum((system.Z - zbar) ** 2)) / system.Z.shape[0]
-        E = _consensus(system, self.kernel, dual, self._xi)
-        M = f_bar + E / (8.0 * self.L)
-        return RunRecord(
-            run_id=self.run_id, algorithm=self.algorithm,
-            kernel=self.kernel.name, t=system.t, f_bar=f_bar,
-            stationarity=stat, consensus_primal=cons_p, consensus_dual=cons_d,
-            E_t_proxy=E, M_t_proxy=M, clipped=clipped, status=status,
-        )

@@ -71,6 +71,12 @@ class Kernel:
         raise NotImplementedError
 
     def hess_solve(self, x, v):
+        return self.hess_solver(x)(v)
+
+    def hess_solver(self, x):
+        """``v -> hess h(x)^{-1} v``.  The Hessian at ``x`` is built, and ``x``
+        passes the interior check, once; every call rounds like
+        ``hess_solve(x, v)``."""
         raise NotImplementedError
 
     def hess_matrix(self, x):
@@ -93,7 +99,22 @@ class Kernel:
         v = np.asarray(v, dtype=float)
         self.domain.require_interior(u, "first Bregman argument")
         self.domain.require_interior(v, "second Bregman argument")
-        return float(self.value(u) - self.value(v) - np.dot(self.grad(v), u - v))
+        return self._bregman(u, v)
+
+    def _bregman(self, u, v, hu=None, hv=None) -> float:
+        """:meth:`bregman` of float arrays that have passed the interior
+        check, with h(u) and h(v) passed in when they are known."""
+        hu = self._value(u) if hu is None else hu
+        hv = self._value(v) if hv is None else hv
+        return float(hu - hv - np.dot(self._grad(v), u - v))
+
+    # value and grad without the domain check, for points already checked;
+    # kernels whose value and grad check nothing keep these defaults
+    def _value(self, x):
+        return self.value(x)
+
+    def _grad(self, x):
+        return self.grad(x)
 
     def dual_dist(self, x, y) -> float:
         """rho_h(x, y) = |grad h(x) - grad h(y)|, the dual-space distance."""
@@ -185,26 +206,33 @@ class SeparableKernel(Kernel):
     def value(self, x):
         x = _check_shape(x, self.dim)
         self.domain.require_interior(x)
-        return np.sum(self._phi(x), axis=-1) + self.const
+        return self._value(x)
+
+    def _value(self, x):
+        return self._phi(x).sum(axis=-1) + self.const
 
     def grad(self, x):
         x = _check_shape(x, self.dim)
         self.domain.require_interior(x)
         return self._dphi(x)
 
+    def _grad(self, x):
+        return self._dphi(x)
+
     def hess_diag(self, x):
         x = _check_shape(x, self.dim)
         self.domain.require_interior(x)
         d2 = self._d2phi(x)
-        if not np.all(np.isfinite(d2)) or np.any(d2 <= 0):
+        if not np.isfinite(d2).all() or (d2 <= 0).any():
             raise SingularHessian(f"{self.name}: nonpositive Hessian diagonal")
         return d2
 
     def hess_apply(self, x, v):
         return self.hess_diag(x) * np.asarray(v, dtype=float)
 
-    def hess_solve(self, x, v):
-        return np.asarray(v, dtype=float) / self.hess_diag(x)
+    def hess_solver(self, x):
+        d = self.hess_diag(x)
+        return lambda v: np.asarray(v, dtype=float) / d
 
     def hess_matrix(self, x):
         return np.diag(self.hess_diag(x))
@@ -406,16 +434,20 @@ class RadialKernel(Kernel):
         inner = np.sum(x * v, axis=-1, keepdims=True)
         return a * v + b * inner * x
 
-    def hess_solve(self, x, v):
+    def hess_solver(self, x):
         # Sherman-Morrison on a*I + b*x*x^T (a > 0, a + b|x|^2 > 0)
         x = _check_shape(x, self.dim)
-        v = np.asarray(v, dtype=float)
+        self.domain.require_interior(x)
         t, a, b = self._coeffs(x)
         if np.any(a <= 0):
             raise SingularHessian(f"{self.name}: nonpositive radial coefficient")
-        inner = np.sum(x * v, axis=-1, keepdims=True)
         denom = a * (a + b * t * t)
-        return v / a - (b * inner / denom) * x
+
+        def solve(v):
+            v = np.asarray(v, dtype=float)
+            inner = np.sum(x * v, axis=-1, keepdims=True)
+            return v / a - (b * inner / denom) * x
+        return solve
 
     def hess_matrix(self, x):
         x = _check_shape(x, self.dim)
@@ -538,11 +570,12 @@ class QuadraticKernel(Kernel):
         v = np.asarray(v, dtype=float)
         return v if self.A is None else v @ self.A.T
 
-    def hess_solve(self, x, v):
-        v = np.asarray(v, dtype=float)
+    def hess_solver(self, x):
+        self.domain.require_interior(x)
         if self.A is None:
-            return v.copy()
-        return scipy.linalg.cho_solve(self._cho, v.T).T
+            return lambda v: np.array(v, dtype=float)
+        return lambda v: scipy.linalg.cho_solve(
+            self._cho, np.asarray(v, dtype=float).T).T
 
     def hess_diag(self, x):
         if self.A is None:
@@ -624,8 +657,17 @@ class AffineKernel(Kernel):
     def value(self, x):
         return self.c * self.base.value(self._push(x))
 
+    def _value(self, x):
+        return self.c * self.base._value(self._push(x))
+
     def grad(self, x):
-        g = self.base.grad(self._push(x))
+        return self._pull_grad(self.base.grad(self._push(x)))
+
+    def _grad(self, x):
+        return self._pull_grad(self.base._grad(self._push(x)))
+
+    def _pull_grad(self, g):
+        # c A^T g
         if self.A is None:
             return self.c * g
         if self.A.ndim == 1:
@@ -649,13 +691,15 @@ class AffineKernel(Kernel):
             return self.c * self.A * self.base.hess_apply(self._push(x), self.A * v)
         return self.c * (self.base.hess_apply(self._push(x), v @ self.A.T) @ self.A)
 
-    def hess_solve(self, x, v):
-        v = np.asarray(v, dtype=float)
+    def hess_solver(self, x):
+        solve = self.base.hess_solver(self._push(x))
         if self.A is None:
-            return self.base.hess_solve(self._push(x), v) / self.c
+            return lambda v: solve(np.asarray(v, dtype=float)) / self.c
         if self.A.ndim == 1:
-            return self.base.hess_solve(self._push(x), v / self.A) / (self.A * self.c)
-        return self.base.hess_solve(self._push(x), v @ self._Ainv) @ self._Ainv.T / self.c
+            return lambda v: (solve(np.asarray(v, dtype=float) / self.A)
+                              / (self.A * self.c))
+        return lambda v: (solve(np.asarray(v, dtype=float) @ self._Ainv)
+                          @ self._Ainv.T / self.c)
 
     def hess_diag(self, x):
         if not self.separable:
@@ -703,10 +747,17 @@ class ConcatKernel(Kernel):
         x = _check_shape(x, self.dim)
         return sum(p.value(b) for p, b in zip(self.parts, self._blocks(x)))
 
+    def _value(self, x):
+        return sum(p._value(b) for p, b in zip(self.parts, self._blocks(x)))
+
     def grad(self, x):
         x = _check_shape(x, self.dim)
         return np.concatenate(
             [p.grad(b) for p, b in zip(self.parts, self._blocks(x))], axis=-1)
+
+    def _grad(self, x):
+        return np.concatenate(
+            [p._grad(b) for p, b in zip(self.parts, self._blocks(x))], axis=-1)
 
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
@@ -719,11 +770,11 @@ class ConcatKernel(Kernel):
             [p.hess_apply(b, w) for p, b, w in
              zip(self.parts, self._blocks(x), self._blocks(v))], axis=-1)
 
-    def hess_solve(self, x, v):
-        v = np.asarray(v, dtype=float)
-        return np.concatenate(
-            [p.hess_solve(b, w) for p, b, w in
-             zip(self.parts, self._blocks(x), self._blocks(v))], axis=-1)
+    def hess_solver(self, x):
+        solves = [p.hess_solver(b) for p, b in zip(self.parts, self._blocks(x))]
+        return lambda v: np.concatenate(
+            [solve(w) for solve, w in
+             zip(solves, self._blocks(np.asarray(v, dtype=float)))], axis=-1)
 
     def hess_diag(self, x):
         if not self.separable:
@@ -757,10 +808,16 @@ class SumKernel(Kernel):
         self.domain.require_interior(x)
         return self.k1.value(x) + self.k2.value(x)
 
+    def _value(self, x):
+        return self.k1._value(x) + self.k2._value(x)
+
     def grad(self, x):
         x = _check_shape(x, self.dim)
         self.domain.require_interior(x)
         return self.k1.grad(x) + self.k2.grad(x)
+
+    def _grad(self, x):
+        return self.k1._grad(x) + self.k2._grad(x)
 
     def hess_apply(self, x, v):
         return self.k1.hess_apply(x, v) + self.k2.hess_apply(x, v)
@@ -770,12 +827,12 @@ class SumKernel(Kernel):
             return None
         return self.k1.hess_diag(x) + self.k2.hess_diag(x)
 
-    def hess_solve(self, x, v):
+    def hess_solver(self, x):
         d = self.hess_diag(x)
         if d is not None:
-            return np.asarray(v, dtype=float) / d
+            return lambda v: np.asarray(v, dtype=float) / d
         H = self.hess_matrix(x)
-        return np.linalg.solve(H, np.asarray(v, dtype=float))
+        return lambda v: np.linalg.solve(H, np.asarray(v, dtype=float))
 
     def hess_matrix(self, x):
         return self.k1.hess_matrix(x) + self.k2.hess_matrix(x)

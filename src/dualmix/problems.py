@@ -86,7 +86,9 @@ class Problem:
     ``grads_rowwise(X)``, agent i's gradient at row i of X, (m, d).
     ``value`` and ``grad`` add the agents in order, from agent 0, and then
     divide by m: recorded CSVs are byte-checked, and a vectorized mean
-    would round differently.
+    would round differently.  ``value_and_grad`` returns the bits of both
+    from one ``_values_and_grads`` pass, which families that read x through
+    a design product override to form that product once.
     ``permuted`` reindexes the arrays named in ``_stacked``.
     """
 
@@ -101,10 +103,24 @@ class Problem:
     _stacked = ()
 
     def value(self, x) -> float:
-        return float(sum(self._values(np.asarray(x, dtype=float))) / self.m)
+        return self._mean_value(self._values(np.asarray(x, dtype=float)))
 
     def grad(self, x) -> np.ndarray:
-        G = self._grads(np.asarray(x, dtype=float))
+        return self._mean_grad(self._grads(np.asarray(x, dtype=float)))
+
+    def value_and_grad(self, x):
+        """``(value(x), grad(x))``, bit for bit, from one
+        ``_values_and_grads`` call."""
+        vals, G = self._values_and_grads(np.asarray(x, dtype=float))
+        return self._mean_value(vals), self._mean_grad(G)
+
+    def _values_and_grads(self, x):
+        return self._values(x), self._grads(x)
+
+    def _mean_value(self, vals) -> float:
+        return float(sum(vals) / self.m)
+
+    def _mean_grad(self, G) -> np.ndarray:
         g = G[0].copy()
         for gi in G[1:]:
             g += gi
@@ -220,8 +236,10 @@ class _Design(Problem):
     observations ``b`` (m, n).
 
     ``_values`` and ``_grads`` round exactly like agent i's own products
-    ``A_i @ x`` and ``A_i.T @ w``; ``grads_rowwise`` keeps the two einsums
-    that the reference CSVs were recorded with.
+    ``A_i @ x`` and ``A_i.T @ w``; they are ``_values_at`` and ``_grads_at``
+    of the stacked product ``A @ x`` (m, n), which ``_values_and_grads``
+    forms once for both.  ``grads_rowwise`` keeps the two einsums that the
+    reference CSVs were recorded with.
     """
 
     A: np.ndarray
@@ -231,6 +249,16 @@ class _Design(Problem):
     def __post_init__(self):
         self.m, _, self.d = self.A.shape
 
+    def _values(self, x):
+        return self._values_at(self.A @ x)
+
+    def _grads(self, x):
+        return self._grads_at(self.A @ x)
+
+    def _values_and_grads(self, x):
+        ax = self.A @ x
+        return self._values_at(ax), self._grads_at(ax)
+
     def _AT_dot(self, W):
         """A_i^T w_i for every agent, stacked (m, d)."""
         return (self.A.transpose(0, 2, 1) @ W[..., None])[..., 0]
@@ -239,12 +267,11 @@ class _Design(Problem):
 class PhaseRetrieval(_Design):
     """f_i(x) = (1/n) sum_l (b_il - <a_il, x>^2)^2."""
 
-    def _values(self, x):
-        r = self.b - (self.A @ x) ** 2
+    def _values_at(self, ax):
+        r = self.b - ax ** 2
         return np.sum(r * r, axis=-1) / self.A.shape[1]
 
-    def _grads(self, x):
-        ax = self.A @ x
+    def _grads_at(self, ax):
         r = self.b - ax * ax
         return (-4.0 / self.A.shape[1]) * self._AT_dot(r * ax)
 
@@ -283,18 +310,17 @@ def _kl_rows(b, ax):
     """Generalized KL divergence of ``b`` from ``ax``, summed over the last axis."""
     ax = np.maximum(ax, _KL_FLOOR)
     terms = np.where(b > 0, b * np.log(np.maximum(b, _KL_FLOOR) / ax) - b, 0.0)
-    return np.sum(terms + ax, axis=-1)
+    return (terms + ax).sum(axis=-1)
 
 
 class Poisson(_Design):
     """f_i(x) = KL(b_i, A_i x), the generalized Kullback-Leibler divergence."""
 
-    def _values(self, x):
-        return _kl_rows(self.b, self.A @ x)
+    def _values_at(self, ax):
+        return _kl_rows(self.b, ax)
 
-    def _grads(self, x):
-        ax = np.maximum(self.A @ x, _KL_FLOOR)
-        return self._AT_dot(1.0 - self.b / ax)
+    def _grads_at(self, ax):
+        return self._AT_dot(1.0 - self.b / np.maximum(ax, _KL_FLOOR))
 
     def grads_rowwise(self, X):
         ax = np.maximum(np.einsum("mnd,md->mn", self.A, X), _KL_FLOOR)
@@ -460,10 +486,12 @@ def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Probl
     rng = np.random.default_rng(seed)
     X_true = phantom_image(d_img)
     x_true = X_true.ravel()
+    # agents i and i + 8 share an angle, so each distinct matrix is built once
+    by_angle = [blur_matrix(d_img, blur_len, k * math.pi / 8.0)
+                for k in range(min(m, 8))]
     blurs, bs = [], []
     for i in range(m):
-        angle = (i % 8) * math.pi / 8.0
-        A = blur_matrix(d_img, blur_len, angle)
+        A = by_angle[i % 8]
         lam_img = alpha * np.asarray(A @ x_true)
         bs.append(poisson_sample(rng, lam_img).astype(float) / alpha)
         blurs.append(A)

@@ -404,13 +404,14 @@ def test_config_validation():
 def test_unrecorded_run_observes_a_nonfinite_final_state_once():
     prob = problems.quadratic_consensus(3, 3, 0)
     mix = network.metropolis_weights(network.complete_graph(3))
-    value, calls = prob.value, []
+    value_and_grad, calls = prob.value_and_grad, []
 
     def value_inf_after_first(x):  # the final state's objective overflows
         calls.append(1)
-        return value(x) if len(calls) == 1 else math.inf
+        f, g = value_and_grad(x)
+        return (f if len(calls) == 1 else math.inf), g
 
-    prob.value = value_inf_after_first
+    prob.value_and_grad = value_inf_after_first
     cfg = AlgoConfig("dmgt", eta=0.05, delta=0.7, max_iter=3)
     res = algorithms.run(prob, kernels.euclidean(3), mix, cfg, np.zeros(3),
                          L=prob.meta["L_exact"], record_every=0)

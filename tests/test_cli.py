@@ -274,6 +274,28 @@ def test_run_batch_cleans_partial_outputs(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_failed_rerun_leaves_the_previous_batch_whole(tmp_path, monkeypatch):
+    cfg = config.parse_config_text(MINIMAL)
+    out = tmp_path / "batch"
+    cli.run_batch(cfg, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg.algorithms[0]["eta"] = 0.01  # the rerun's files would differ
+    write_text, calls = Path.write_text, []
+
+    def fail_third_write(self, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_third_write)
+    with pytest.raises(OSError):
+        cli.run_batch(cfg, out)
+    assert len(calls) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch"]
+
+
 def test_env_var_output_root(monkeypatch, tmp_path):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
     assert cli._resolve_out("runs") == tmp_path / "root" / "runs"

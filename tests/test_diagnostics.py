@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dualmix import algorithms, cli, diagnostics, kernels, network, problems
+from dualmix import algorithms, cli, diagnostics, domains, kernels, network, \
+    problems
 from dualmix.algorithms import AgentSystem, AlgoConfig
 
 
@@ -263,6 +264,19 @@ def _two_solve_consensus(s, k, L, rho, lam):
     return float(np.sum(HY * Yc) + xi * np.sum(HZ * Zc)) / m
 
 
+def _stacked_solve_consensus(s, k, L, rho, lam):
+    """E_t with one inverse-Hessian solve on [Y - ybar; Z - zbar], as the
+    reference CSVs were recorded."""
+    m = s.X.shape[0]
+    xbar = k.grad_conj(s.Z.mean(axis=0))
+    Yc = s.Y - s.Y.mean(axis=0)
+    Zc = s.Z - s.Z.mean(axis=0)
+    dev = np.concatenate([Yc, Zc])
+    H = k.hess_solve(np.broadcast_to(xbar, dev.shape), dev)
+    xi = diagnostics.xi_const(L, rho, lam)
+    return float(np.sum(H[:m] * Yc) + xi * np.sum(H[m:] * Zc)) / m
+
+
 def _recorded_case(case):
     """One short run of a (problem, kernel, algorithm) case used by the CSV
     equivalence tests: its result, every state it passed through, and the
@@ -270,6 +284,15 @@ def _recorded_case(case):
     if case.startswith("poisson"):
         prob = problems.poisson_inverse(d=8, n=6, m=4, seed=2)
         kernel, x0, L = kernels.burg(8), np.full(8, 0.5), prob.meta["L_analytic"]
+    elif case.startswith("quadraticA"):
+        prob = problems.quadratic_consensus(d=5, m=4, seed=2)
+        B = np.random.default_rng(2).standard_normal((5, 5))
+        kernel = kernels.euclidean(5, A=B @ B.T + 5.0 * np.eye(5))
+        x0, L = np.zeros(5), prob.meta["L_exact"]
+    elif case.startswith("entropy"):
+        prob = problems.entropy_consensus(d=5, m=4, seed=2)
+        kernel, x0 = kernels.boltzmann_shannon(5), np.full(5, 0.5)
+        L = prob.meta["L_exact"]
     else:
         prob = problems.phase_retrieval(d=6, n=12, m=4, noise_sd=0.1, seed=2)
         kernel, x0, L = kernels.quartic(6), np.full(6, 0.3), 50.0
@@ -293,7 +316,8 @@ def _recorded_case(case):
     return res, states, prob, kernel, L, cfg.eta, mix.rho, lam
 
 
-_CSV_CASES = ["poisson-dmgt", "poisson-dda", "phase-dgt"]
+_CSV_CASES = ["poisson-dmgt", "poisson-dda", "phase-dgt", "quadraticA-dmgt",
+              "entropy-dmd"]
 
 
 @pytest.mark.parametrize("case", _CSV_CASES)
@@ -319,9 +343,45 @@ def test_recorder_rows_equal_public_metrics(case):
 
 @pytest.mark.parametrize("case", _CSV_CASES)
 def test_consensus_potential_stacked_solve_equals_two_solves(case):
-    # one hess_solve on [Y - ybar; Z - zbar] must give the bits of two
-    # separate solves, or recorded E, M and G would move
+    # E_t takes one solve per block at xbar of shape (d,); that must give
+    # the bits of one stacked solve on [Y - ybar; Z - zbar] and of two
+    # solves at xbar broadcast over the rows, or recorded E, M and G would move
     _, states, _, k, L, _, rho, lam = _recorded_case(case)
     for s in states:
-        assert diagnostics.consensus_potential(s, k, L, rho, lam) == \
-            _two_solve_consensus(s, k, L, rho, lam)
+        E = diagnostics.consensus_potential(s, k, L, rho, lam)
+        assert E == _stacked_solve_consensus(s, k, L, rho, lam)
+        assert E == _two_solve_consensus(s, k, L, rho, lam)
+
+
+def test_recorder_checks_and_builds_the_hessian_once_per_state(monkeypatch):
+    # each recorded state's xbar passes one interior check and gets one
+    # Hessian diagonal, shared by E_t, the dual term of G and the Bregman term
+    counts = {"is_interior": 0, "hess_diag": 0}
+    observing = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            if observing:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    recorder_observe = diagnostics.Recorder.observe
+
+    def observe(self, *args, **kwargs):
+        observing.append(1)
+        try:
+            return recorder_observe(self, *args, **kwargs)
+        finally:
+            observing.pop()
+
+    monkeypatch.setattr(domains.Domain, "is_interior",
+                        counted("is_interior", domains.Domain.is_interior))
+    monkeypatch.setattr(kernels.SeparableKernel, "hess_diag",
+                        counted("hess_diag", kernels.SeparableKernel.hess_diag))
+    monkeypatch.setattr(diagnostics.Recorder, "observe", observe)
+    res, *_ = _recorded_case("poisson-dmgt")
+    assert res.status == "done" and len(res.records) == 21
+    assert all(math.isfinite(r.G_proxy) for r in res.records[:-1])
+    assert counts["is_interior"] <= len(res.records)
+    assert counts["hess_diag"] <= len(res.records)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, safe_eps
-from dualmix import kernels
+from conftest import catalogue, fd_gradient, safe_eps
+from dualmix import domains, kernels
 from dualmix.errors import DomainViolation, ModeMismatch, SingularMatrix
 from dualmix.modulus import self_concordant_modulus, separable_modulus
 
@@ -368,3 +368,70 @@ def test_quadratic_preconditioned():
     np.testing.assert_allclose(k.grad(x), A @ x, rtol=1e-12)
     np.testing.assert_allclose(k.grad_conj(A @ x), x, rtol=1e-10)
     assert k.zeta(3.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Reused Hessian solves and the unchecked Bregman divergence
+# ---------------------------------------------------------------------------
+
+
+def _combinator_kernels(dim=5):
+    """Combinator forms beyond the table: the shifted kernel of dda, a dense
+    Euclidean preconditioner, a diagonal affine map and a concatenation."""
+    B = np.random.default_rng(3).standard_normal((dim, dim))
+    return {
+        "shifted_burg": kernels.shifted(kernels.burg(dim), np.full(dim, 0.3)),
+        "euclidean_A": kernels.euclidean(dim, A=B @ B.T + dim * np.eye(dim)),
+        "affine_diag_burg": kernels.affine_compose(
+            kernels.burg(dim), c=2.0, A=np.linspace(0.5, 2.0, dim)),
+        "concat_burg_quartic": kernels.concat(
+            [kernels.burg(2), kernels.quartic(dim - 2)]),
+    }
+
+
+_ALL_KERNELS = sorted(catalogue()) + sorted(_combinator_kernels())
+
+
+def _kernel(name):
+    return {**catalogue(), **_combinator_kernels()}[name]
+
+
+@pytest.mark.parametrize("name", _ALL_KERNELS)
+def test_unchecked_bregman_equals_bregman_bitwise(name):
+    k = _kernel(name)
+    X = k.sample_interior(np.random.default_rng(4), 60)
+    for u, v in zip(X[:30], X[30:]):
+        want = k.bregman(u, v)
+        assert k._bregman(u, v) == want
+        assert k._bregman(u, v, k._value(u), k._value(v)) == want
+
+
+@pytest.mark.parametrize("name", _ALL_KERNELS)
+def test_hess_solver_rounds_like_hess_solve(name):
+    # the recorder solves a stacked (2m, d) block at one xbar of shape (d,);
+    # that must give the bits of a solve at xbar broadcast over the rows
+    k = _kernel(name)
+    rng = np.random.default_rng(6)
+    X = k.sample_interior(rng, 20)
+    V = rng.standard_normal((6, k.dim))
+    for x in X:
+        solve = k.hess_solver(x)
+        assert np.array_equal(solve(V[0]), k.hess_solve(x, V[0]))
+        assert np.array_equal(solve(V),
+                              k.hess_solve(np.broadcast_to(x, V.shape), V))
+
+
+def test_bregman_checks_each_argument_once(monkeypatch):
+    calls = []
+    is_interior = domains.Domain.is_interior
+
+    def counted(self, x):
+        calls.append(1)
+        return is_interior(self, x)
+
+    monkeypatch.setattr(domains.Domain, "is_interior", counted)
+    k = kernels.burg(4)
+    k.bregman(np.full(4, 0.5), np.full(4, 2.0))
+    assert len(calls) == 2
+    with pytest.raises(DomainViolation, match="second Bregman argument"):
+        k.bregman(np.full(4, 0.5), np.zeros(4))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import fd_gradient, safe_eps
 from dualmix import domains, kernels, problems
@@ -171,6 +172,10 @@ def test_stacked_value_grad_equal_agent_loop_bitwise(family):
             value, g = _agent_loop(prob, x)
             assert prob.value(x) == value
             assert np.array_equal(prob.grad(x), g)
+            # the recorder's one-pass pair must carry the same bits
+            f_pair, g_pair = prob.value_and_grad(x)
+            assert f_pair == value and type(f_pair) is float
+            assert np.array_equal(g_pair, g)
         _check_rowwise(family, prob.grads_rowwise(X[:prob.m]),
                        np.stack([_local(prob, i, X[i])[1]
                                  for i in range(prob.m)]))
@@ -436,3 +441,21 @@ def test_spec_domain_is_the_built_problems_domain(kind):
     assert read.dim == built.dim
     np.testing.assert_array_equal(read.lo, built.lo)
     np.testing.assert_array_equal(read.hi, built.hi)
+
+
+def test_tv_deblur_builds_each_angle_once_with_the_same_bits():
+    # agents i and i + 8 share a blur angle; sharing the built matrix must
+    # leave A and b exactly as one blur_matrix per agent made them
+    d_img, m, blur_len, alpha, seed = 6, 10, 3, 10.0, 4
+    prob = problems.tv_deblur(d_img, m, blur_len=blur_len, alpha=alpha,
+                              seed=seed)
+    blurs = [problems.blur_matrix(d_img, blur_len, (i % 8) * math.pi / 8.0)
+             for i in range(m)]
+    A = scipy.sparse.block_diag(blurs, format="csr")
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(prob.A, attr), getattr(A, attr))
+    rng = np.random.default_rng(seed)
+    x_true = problems.phantom_image(d_img).ravel()
+    b = np.stack([problems.poisson_sample(rng, alpha * np.asarray(B @ x_true))
+                  .astype(float) / alpha for B in blurs])
+    assert np.array_equal(prob.b, b)
