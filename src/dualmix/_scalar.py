@@ -26,6 +26,8 @@ def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_IT
     The bracket is grown geometrically from ``t0`` (finite intervals shrink
     toward the endpoint instead), then safeguarded Newton iterates are
     clipped into the current bracket, which bisection keeps shrinking.
+    Every element is solved as if alone: it stops at its first iterate
+    within tolerance, whatever the other elements still need.
     """
     z = np.asarray(z, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), z.shape)
@@ -80,9 +82,9 @@ def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_IT
     t = 0.5 * (a + b)
     tol_vec = tol * (1.0 + np.abs(z))
     for _ in range(max_iter):
-        ft = f(t)
-        resid = ft - z
-        if np.all(np.abs(resid) <= tol_vec):
+        resid = f(t) - z
+        converged = np.abs(resid) <= tol_vec
+        if np.all(converged):
             return t
         below = resid < 0
         a = np.where(below, t, a)
@@ -90,7 +92,9 @@ def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_IT
         with np.errstate(divide="ignore", invalid="ignore"):
             t_newton = t - resid / fprime(t)
         bad = ~np.isfinite(t_newton) | (t_newton <= a) | (t_newton >= b)
-        t = np.where(bad, 0.5 * (a + b), t_newton)
+        # a converged element keeps its first converged iterate, so its root
+        # depends on its own input only, not on the other elements'
+        t = np.where(converged, t, np.where(bad, 0.5 * (a + b), t_newton))
 
     resid = np.abs(f(t) - z)
     if np.all(resid <= tol_vec):

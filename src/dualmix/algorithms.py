@@ -9,9 +9,12 @@ All methods run synchronous rounds over a fixed mixing matrix:
   dual-mixing recursion run over a shifted kernel.
 
 Steps are pure: they consume one :class:`AgentSystem` and return the next.
-A run that leaves the attainable domain or produces non-finite state is
-frozen with status ``diverged`` rather than raising, since baseline
-nonconvergence is itself an experimental observable.
+One engine, :func:`run`, steps a batch of cells that share a problem,
+kernel, network, initial point and algorithm and differ in ``eta`` and
+``delta``; a single run is a batch of one.  A cell that leaves the
+attainable domain or produces non-finite state is frozen with status
+``diverged`` rather than raising, since baseline nonconvergence is itself
+an experimental observable.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ from .errors import (
 @dataclass(frozen=True)
 class AgentSystem:
     """Stacked per-agent state: rows of X are primal iterates, Z their dual
-    images, Y the update directions (trackers for the GT methods)."""
+    images, Y the update directions (trackers for the GT methods).
+
+    The engine steps B cells at once: its systems carry a leading cell axis,
+    (B, m, d), and ``clipped`` is then a (B,) mask.  ``cell(b)`` is one
+    cell's (m, d) system."""
 
     X: np.ndarray
     Z: np.ndarray
@@ -42,6 +49,20 @@ class AgentSystem:
     grads: np.ndarray  # per-agent local gradients at X, cached for GT
     t: int = 0
     clipped: bool = False
+
+    def cell(self, b, copy=False) -> "AgentSystem":
+        """Cell b's system: views into the batch, or copies that do not
+        keep the whole batch's arrays alive."""
+        X, Z, Y, grads = self.X[b], self.Z[b], self.Y[b], self.grads[b]
+        if copy:
+            X, Z, Y, grads = X.copy(), Z.copy(), Y.copy(), grads.copy()
+        return AgentSystem(X, Z, Y, grads, self.t, bool(self.clipped[b]))
+
+    def cells(self, rows) -> "AgentSystem":
+        """The batch of the given rows (an index array or a mask)."""
+        return AgentSystem(X=self.X[rows], Z=self.Z[rows], Y=self.Y[rows],
+                           grads=self.grads[rows], t=self.t,
+                           clipped=self.clipped[rows])
 
 
 @dataclass(frozen=True)
@@ -105,19 +126,20 @@ def clip(v, eta, delta):
 
 
 def clip_rows(V, eta, delta):
-    """Row-wise clipping; also reports whether any row was actually clipped.
+    """Row-wise clipping of ``V`` (..., m, d); also reports, per leading
+    index, whether any row was actually clipped.  ``eta`` and ``delta``
+    broadcast against the row norms (..., m, 1).
 
-    An infinite ``delta`` clips nothing, so the norms are not computed: a
-    row whose norm overflows would otherwise give inf/inf = nan.
+    An infinite ``delta`` clips nothing: a row whose norm overflows gives
+    inf/inf = nan there, which ``fmin`` passes over to keep the factor eta.
     """
     V = np.asarray(V, dtype=float)
-    if delta == math.inf:
-        return V * eta, False
-    norms = np.linalg.norm(V, axis=1, keepdims=True)
+    norms = np.linalg.norm(V, axis=-1, keepdims=True)
     # delta / 0 counts as inf, so a zero (or nan) row keeps the factor eta
     ratios = np.divide(delta, norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
-    return V * np.minimum(eta, ratios), bool(np.any(eta * norms > delta))
+    return (V * np.fmin(eta, ratios),
+            np.any(eta * norms > delta, axis=(-2, -1)))
 
 
 def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
@@ -140,66 +162,78 @@ def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
     return AgentSystem(X=X, Z=Z, Y=Y, grads=grads, t=0)
 
 
-def _dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta, track=True):
-    S, was_clipped = clip_rows(s.Y, eta, delta)
+# Every step maps a batch (B, m, d) to the next one.  ``eta`` and ``delta``
+# are (B, 1, 1) columns, one entry per cell (``delta`` is None for the kinds
+# that do not clip), and every operation acts on each cell on its own, so a
+# cell's bits do not depend on the batch it is in.
+
+
+def dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
+    """Dual mixing with clipped tracker steps (dmgt; dda runs it unclipped,
+    over the shifted kernel):
+    Z+ = W (Z - clip(Y)); X+ = grad h*(Z+); Y+ = W Y + grad f(X+) - grad f(X)."""
+    if delta is None:  # s.clipped is then the all-False mask it started as
+        S, was_clipped = eta * s.Y, s.clipped
+    else:
+        S, was_clipped = clip_rows(s.Y, eta, delta)
     Z1 = W @ (s.Z - S)
     X1 = kernel.grad_conj(Z1)
     kernel.domain.require_interior(X1, "updated primal iterate")
     G1 = prob.grads_rowwise(X1)
-    Y1 = W @ s.Y + G1 - s.grads if track else G1
+    Y1 = W @ s.Y + G1 - s.grads
     return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1,
                        clipped=was_clipped)
 
 
-def dmgt_step(s: AgentSystem, prob, kernel, W, cfg: AlgoConfig) -> AgentSystem:
-    """Dual mixing with clipped tracker steps:
-    Z+ = W (Z - clip(Y)); X+ = grad h*(Z+); Y+ = W Y + grad f(X+) - grad f(X)."""
-    return _dual_mix_step(s, prob, kernel, W, cfg.eta, cfg.delta)
+def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
+    """grad h(X+) = grad h(W X) - eta * direction."""
+    Xmix = W @ s.X
+    kernel.domain.require_interior(Xmix, "mixed primal iterate")
+    Z1 = kernel.grad(Xmix) - eta * direction
+    X1 = kernel.grad_conj(Z1)
+    kernel.domain.require_interior(X1, "updated primal iterate")
+    return Z1, X1, prob.grads_rowwise(X1)
 
 
-def dda_step(s: AgentSystem, prob, kernel, W, cfg: AlgoConfig) -> AgentSystem:
-    """Constant-step dual averaging with tracking: the unclipped dual-mixing
-    recursion.  The caller supplies the shifted kernel."""
-    return _dual_mix_step(s, prob, kernel, W, cfg.eta, math.inf)
-
-
-def dmd_step(s: AgentSystem, prob, kernel, W, cfg: AlgoConfig) -> AgentSystem:
+def dmd_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with local gradients:
     grad h(X+) = grad h(W X) - eta grad f(X)."""
-    Xmix = W @ s.X
-    kernel.domain.require_interior(Xmix, "mixed primal iterate")
-    Z1 = kernel.grad(Xmix) - cfg.eta * s.grads
-    X1 = kernel.grad_conj(Z1)
-    kernel.domain.require_interior(X1, "updated primal iterate")
-    G1 = prob.grads_rowwise(X1)
-    return AgentSystem(X=X1, Z=Z1, Y=G1, grads=G1, t=s.t + 1)
+    Z1, X1, G1 = _mirror_step(s, prob, kernel, W, eta, s.grads)
+    return AgentSystem(X=X1, Z=Z1, Y=G1, grads=G1, t=s.t + 1,
+                       clipped=s.clipped)  # never clipped: all False
 
 
-def dgt_step(s: AgentSystem, prob, kernel, W, cfg: AlgoConfig) -> AgentSystem:
+def dgt_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with gradient tracking:
     Z+ = grad h(W X) - eta Y; Y+ = W Y + grad f(X+) - grad f(X)."""
-    Xmix = W @ s.X
-    kernel.domain.require_interior(Xmix, "mixed primal iterate")
-    Z1 = kernel.grad(Xmix) - cfg.eta * s.Y
-    X1 = kernel.grad_conj(Z1)
-    kernel.domain.require_interior(X1, "updated primal iterate")
-    G1 = prob.grads_rowwise(X1)
+    Z1, X1, G1 = _mirror_step(s, prob, kernel, W, eta, s.Y)
     Y1 = W @ s.Y + G1 - s.grads
-    return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1)
+    return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1,
+                       clipped=s.clipped)  # never clipped: all False
 
 
-_STEPS = {"dmgt": dmgt_step, "dmd": dmd_step, "dgt": dgt_step, "dda": dda_step}
+_STEPS = {"dmgt": dual_mix_step, "dmd": dmd_step, "dgt": dgt_step,
+          "dda": dual_mix_step}
 ALGORITHMS = tuple(_STEPS)
+# the kinds whose steps are clipped at radius delta, so tune grids delta too
+CLIPPED = ("dmgt",)
+# the kinds that run over the kernel shifted so that x0 minimizes it
+SHIFTED = ("dda",)
 
 _DIVERGENCE_ERRORS = (DomainViolation, NotInImage, NoConvergence, SingularHessian)
 
 
-def _finite(s: AgentSystem) -> bool:
-    """Z, Y and the cached gradients are finite.  X needs no check: every
-    step rule has passed it through ``require_interior``, which rejects
-    non-finite entries."""
-    return bool(np.isfinite(s.Z).all() and np.isfinite(s.Y).all()
-                and np.isfinite(s.grads).all())
+def _finite(s: AgentSystem):
+    """Per cell: Z, Y and the cached gradients are finite.  X needs no
+    check: every step rule has passed it through ``require_interior``,
+    which rejects non-finite entries.  Whole-array checks come first,
+    because they are cheaper and almost always pass."""
+    if (np.isfinite(s.Z).all() and np.isfinite(s.Y).all()
+            and np.isfinite(s.grads).all()):
+        return np.ones(s.Z.shape[:-2], dtype=bool)
+    return (np.isfinite(s.Z).all(axis=(-2, -1))
+            & np.isfinite(s.Y).all(axis=(-2, -1))
+            & np.isfinite(s.grads).all(axis=(-2, -1)))
 
 
 def _observe_finite(recorder, system) -> bool:
@@ -208,61 +242,123 @@ def _observe_finite(recorder, system) -> bool:
     return math.isfinite(rec.f_bar) and math.isfinite(rec.stationarity)
 
 
-def run(prob, kernel, mixing, cfg: AlgoConfig, x0, L=None, run_id="run",
-        record_every=1, recorder=None, hooks=()) -> RunResult:
-    """Execute ``cfg.max_iter`` synchronous rounds of the chosen step rule.
+def _step_each(step, s, args, eta, delta):
+    """Step the batch ``s``.  Returns the next system of the cells that
+    stepped, in row order, and ``{row: reason}`` for the cells whose step
+    raised a divergence error.  A batch that raises is redone one cell at a
+    time, so each cell raises exactly what it raises alone.  Reasons are
+    kept as text: a kept exception's traceback would hold the batch's
+    arrays in a reference cycle."""
+    try:
+        return step(s, *args, eta, delta), {}
+    except _DIVERGENCE_ERRORS as exc:
+        if len(eta) == 1:
+            return s.cells(slice(0)), {0: f"{type(exc).__name__}: {exc}"}
+    stepped, raised = [], {}
+    for r in range(len(eta)):
+        try:
+            stepped.append(step(s.cells([r]), *args, eta[[r]],
+                                None if delta is None else delta[[r]]))
+        except _DIVERGENCE_ERRORS as exc:
+            raised[r] = f"{type(exc).__name__}: {exc}"
+    return AgentSystem(t=s.t + 1, **{
+        f: np.concatenate([getattr(n, f) for n in stepped] or [getattr(s, f)[:0]])
+        for f in ("X", "Z", "Y", "grads", "clipped")}), raised
 
-    ``record_every=1`` emits a full diagnostics record per iteration (plus
-    the initial state); ``record_every=0`` records only the initial and
-    final states, which is what grid tuning needs.  Other values raise
-    ``ValueError``: a stride k > 1 is not implemented yet (ROADMAP item 4).
-    Hooks are called as ``hook(t, prev_system, next_system)`` after every
-    accepted step.  Divergence (domain exit, failed inversion, non-finite
-    state) freezes the run with status ``diverged``.  Everything is
-    deterministic given the inputs; no randomness is consumed here.
+
+def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
+        record_every=1, hooks=()):
+    """Execute ``max_iter`` synchronous rounds of the chosen step rule.
+
+    ``cfg`` is one :class:`AlgoConfig`, which returns one
+    :class:`RunResult`, or a sequence of them that share the algorithm,
+    ``max_iter`` and ``y0``, which returns one result per config.  Those
+    cells are stepped together as one batch, and each cell's result equals
+    bit for bit its run alone.  ``record_every=1`` emits a full diagnostics
+    record per iteration (plus the initial state); ``record_every=0``
+    records only the initial and final states, which is what grid tuning
+    needs.  Other values raise ``ValueError``: a stride k > 1 is not
+    implemented yet (ROADMAP item 4).  Hooks are called as
+    ``hook(t, prev_system, next_system)`` with one cell's systems after each
+    of its accepted steps.  Divergence (domain exit, failed inversion,
+    non-finite state) freezes a cell with status ``diverged`` and takes it
+    out of the batch.  Everything is deterministic given the inputs; no
+    randomness is consumed here.
     """
     if record_every not in (0, 1):
         raise ValueError(f"record_every must be 0 or 1, got {record_every!r}")
-    W = mixing.W
-    rho = mixing.rho
-    step = _STEPS[cfg.algorithm]
-    if recorder is None:
-        L_eff = L if L is not None else (cfg.L if cfg.L is not None else 1.0)
-        recorder = diagnostics.Recorder(
-            prob, kernel, rho, L_eff, cfg.eta, cfg.delta,
-            run_id=run_id, algorithm=cfg.algorithm)
-    system = init_system(prob, kernel, x0, cfg)
-    recorder.observe(system, clipped=False, status="running")
-    status, diverged_at, reason = "done", None, ""
+    cfgs = [cfg] if isinstance(cfg, AlgoConfig) else list(cfg)
+    head = cfgs[0]
+    if any((c.algorithm, c.max_iter, c.y0)
+           != (head.algorithm, head.max_iter, head.y0) for c in cfgs):
+        raise ValueError("the cells of a batch share algorithm, max_iter and y0")
+    recorders = [diagnostics.Recorder(
+        prob, kernel, mixing.rho,
+        L if L is not None else (c.L if c.L is not None else 1.0),
+        c.eta, c.delta, run_id=run_id, algorithm=c.algorithm) for c in cfgs]
+    step = _STEPS[head.algorithm]
+    args = (prob, kernel, mixing.W)
+    eta = np.array([c.eta for c in cfgs])[:, None, None]
+    delta = np.array([c.delta for c in cfgs])[:, None, None] \
+        if head.algorithm in CLIPPED else None
+    s0 = init_system(prob, kernel, x0, head)
+    for recorder in recorders:
+        recorder.observe(s0, clipped=False, status="running")
+    system = AgentSystem(*(np.repeat(a[None], len(cfgs), axis=0)
+                           for a in (s0.X, s0.Z, s0.Y, s0.grads)),
+                         clipped=np.zeros(len(cfgs), dtype=bool))
+    live = np.arange(len(cfgs))  # the cell of each row of the batch
+    ends = {}  # cell -> (status, diverged_at, reason, final system)
     emit_all = record_every == 1
-    for t in range(cfg.max_iter):
-        try:
-            new_system = step(system, prob, kernel, W, cfg)
-        except _DIVERGENCE_ERRORS as exc:
-            status, diverged_at, reason = "diverged", t, f"{type(exc).__name__}: {exc}"
+    for t in range(head.max_iter):
+        new, raised = _step_each(step, system, args, eta, delta)
+        if raised:
+            for r, reason in raised.items():
+                ends[live[r]] = ("diverged", t, reason, system.cell(r, copy=True))
+            rows = [r for r in range(len(live)) if r not in raised]
+            live, eta, system = live[rows], eta[rows], system.cells(rows)
+            delta = None if delta is None else delta[rows]
+        keep = _finite(new)
+        for q in range(len(live)) if hooks or emit_all else ():
+            if not keep[q]:
+                continue
+            cur = new.cell(q)
+            for hook in hooks:
+                hook(t, system.cell(q), cur)
+            if emit_all and not _observe_finite(recorders[live[q]], cur):
+                ends[live[q]] = ("diverged", cur.t, "non-finite metric",
+                                 new.cell(q, copy=True))
+                keep[q] = False
+        if not keep.all():
+            for q in np.flatnonzero(~keep):
+                ends.setdefault(live[q], ("diverged", t + 1,
+                                          "non-finite iterate",
+                                          new.cell(q, copy=True)))
+            live, eta, new = live[keep], eta[keep], new.cells(keep)
+            delta = None if delta is None else delta[keep]
+        system = new
+        if not len(live):
             break
-        if not _finite(new_system):
-            status, diverged_at = "diverged", t + 1
-            reason = "non-finite iterate"
-            system = new_system
-            break
-        for hook in hooks:
-            hook(t, system, new_system)
-        system = new_system
-        if emit_all and not _observe_finite(recorder, system):
-            status, diverged_at, reason = "diverged", system.t, "non-finite metric"
-            break
-    if not emit_all and system.t > 0 and _finite(system):
-        # the final state, observed once; a diverged run's may admit no record
-        if status == "done":
-            if not _observe_finite(recorder, system):
-                status, diverged_at, reason = "diverged", system.t, "non-finite metric"
-        else:
-            with contextlib.suppress(*_DIVERGENCE_ERRORS):
-                recorder.observe(system, clipped=system.clipped, status="running")
-    recorder.mark_final(status)
-    return RunResult(records=recorder.records, system=system, status=status,
-                     diverged_at=diverged_at, reason=reason)
+    for r, c in enumerate(live):
+        ends[c] = ("done", None, "", system.cell(r))
+    results = []
+    for c, recorder in enumerate(recorders):
+        status, diverged_at, reason, final = ends[c]
+        if not emit_all and final.t > 0 and _finite(final):
+            # the final state, observed once; a diverged run's may admit no record
+            if status == "done":
+                if not _observe_finite(recorder, final):
+                    status, diverged_at = "diverged", final.t
+                    reason = "non-finite metric"
+            else:
+                with contextlib.suppress(*_DIVERGENCE_ERRORS):
+                    recorder.observe(final, clipped=final.clipped,
+                                     status="running")
+        recorder.mark_final(status)
+        results.append(RunResult(records=recorder.records, system=final,
+                                 status=status, diverged_at=diverged_at,
+                                 reason=reason))
+    return results[0] if isinstance(cfg, AlgoConfig) else results
 
 
 def compliant_parameters(kernel, L, rho, m, delta_cap=1e9):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -11,6 +10,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,54 +53,90 @@ def resolve_L(cfg, prob, kernel, seed) -> float:
 
 
 def kernel_for_algorithm(kind: str, kernel, x0):
-    """DDA runs over the kernel shifted so the initial point minimizes it."""
-    if kind != "dda":
+    """The kinds in ``algorithms.SHIFTED`` (DDA) run over the kernel shifted
+    so the initial point minimizes it."""
+    if kind not in algorithms.SHIFTED:
         return kernel
     shift = np.asarray(x0, dtype=float) - kernel.minimizer()
     return kernels.shifted(kernel, shift)
 
 
-def assemble(cfg, seed):
-    """Build one seed's ``(prob, kernel, mix, x0, L)``, shared by all of its
-    cells: everything a cell needs that does not depend on its algorithm."""
+@dataclass
+class Assembly:
+    """One seed's ``(prob, kernel, mix, x0, L)``, shared by all of its cells:
+    everything a cell needs that does not depend on its algorithm.
+
+    ``batch`` holds the configs of cells planned to step together (see
+    :func:`execute_run`) and ``stepped`` their results until each cell's
+    call collects its own."""
+
+    prob: object
+    kernel: object
+    mix: object
+    x0: np.ndarray
+    L: float
+    batch: list = field(default_factory=list)
+    stepped: dict = field(default_factory=dict)
+
+    def algo_config(self, algo_spec, max_iter=None, eta=None, delta=None):
+        """The :class:`algorithms.AlgoConfig` of a cell, with ``eta`` and
+        ``delta`` overriding the spec's and ``auto`` values resolved."""
+        spec = dict(algo_spec)
+        if eta is not None:
+            spec["eta"] = eta
+        if delta is not None:
+            spec["delta"] = delta
+        if spec.get("eta") == "auto" or spec.get("delta") == "auto":
+            eta_auto, delta_auto, _ = algorithms.compliant_parameters(
+                self.kernel, self.L, self.mix.rho, self.prob.m)
+            if spec.get("eta") == "auto":
+                spec["eta"] = eta_auto
+            if spec.get("delta") == "auto":
+                spec["delta"] = delta_auto
+        return algorithms.AlgoConfig.from_spec(spec, max_iter)
+
+
+def assemble(cfg, seed) -> Assembly:
+    """Build one seed's :class:`Assembly`."""
     prob = build_problem(cfg, seed)
     kernel = build_kernel(cfg, prob.d)
     mix = build_mixing(cfg, prob.m)
     x0 = config.initial_point(cfg, prob, kernel, seed)
     L = resolve_L(cfg, prob, kernel, seed)
-    return prob, kernel, mix, x0, L
+    return Assembly(prob, kernel, mix, x0, L)
 
 
 def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
                 eta=None, delta=None, run_id=None, assembly=None):
     """Execute one (algorithm, seed) cell; returns (result, meta).
 
-    ``assembly`` is the seed's :func:`assemble` output, built here when it
-    is not given.
+    ``assembly`` is the seed's :class:`Assembly`, built here when it is not
+    given.  A call that records only the final state under the default run
+    id, for a cell among the configs in ``assembly.batch``, steps that whole
+    batch together; the other cells' results wait in ``assembly.stepped``
+    for their own calls.  Each equals its run alone bit for bit.
     """
     if assembly is None:
         assembly = assemble(cfg, seed)
-    prob, kernel, mix, x0, L = assembly
-    spec = dict(algo_spec)
-    if eta is not None:
-        spec["eta"] = eta
-    if delta is not None:
-        spec["delta"] = delta
-    if spec.get("eta") == "auto" or spec.get("delta") == "auto":
-        eta_auto, delta_auto, _ = algorithms.compliant_parameters(
-            kernel, L, mix.rho, prob.m)
-        if spec.get("eta") == "auto":
-            spec["eta"] = eta_auto
-        if spec.get("delta") == "auto":
-            spec["delta"] = delta_auto
-    acfg = algorithms.AlgoConfig.from_spec(spec, max_iter)
-    run_kernel = kernel_for_algorithm(acfg.algorithm, kernel, x0)
+    acfg = assembly.algo_config(algo_spec, max_iter, eta, delta)
     rid = run_id or f"{acfg.algorithm}_s{seed}"
-    result = algorithms.run(prob, run_kernel, mix, acfg, x0, L=L,
-                            run_id=rid, record_every=record_every)
-    meta = {"rho": mix.rho, "L": L, "eta": acfg.eta, "delta": acfg.delta,
-            "graph_retries": getattr(mix.graph, "retries", 0), "seed": seed,
-            "run_id": rid, "algorithm": acfg.algorithm}
+    batched = record_every == 0 and run_id is None
+    result = assembly.stepped.pop(acfg, None) if batched else None
+    if result is None:
+        cfgs = [acfg]
+        if batched and acfg in assembly.batch:
+            cfgs, assembly.batch = assembly.batch, []
+        kernel = kernel_for_algorithm(acfg.algorithm, assembly.kernel,
+                                      assembly.x0)
+        results = dict(zip(cfgs, algorithms.run(
+            assembly.prob, kernel, assembly.mix, cfgs, assembly.x0,
+            L=assembly.L, run_id=rid, record_every=record_every)))
+        result = results.pop(acfg)
+        assembly.stepped.update(results)
+    meta = {"rho": assembly.mix.rho, "L": assembly.L, "eta": acfg.eta,
+            "delta": acfg.delta,
+            "graph_retries": getattr(assembly.mix.graph, "retries", 0),
+            "seed": seed, "run_id": rid, "algorithm": acfg.algorithm}
     return result, meta
 
 
@@ -117,37 +153,30 @@ def _final_metric(result, metric: str) -> float:
     return val if math.isfinite(val) else math.inf
 
 
+def _fill_rel_error(results):
+    """Set every record's ``rel_error`` to its ``f_bar`` minus the smallest
+    finite ``f_bar`` over all records of ``results``; returns that minimum
+    (nan when there is none)."""
+    results = list(results)
+    finite_f = [r.f_bar for result in results for r in result.records
+                if math.isfinite(r.f_bar)]
+    f_star = min(finite_f) if finite_f else math.nan
+    for result in results:
+        for r in result.records:
+            if math.isfinite(r.f_bar):
+                r.rel_error = r.f_bar - f_star
+    return f_star
+
+
 def _tune_grid(cfg):
     """Every (algorithm index, eta, delta) cell of the tuning grid, in table
     order; delta is None for algorithms that do not clip."""
     for ai, spec in enumerate(cfg.algorithms):
-        deltas = cfg.tuning["delta_grid"] if spec["kind"] == "dmgt" else [None]
+        deltas = cfg.tuning["delta_grid"] \
+            if spec["kind"] in algorithms.CLIPPED else [None]
         for eta in cfg.tuning["eta_grid"]:
             for delta in deltas:
                 yield ai, float(eta), None if delta is None else float(delta)
-
-
-def _map_seed_major(cfg, cells, threads, work):
-    """``{(cell, seed): work(cell, seed, assembly)}`` over every cell and seed.
-
-    Seeds run one after another; each is assembled once and dropped before
-    the next is built, and its cells go through a pool of ``threads``.
-    """
-    out = {}
-    for seed in cfg.seeds:
-        assembly = assemble(cfg, seed)
-
-        def one(cell):
-            return work(cell, seed, assembly)
-
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-                vals = list(ex.map(one, cells))
-        else:
-            vals = [one(cell) for cell in cells]
-        out.update(((cell, seed), val) for cell, val in zip(cells, vals))
-        del assembly, one
-    return out
 
 
 def tune(cfg: config.ExperimentConfig, threads=1, max_iter=None) -> dict:
@@ -156,21 +185,36 @@ def tune(cfg: config.ExperimentConfig, threads=1, max_iter=None) -> dict:
     Every cell runs for the full iteration budget on every seed; a cell's
     score is the seed-mean of the final selection metric, diverged runs
     scoring worst.  Ties break toward smaller eta, then smaller delta.
+    ``rel_error`` is measured against the smallest finite ``f_bar`` over
+    every record of the tune.  Seeds go one after another, each assembled
+    once; the cells of one (seed, algorithm) step together as one batch,
+    and every cell's result equals its standalone run bit for bit.
+    ``threads`` is accepted and ignored: the cells run in one thread.
     """
     metric = cfg.tuning["select_by"]
     grid = list(_tune_grid(cfg))
-
-    def work(cell, seed, assembly):
-        ai, eta, delta = cell
-        result, _ = execute_run(cfg, cfg.algorithms[ai], seed,
-                                max_iter=max_iter, record_every=0,
-                                eta=eta, delta=delta, assembly=assembly)
-        return _final_metric(result, metric)
-
-    scores = _map_seed_major(cfg, grid, threads, work)
+    results = {}
+    for seed in cfg.seeds:
+        assembly = assemble(cfg, seed)
+        for ai, spec in enumerate(cfg.algorithms):
+            cells = [(eta, delta) for a, eta, delta in grid if a == ai]
+            assembly.batch = [assembly.algo_config(spec, max_iter, eta, delta)
+                              for eta, delta in cells]
+            for eta, delta in cells:
+                result, _ = execute_run(
+                    cfg, spec, seed, max_iter=max_iter, record_every=0,
+                    eta=eta, delta=delta, assembly=assembly)
+                # the records are all a score needs; the final state would
+                # keep the batch's arrays alive
+                results[(ai, eta, delta), seed] = algorithms.RunResult(
+                    records=result.records, system=None, status=result.status)
+        del assembly
+    if metric == "rel_error":
+        _fill_rel_error(results.values())
     best = {}
     for ai, eta, delta in grid:
-        vals = [scores[(ai, eta, delta), s] for s in cfg.seeds]
+        vals = [_final_metric(results[(ai, eta, delta), s], metric)
+                for s in cfg.seeds]
         mean = math.inf if any(not math.isfinite(v) for v in vals) \
             else sum(vals) / len(vals)
         key = (mean, eta, math.inf if delta is None else delta)
@@ -205,30 +249,24 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
     directory beside ``out_dir`` and then moved into it one by one with
     ``os.replace``, the manifest last as the commit marker.  On failure only
     the staging directory is removed, so a previous batch in ``out_dir``
-    stays as it was.
+    stays as it was.  Seeds go one after another, each assembled once, and
+    cells one at a time; ``threads`` is accepted and ignored.
     """
     out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", suffix=".staging",
                                   dir=out.parent))
     try:
-        def work(ai, seed, assembly):
-            rid = f"{ai:02d}_{cfg.algorithms[ai]['kind']}_s{seed}"
-            return execute_run(cfg, cfg.algorithms[ai], seed,
-                               max_iter=max_iter, record_every=1,
-                               run_id=rid, assembly=assembly)
-
-        results = _map_seed_major(cfg, range(len(cfg.algorithms)), threads,
-                                  work)
-
-        finite_f = [r.f_bar
-                    for result, _ in results.values()
-                    for r in result.records if math.isfinite(r.f_bar)]
-        f_star = min(finite_f) if finite_f else math.nan
-        for result, _ in results.values():
-            for r in result.records:
-                if math.isfinite(r.f_bar):
-                    r.rel_error = r.f_bar - f_star
+        results = {}
+        for seed in cfg.seeds:
+            assembly = assemble(cfg, seed)
+            for ai, spec in enumerate(cfg.algorithms):
+                results[ai, seed] = execute_run(
+                    cfg, spec, seed, max_iter=max_iter, record_every=1,
+                    run_id=f"{ai:02d}_{spec['kind']}_s{seed}",
+                    assembly=assembly)
+            del assembly
+        f_star = _fill_rel_error(result for result, _ in results.values())
 
         written = []
 
@@ -386,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed list with one seed")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: cells run in one thread")
     common.add_argument("--max-iter", type=_iter_budget, default=None,
                         help="override every algorithm's iteration budget")
 

@@ -564,7 +564,9 @@ class QuadraticKernel(Kernel):
         z = _check_shape(z, self.dim, "dual vector")
         if self.A is None:
             return z.copy()
-        return scipy.linalg.cho_solve(self._cho, z.T).T
+        # a batch (..., m, d) is solved as the columns of one (d, -1) block
+        flat = z.reshape(-1, self.dim) if z.ndim > 2 else z
+        return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(z.shape)
 
     def hess_apply(self, x, v):
         v = np.asarray(v, dtype=float)

@@ -83,7 +83,9 @@ class Problem:
     leading agent axis, reads ``m`` and ``d`` from them, and provides three
     oracles: ``_values(x)``, the m local values at one point, (m,);
     ``_grads(x)``, the m local gradients there, (m, d); and
-    ``grads_rowwise(X)``, agent i's gradient at row i of X, (m, d).
+    ``grads_rowwise(X)``, agent i's gradient at row i of X, (m, d).  X may
+    carry leading axes, (..., m, d), one per stacked batch of cells, and
+    each (m, d) block of the result equals bit for bit its own call.
     ``value`` and ``grad`` add the agents in order, from agent 0, and then
     divide by m: recorded CSVs are byte-checked, and a vectorized mean
     would round differently.  ``value_and_grad`` returns the bits of both
@@ -276,9 +278,9 @@ class PhaseRetrieval(_Design):
         return (-4.0 / self.A.shape[1]) * self._AT_dot(r * ax)
 
     def grads_rowwise(self, X):
-        ax = np.einsum("mnd,md->mn", self.A, X)
+        ax = np.einsum("mnd,...md->...mn", self.A, X)
         w = (self.b - ax * ax) * ax
-        return (-4.0 / self.A.shape[1]) * np.einsum("mnd,mn->md", self.A, w)
+        return (-4.0 / self.A.shape[1]) * np.einsum("mnd,...mn->...md", self.A, w)
 
 
 def phase_retrieval(d, n, m, noise_sd, seed=0) -> Problem:
@@ -323,8 +325,8 @@ class Poisson(_Design):
         return self._AT_dot(1.0 - self.b / np.maximum(ax, _KL_FLOOR))
 
     def grads_rowwise(self, X):
-        ax = np.maximum(np.einsum("mnd,md->mn", self.A, X), _KL_FLOOR)
-        return np.einsum("mnd,mn->md", self.A, 1.0 - self.b / ax)
+        ax = np.maximum(np.einsum("mnd,...md->...mn", self.A, X), _KL_FLOOR)
+        return np.einsum("mnd,...mn->...md", self.A, 1.0 - self.b / ax)
 
 
 def poisson_inverse(d, n, m, seed=0) -> Problem:
@@ -437,6 +439,14 @@ def tv_grad(X, eps=EPS_TV) -> np.ndarray:
     return g
 
 
+def _block_apply(M, X):
+    """M times each flattened (m, d) block of X (..., m, d).  The blocks are
+    the columns of one sparse product, and a column rounds as a vector
+    multiplied alone."""
+    flat = X.reshape(-1, X.shape[-2] * X.shape[-1])
+    return (M @ flat.T).T.reshape(X.shape)
+
+
 @dataclass(kw_only=True)
 class TVDeblur(Problem):
     """f_i(x) = KL(b_i, A_i x) + lam TV(x) on a d_img x d_img image: ``A`` is
@@ -452,9 +462,9 @@ class TVDeblur(Problem):
         self.d_img = math.isqrt(self.d)
 
     def _blur(self, X):
-        """A_i x_i for every agent, (m, d); a shared x (d,) serves all."""
-        X = np.broadcast_to(X, self.b.shape)
-        return (self.A @ X.ravel()).reshape(self.b.shape)
+        """A_i x_i for every agent, (..., m, d); a shared x (d,) serves all."""
+        return _block_apply(self.A, np.broadcast_to(X, X.shape[:-2]
+                                                    + self.b.shape))
 
     def _values(self, x):
         tv = tv_value(x.reshape(self.d_img, self.d_img))
@@ -462,7 +472,7 @@ class TVDeblur(Problem):
 
     def _grads(self, X):
         ax = np.maximum(self._blur(X), _KL_FLOOR)
-        g = (self.A.T @ (1.0 - self.b / ax).ravel()).reshape(self.b.shape)
+        g = _block_apply(self.A.T, 1.0 - self.b / ax)
         images = X.reshape(X.shape[:-1] + (self.d_img, self.d_img))
         return g + self.lam * tv_grad(images).reshape(X.shape)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -395,6 +396,94 @@ def test_tune_and_run_batch_assemble_each_seed_once(tmp_path, monkeypatch):
         assert cli.tune(cfg, threads=4, max_iter=15) == table
     finally:
         sys.setswitchinterval(interval)
+
+
+# (problem, kernel, init, eta grid, divergence reasons the grid must show)
+_BATCH_CASES = {
+    "poisson-burg": ("{kind: poisson, d: 12, n: 8, m: 4}",
+                     "{kind: burg, mu: 1.0}", "random_positive",
+                     "[0.01, 10.0, 1.0e+3, 1.0e+8]", {"DomainViolation"}),
+    "phase_retrieval-quartic": (
+        "{kind: phase_retrieval, d: 6, n: 10, m: 4, noise_sd: 0.1}",
+        "{kind: quartic}", "gauss", "[0.01, 1.0e+4, 1.0e+8]",
+        {"NoConvergence"}),
+    "entropy-boltzmann_shannon": (
+        "{kind: entropy, d: 6, m: 4}", "{kind: boltzmann_shannon}",
+        "random_positive", "[0.01, 10.0, 1.0e+3]",
+        {"DomainViolation", "non-finite iterate"}),
+    "quadratic-euclidean": ("{kind: quadratic, d: 6, m: 4}",
+                            "{kind: euclidean}", "gauss",
+                            "[0.1, 1.0e+8, 1.0e+200]",
+                            {"DomainViolation", "non-finite metric"}),
+    "tv_deblur-burg": ("{kind: tv_deblur, d_img: 4, m: 4}",
+                       "{kind: burg, mu: 1.0}", "random_positive",
+                       "[0.1, 1.0e+300]", {"DomainViolation"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_tune_batch_cells_equal_their_standalone_runs(case, monkeypatch):
+    # tune steps each (seed, algorithm) grid as one batch; every cell must end
+    # exactly where its own run ends, diverging cells included
+    problem, kernel, init, etas, reasons = _BATCH_CASES[case]
+    cfg = config.parse_config_text(f"""
+problem: {problem}
+kernel: {kernel}
+graph: {{kind: ring}}
+algorithms: [{{kind: dmgt}}, {{kind: dmd}}, {{kind: dgt}}, {{kind: dda}}]
+tuning: {{eta_grid: {etas}, delta_grid: [0.1, 1.0e+3]}}
+seeds: [1, 2]
+init: {{kind: {init}, scale: 1.0}}
+""")
+    execute_run = cli.execute_run
+    cells = []
+
+    def logged_run(c, spec, seed, **kwargs):
+        result, meta = execute_run(c, spec, seed, **kwargs)
+        cells.append((spec, seed, kwargs["eta"], kwargs["delta"], result))
+        return result, meta
+
+    monkeypatch.setattr(cli, "execute_run", logged_run)
+    with np.errstate(all="ignore"):
+        cli.tune(cfg, max_iter=30)
+        seen = {r.reason.split(":")[0] for *_, r in cells if r.diverged}
+        assert reasons <= seen, seen
+        for spec, seed, eta, delta, got in cells:
+            alone, _ = execute_run(cfg, spec, seed, max_iter=30,
+                                   record_every=0, eta=eta, delta=delta)
+            cell = (spec["kind"], seed, eta, delta)
+            assert (got.status, got.diverged_at, got.reason, got.system.t) \
+                == (alone.status, alone.diverged_at, alone.reason,
+                    alone.system.t), cell
+            assert [r.csv_row() for r in got.records] \
+                == [r.csv_row() for r in alone.records], cell
+            for name in ("X", "Z", "Y", "grads"):
+                assert getattr(got.system, name).tobytes() \
+                    == getattr(alone.system, name).tobytes(), (cell, name)
+
+
+def test_tune_select_by_rel_error(tmp_path):
+    text = MINIMAL + """tuning: {eta_grid: [0.01, 0.05], delta_grid: [1.0],
+         select_by: rel_error}
+"""
+    cfg = config.parse_config_text(text)
+    finals = {}
+    f_star = math.inf
+    for spec in cfg.algorithms:
+        delta = 1.0 if spec["kind"] == "dmgt" else None
+        for eta in (0.01, 0.05):
+            result, _ = cli.execute_run(cfg, spec, cfg.seeds[0], max_iter=10,
+                                        record_every=0, eta=eta, delta=delta)
+            finals[spec["kind"], eta] = result.records[-1].f_bar
+            f_star = min([f_star] + [r.f_bar for r in result.records])
+    table = cli.tune(cfg, max_iter=10)
+    for name, row in table.items():
+        assert row["status"] == "ok", name
+        want = min(finals[row["kind"], eta] - f_star for eta in (0.01, 0.05))
+        assert row["metric"] == want, name
+    assert min(row["metric"] for row in table.values()) == 0.0
+    cfgfile = _write(tmp_path, text)
+    assert cli.main(["tune", str(cfgfile), "--max-iter", "10", "--strict"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import catalogue, fd_gradient, safe_eps
 from dualmix import domains, kernels
-from dualmix.errors import DomainViolation, ModeMismatch, SingularMatrix
+from dualmix._scalar import solve_increasing
+from dualmix.errors import (DomainViolation, ModeMismatch, NoConvergence,
+                            SingularMatrix)
 from dualmix.modulus import self_concordant_modulus, separable_modulus
 
 
@@ -435,3 +437,50 @@ def test_bregman_checks_each_argument_once(monkeypatch):
     assert len(calls) == 2
     with pytest.raises(DomainViolation, match="second Bregman argument"):
         k.bregman(np.full(4, 0.5), np.zeros(4))
+
+
+def _scalar_case(name):
+    """(f, f', z, lo, hi, t0) of a kernel's scalar inverse, with targets
+    spread over many magnitudes so that elements converge at different
+    Newton iterations."""
+    rng = np.random.default_rng(11)
+    if name == "quartic":  # radial: the dual radius |grad h| = g(|x|)
+        k = kernels.quartic(4)
+        z = np.exp(rng.uniform(-12.0, 12.0, 60))
+        return k._g, k._g_prime, z, np.zeros_like(z), np.full_like(z, np.inf), \
+            np.ones_like(z)
+    k = kernels.tsallis(4)  # separable, no closed-form inverse
+    z = rng.standard_normal(60) * 10.0 ** rng.uniform(-3.0, 3.0, 60)
+    return k._dphi, k._d2phi, z, np.zeros_like(z), np.full_like(z, np.inf), None
+
+
+@pytest.mark.parametrize("name", ["quartic", "tsallis"])
+def test_solve_increasing_solves_each_element_as_if_alone(name):
+    # a batch of cells shares one call; an element's root must not depend
+    # on which other elements it was solved with
+    f, fprime, z, lo, hi, t0 = _scalar_case(name)
+    t = solve_increasing(f, fprime, z, lo, hi, t0=t0)
+    for i in range(len(z)):
+        one = slice(i, i + 1)
+        alone = solve_increasing(f, fprime, z[one], lo[one], hi[one],
+                                 t0=None if t0 is None else t0[one])
+        assert alone.tobytes() == t[one].tobytes(), i
+    k = kernels.quartic(5) if name == "quartic" else kernels.tsallis(5)
+    Z = np.random.default_rng(4).standard_normal((20, 6, 5)) * 30.0
+    X = k.grad_conj(Z)
+    for b in range(len(Z)):
+        assert X[b].tobytes() == k.grad_conj(Z[b]).tobytes(), b
+
+
+def test_no_convergence_reports_the_worst_residual():
+    f, fprime, z, lo, hi, t0 = _scalar_case("tsallis")
+    with pytest.raises(NoConvergence) as info:
+        solve_increasing(f, fprime, z, lo, hi, max_iter=2)
+    worst = 0.0
+    for i in range(len(z)):
+        one = slice(i, i + 1)
+        try:
+            solve_increasing(f, fprime, z[one], lo[one], hi[one], max_iter=2)
+        except NoConvergence as exc:
+            worst = max(worst, exc.residual)
+    assert info.value.residual == worst > 0.0

@@ -1,9 +1,10 @@
 """Smoke tests of the benchmark script.
 
-The three-iteration run (~5 s) checks that the script works; the full
-poisson-run budget (~7 s) is the only budget at which the script compares
-every CSV and plot sha256 with ``perfbench/reference.json``, so it is the
-test that pins the recorded CSV bytes.
+The three-iteration run (~5 s) checks that the script works.  At the full
+budget and seed 0 the script compares each workload's output with
+``perfbench/reference.json``: every CSV and plot sha256 for poisson-run,
+which pins the recorded CSV bytes, and the winner table for the two tune
+workloads (~5-10 s each).
 """
 
 import json
@@ -11,12 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _poisson_run(*extra):
+def _workload(name, *extra):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "poisson-run",
+        [sys.executable, "perfbench/run.py", "--workload", name,
          "--seconds", "0", *extra],
         cwd=ROOT, text=True, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
@@ -28,8 +31,13 @@ def _poisson_run(*extra):
 
 
 def test_perfbench_poisson_run_smoke():
-    _poisson_run("--max-iter", "3")
+    _workload("poisson-run", "--max-iter", "3")
 
 
 def test_perfbench_poisson_run_csv_bytes_match_reference():
-    _poisson_run("--seed", "0")
+    _workload("poisson-run", "--seed", "0")
+
+
+@pytest.mark.parametrize("name", ["poisson-tune", "phase-tune"])
+def test_perfbench_tune_winners_match_reference(name):
+    _workload(name, "--seed", "0")

@@ -182,6 +182,22 @@ def test_stacked_value_grad_equal_agent_loop_bitwise(family):
 
 
 @pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
+def test_grads_rowwise_batch_equals_each_block_bitwise(family):
+    # the batched engine stacks B cells as (B, m, d); each cell's gradients
+    # must not depend on B
+    prob = _STACKED_FAMILIES[family](2)
+    rng = np.random.default_rng(7)
+    for B in (1, 3, 20):
+        Xb = prob.domain.sample_interior(rng, B * prob.m).reshape(
+            B, prob.m, prob.d)
+        got = prob.grads_rowwise(Xb)
+        assert got.shape == Xb.shape
+        for b in range(B):
+            assert got[b].tobytes() == prob.grads_rowwise(Xb[b]).tobytes(), \
+                (B, b)
+
+
+@pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
 def test_permuted_stacked_problem_follows_permutation(family):
     prob = _STACKED_FAMILIES[family](1)
     perm = [3, 0, 4, 1, 2] + list(range(5, prob.m))
