@@ -134,12 +134,12 @@ def clip_rows(V, eta, delta):
     inf/inf = nan there, which ``fmin`` passes over to keep the factor eta.
     """
     V = np.asarray(V, dtype=float)
-    norms = np.linalg.norm(V, axis=-1, keepdims=True)
+    # np.linalg.norm's own formula for a single axis, without its dispatch
+    norms = np.sqrt((V * V).sum(axis=-1, keepdims=True))
     # delta / 0 counts as inf, so a zero (or nan) row keeps the factor eta
     ratios = np.divide(delta, norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
-    return (V * np.fmin(eta, ratios),
-            np.any(eta * norms > delta, axis=(-2, -1)))
+    return V * np.fmin(eta, ratios), (eta * norms > delta).any(axis=(-2, -1))
 
 
 def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
@@ -224,16 +224,12 @@ _DIVERGENCE_ERRORS = (DomainViolation, NotInImage, NoConvergence, SingularHessia
 
 
 def _finite(s: AgentSystem):
-    """Per cell: Z, Y and the cached gradients are finite.  X needs no
-    check: every step rule has passed it through ``require_interior``,
-    which rejects non-finite entries.  Whole-array checks come first,
-    because they are cheaper and almost always pass."""
-    if (np.isfinite(s.Z).all() and np.isfinite(s.Y).all()
-            and np.isfinite(s.grads).all()):
-        return np.ones(s.Z.shape[:-2], dtype=bool)
-    return (np.isfinite(s.Z).all(axis=(-2, -1))
-            & np.isfinite(s.Y).all(axis=(-2, -1))
-            & np.isfinite(s.grads).all(axis=(-2, -1)))
+    """Per cell: Z and Y are finite.  X needs no check: every step rule has
+    passed it through ``require_interior``, which rejects non-finite
+    entries.  Nor do the gradients G+: every step rule's Y+ is G+ or
+    W Y + G+ - G, and in floating point either is non-finite wherever G+
+    is."""
+    return (np.isfinite(s.Z) & np.isfinite(s.Y)).all(axis=(-2, -1))
 
 
 def _observe_finite(recorder, system) -> bool:
@@ -251,9 +247,8 @@ def _step_each(step, s, args, eta, delta):
     arrays in a reference cycle."""
     try:
         return step(s, *args, eta, delta), {}
-    except _DIVERGENCE_ERRORS as exc:
-        if len(eta) == 1:
-            return s.cells(slice(0)), {0: f"{type(exc).__name__}: {exc}"}
+    except _DIVERGENCE_ERRORS:
+        pass  # some cell raised: redo the step cell by cell to find which
     stepped, raised = [], {}
     for r in range(len(eta)):
         try:

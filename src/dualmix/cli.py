@@ -111,20 +111,19 @@ def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
     """Execute one (algorithm, seed) cell; returns (result, meta).
 
     ``assembly`` is the seed's :class:`Assembly`, built here when it is not
-    given.  A call that records only the final state under the default run
-    id, for a cell among the configs in ``assembly.batch``, steps that whole
-    batch together; the other cells' results wait in ``assembly.stepped``
-    for their own calls.  Each equals its run alone bit for bit.
+    given.  The call for a cell among the configs in ``assembly.batch``
+    steps that whole batch together, with this call's ``record_every`` and
+    run id; the other cells' results wait in ``assembly.stepped`` for their
+    own calls.  Each equals its run alone bit for bit.
     """
     if assembly is None:
         assembly = assemble(cfg, seed)
     acfg = assembly.algo_config(algo_spec, max_iter, eta, delta)
     rid = run_id or f"{acfg.algorithm}_s{seed}"
-    batched = record_every == 0 and run_id is None
-    result = assembly.stepped.pop(acfg, None) if batched else None
+    result = assembly.stepped.pop(acfg, None)
     if result is None:
         cfgs = [acfg]
-        if batched and acfg in assembly.batch:
+        if acfg in assembly.batch:
             cfgs, assembly.batch = assembly.batch, []
         kernel = kernel_for_algorithm(acfg.algorithm, assembly.kernel,
                                       assembly.x0)

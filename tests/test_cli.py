@@ -389,7 +389,7 @@ def test_tune_and_run_batch_assemble_each_seed_once(tmp_path, monkeypatch):
         vals = [scores[row["kind"], s, row["eta"], row["delta"]]
                 for s in cfg.seeds]
         assert row["metric"] == sum(vals) / len(vals), name
-    # the seed's assembly is shared read-only by the pool's threads
+    # threads is accepted and ignored, so the table is unchanged
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
