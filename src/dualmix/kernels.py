@@ -176,6 +176,19 @@ def _check_shape(x, dim, what="vector"):
     return x
 
 
+def _norm(v):
+    """Euclidean norm over the last axis, rescaled where the squares of a
+    finite ``v`` overflow."""
+    with np.errstate(over="ignore"):
+        n = np.asarray(np.linalg.norm(v, axis=-1))
+    if np.isinf(n).any():
+        over = np.isinf(n) & np.isfinite(v).all(axis=-1)
+        w = v[over]
+        top = np.abs(w).max(axis=-1, keepdims=True)
+        n[over] = top[..., 0] * np.linalg.norm(w / top, axis=-1)
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Separable kernels
 # ---------------------------------------------------------------------------
@@ -412,6 +425,10 @@ class RadialKernel(Kernel):
     def _g_prime(self, t):
         raise NotImplementedError
 
+    def _g_inv(self, s):
+        """Closed-form inverse of ``_g`` or ``None``."""
+        return None
+
     def value(self, x):
         x = _check_shape(x, self.dim)
         return self._val_radius(np.linalg.norm(x, axis=-1))
@@ -456,15 +473,17 @@ class RadialKernel(Kernel):
 
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
-        tz = np.linalg.norm(z, axis=-1)
+        tz = _norm(z)
         t = np.zeros_like(tz)
         big = tz > 1e-300
         if np.any(big):
-            t_big = solve_increasing(
-                self._g, self._g_prime, tz[big],
-                lo=np.zeros_like(tz[big]), hi=np.full_like(tz[big], np.inf),
-                t0=np.ones_like(tz[big]),
-            )
+            t_big = self._g_inv(tz[big])
+            if t_big is None:
+                t_big = solve_increasing(
+                    self._g, self._g_prime, tz[big],
+                    lo=np.zeros_like(tz[big]), hi=np.full_like(tz[big], np.inf),
+                    t0=np.ones_like(tz[big]),
+                )
             t[big] = t_big
         scale = np.where(big, t / np.where(big, tz, 1.0), 1.0 / self._s(np.zeros_like(tz)))
         return z * scale[..., None]
@@ -496,6 +515,17 @@ class PowerKernel(RadialKernel):
 
     def _g_prime(self, t):
         return self.mu + (self.r + 1.0) * t**self.r
+
+    def _g_inv(self, s):
+        if self.r != 2.0:
+            return None
+        # the real root of mu*t + t^3 = s (Bolte, Sabach, Teboulle and
+        # Vaisbourd 2018), in a form that does not cancel; one Newton step
+        # removes the rounding of asinh, which grows with log(s)
+        mu = self.mu
+        c = math.sqrt(mu / 3.0)
+        t = 2.0 * c * np.sinh(np.arcsinh(s * (1.5 / (mu * c))) / 3.0)
+        return t - (mu * t + t**3 - s) / (mu + 3.0 * t * t)
 
 
 class NormExponential(RadialKernel):

@@ -406,6 +406,12 @@ _BATCH_CASES = {
     "phase_retrieval-quartic": (
         "{kind: phase_retrieval, d: 6, n: 10, m: 4, noise_sd: 0.1}",
         "{kind: quartic}", "gauss", "[0.01, 1.0e+4, 1.0e+8]",
+        {"non-finite metric"}),
+    # quartic (power r=2) inverts every finite dual vector in closed form;
+    # r=1.5 keeps the scalar solver's failure among the divergence paths
+    "phase_retrieval-power": (
+        "{kind: phase_retrieval, d: 6, n: 10, m: 4, noise_sd: 0.1}",
+        "{kind: power, mu: 1.0, r: 1.5}", "gauss", "[0.01, 1.0e+4, 1.0e+8]",
         {"NoConvergence"}),
     "entropy-boltzmann_shannon": (
         "{kind: entropy, d: 6, m: 4}", "{kind: boltzmann_shannon}",

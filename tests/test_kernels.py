@@ -70,6 +70,53 @@ def test_power_kernel_values():
     assert q.value(x) == pytest.approx(0.25 * 4.0 + 0.5 * 2.0)
 
 
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
+def test_power_r2_radius_inverse_is_closed_form(mu):
+    k = kernels.power(3, mu=mu, r=2.0)
+    s = np.logspace(-300.0, 300.0, 6001)
+    t = k._g_inv(s)
+    assert np.all(np.abs(k._g(t) - s) <= 1e-14 * (1.0 + s))
+    assert np.all(np.diff(t) > 0.0)
+    # the iterative solve brackets roots between about 1e-60 and 1e180 only
+    mid = (s >= 1e-50) & (s <= 1e150)
+    t_solve = solve_increasing(k._g, k._g_prime, s[mid], np.zeros_like(s[mid]),
+                               np.full_like(s[mid], np.inf),
+                               t0=np.ones_like(s[mid]))
+    # both residuals are within TOL_INV (1 + s), so the roots are within
+    # twice that over the slope
+    gap = 2.0 * kernels.TOL_INV * (1.0 + s[mid]) / k._g_prime(t[mid])
+    assert np.all(np.abs(t[mid] - t_solve) <= gap)
+    x = np.random.default_rng(5).standard_normal((40, 3)) \
+        * np.logspace(-8.0, 8.0, 40)[:, None]
+    np.testing.assert_allclose(k.grad_conj(k.grad(x)), x, rtol=1e-14)
+    Z = np.random.default_rng(4).standard_normal((20, 6, 3)) * 30.0
+    X = k.grad_conj(Z)
+    for b in range(len(Z)):
+        assert X[b].tobytes() == k.grad_conj(Z[b]).tobytes(), b
+
+
+def test_only_radial_kernels_without_a_closed_form_call_the_solver(monkeypatch):
+    def solver(*args, **kwargs):
+        raise AssertionError("solve_increasing called")
+
+    monkeypatch.setattr(kernels, "solve_increasing", solver)
+    z = np.random.default_rng(6).standard_normal((4, 5))
+    np.testing.assert_allclose(kernels.quartic(5).grad(
+        kernels.quartic(5).grad_conj(z)), z, rtol=1e-14)
+    with pytest.raises(AssertionError, match="solve_increasing called"):
+        kernels.power(5, r=1.5).grad_conj(z)
+
+
+def test_quartic_inverts_a_huge_dual_radius():
+    # the squares of z overflow, and the old bracket search stopped near 1e180
+    k = kernels.quartic(4)
+    z = np.array([1e200, -1e200, 3e199, 0.0]) / math.sqrt(2.09)
+    assert kernels._norm(z) == pytest.approx(1e200, rel=1e-15)
+    x = k.grad_conj(z)
+    assert np.isfinite(x).all()
+    assert np.max(np.abs(k.grad(x) - z)) <= 1e-14 * np.max(np.abs(z))
+
+
 def test_hellinger_closed_form_inverse():
     k = kernels.hellinger(3)
     z = np.array([-2.0, 0.0, 5.0])
@@ -465,7 +512,8 @@ def test_solve_increasing_solves_each_element_as_if_alone(name):
         alone = solve_increasing(f, fprime, z[one], lo[one], hi[one],
                                  t0=None if t0 is None else t0[one])
         assert alone.tobytes() == t[one].tobytes(), i
-    k = kernels.quartic(5) if name == "quartic" else kernels.tsallis(5)
+    # quartic inverts in closed form, so power r=1.5 takes the radial solve
+    k = kernels.power(5, r=1.5) if name == "quartic" else kernels.tsallis(5)
     Z = np.random.default_rng(4).standard_normal((20, 6, 5)) * 30.0
     X = k.grad_conj(Z)
     for b in range(len(Z)):
