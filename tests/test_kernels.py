@@ -101,14 +101,14 @@ def test_only_radial_kernels_without_a_closed_form_call_the_solver(monkeypatch):
 
     monkeypatch.setattr(kernels, "solve_increasing", solver)
     z = np.random.default_rng(6).standard_normal((4, 5))
-    np.testing.assert_allclose(kernels.quartic(5).grad(
-        kernels.quartic(5).grad_conj(z)), z, rtol=1e-14)
+    q = kernels.quartic(5)
+    np.testing.assert_allclose(q.grad(q.grad_conj(z)), z, rtol=1e-14)
     with pytest.raises(AssertionError, match="solve_increasing called"):
         kernels.power(5, r=1.5).grad_conj(z)
 
 
 def test_quartic_inverts_a_huge_dual_radius():
-    # the squares of z overflow, and the old bracket search stopped near 1e180
+    # the squares of z overflow, and the solver brackets radii up to about 1e180
     k = kernels.quartic(4)
     z = np.array([1e200, -1e200, 3e199, 0.0]) / math.sqrt(2.09)
     assert kernels._norm(z) == pytest.approx(1e200, rel=1e-15)
