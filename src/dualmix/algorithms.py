@@ -72,7 +72,6 @@ class AlgoConfig:
     delta: float = math.inf        # clipping radius, finite only for dmgt
     max_iter: int = 100
     y0: str = "grad"               # 'grad' | 'zero'
-    L: float = None                # relative smoothness override
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -288,8 +287,7 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
            != (head.algorithm, head.max_iter, head.y0) for c in cfgs):
         raise ValueError("the cells of a batch share algorithm, max_iter and y0")
     recorders = [diagnostics.Recorder(
-        prob, kernel, mixing.rho,
-        L if L is not None else (c.L if c.L is not None else 1.0),
+        prob, kernel, mixing.rho, 1.0 if L is None else L,
         c.eta, c.delta, run_id=run_id, algorithm=c.algorithm) for c in cfgs]
     step = _STEPS[head.algorithm]
     args = (prob, kernel, mixing.W)

@@ -34,9 +34,26 @@ def safe_eps(domain, x, base=1e-6):
     return eps if np.isfinite(eps) and eps > 0 else base
 
 
+def _composite_kernels(d=4):
+    """The combinator calculus beyond the table: a shift, diagonal and dense
+    affine maps, a concatenation, and separable and dense sums."""
+    burg_bs = kernels.concat([kernels.burg(2), kernels.boltzmann_shannon(d - 2)])
+    A = np.eye(d) + 0.4 * np.tri(d, k=-1) - 0.3 * np.tri(d, k=-1).T
+    return [
+        kernels.shifted(kernels.burg(d), np.full(d, 0.3)),
+        kernels.affine_compose(kernels.boltzmann_shannon(d), c=1.7,
+                               A=np.array([2.5, 1.0, 3.0, 0.5]), b=np.ones(d)),
+        kernels.affine_compose(kernels.power(d), c=1.5, A=A, b=np.full(d, 0.2)),
+        kernels.concat([kernels.burg(2), kernels.quartic(d - 2)]),
+        kernels.combine(burg_bs, kernels.euclidean(d), "quadratic-shift"),
+        kernels.combine(kernels.power(d), kernels.euclidean(d), "quadratic-shift"),
+    ]
+
+
 def _test_kernels(d=4, n_pts=20, seed=3):
     cat = kernels.table_catalogue(d)
     cat["fermi_dirac"] = kernels.fermi_dirac(d)
+    cat.update((k.name, k) for k in _composite_kernels(d))
     worst_g, worst_h, worst_inv, worst_tp = 0.0, 0.0, 0.0, 0.0
     for k in cat.values():
         rng = np.random.default_rng([seed, zlib.crc32(k.name.encode())])

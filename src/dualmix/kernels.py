@@ -13,7 +13,16 @@ Hessian drift.  Three structural families cover the whole catalogue:
 Affine composition, concatenation, and sums close the catalogue under the
 modulus calculus (condition-number scaling, pointwise max, weighted sum).
 
-All vector arguments accept shape ``(..., d)`` with batched leading axes.
+All vector arguments accept shape ``(..., d)`` with batched leading axes;
+``hess_matrix`` returns ``(..., d, d)``.  Each class writes only its
+unchecked math, ``_value``, ``_grad`` and (if separable) ``_hess_diag``;
+the public ``value``, ``grad`` and ``hess_diag`` of :class:`Kernel` check
+the shape and the open domain once and then call them, and no
+``_``-prefixed oracle checks the domain.  Every separable kernel, sums and
+concatenations included, inverts its mirror map coordinatewise unless it
+has a closed form (a concatenation part by part).  A non-separable sum
+inverts by a damped Newton method whose stopping test covers the whole
+batch, so its bits may depend on the batch; no config kind builds one.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _spec, domains
-from ._scalar import solve_increasing
+from ._scalar import TOL_INV, solve_increasing
 from .errors import (
     ModeMismatch,
     NoConvergence,
@@ -44,11 +53,13 @@ from .modulus import (
     separable_modulus,
 )
 
-TOL_INV = 1e-12
-
 
 class Kernel:
-    """Base class: a Legendre kernel with an attached distortion modulus."""
+    """Base class: a Legendre kernel with an attached distortion modulus.
+
+    Subclasses write the unchecked oracles ``_value``, ``_grad`` and, when
+    separable, ``_hess_diag`` (the Hessian diagonal); the checked public
+    oracles are written once here."""
 
     def __init__(self, dim, domain, modulus, name):
         self.dim = int(dim)
@@ -59,10 +70,10 @@ class Kernel:
     # -- core oracles ------------------------------------------------------
 
     def value(self, x):
-        raise NotImplementedError
+        return self._value(self._checked(x))
 
     def grad(self, x):
-        raise NotImplementedError
+        return self._grad(self._checked(x))
 
     def grad_conj(self, z):
         raise NotImplementedError
@@ -76,20 +87,52 @@ class Kernel:
     def hess_solver(self, x):
         """``v -> hess h(x)^{-1} v``.  The Hessian at ``x`` is built, and ``x``
         passes the interior check, once; every call rounds like
-        ``hess_solve(x, v)``."""
-        raise NotImplementedError
+        ``hess_solve(x, v)``.  A diagonal Hessian divides; any other is
+        solved densely."""
+        d = self.hess_diag(x)
+        if d is not None:
+            return lambda v: np.asarray(v, dtype=float) / d
+        H = self.hess_matrix(self._checked(x))
+        return lambda v: np.linalg.solve(
+            H, np.asarray(v, dtype=float)[..., None])[..., 0]
 
     def hess_matrix(self, x):
-        """Dense ``(d, d)`` Hessian at a single point (diagnostic use)."""
-        raise NotImplementedError
+        """Dense Hessian, ``(..., d, d)`` at points ``(..., d)``: column i
+        is ``hess_apply`` of the i-th unit vector (diagnostic use)."""
+        x = np.asarray(x, dtype=float)
+        X = np.broadcast_to(x[..., None, :], x.shape + (self.dim,))
+        E = np.tile(np.eye(self.dim), x.shape[:-1] + (1, 1))
+        return np.swapaxes(self.hess_apply(X, E), -1, -2)
 
     def hess_diag(self, x):
         """Diagonal of the Hessian if it is diagonal, else ``None``."""
-        return None
+        if not self.separable:
+            return None
+        d2 = self._hess_diag(self._checked(x))
+        if not np.isfinite(d2).all() or (d2 <= 0).any():
+            raise SingularHessian(f"{self.name}: nonpositive Hessian diagonal")
+        return d2
 
     @property
     def separable(self) -> bool:
         return False
+
+    # -- unchecked oracles, for float arrays that passed the checks ----------
+
+    def _checked(self, x):
+        """``x`` as a float array, after the shape and interior checks."""
+        x = _check_shape(x, self.dim)
+        self.domain.require_interior(x)
+        return x
+
+    def _value(self, x):
+        raise NotImplementedError
+
+    def _grad(self, x):
+        raise NotImplementedError
+
+    def _hess_diag(self, x):
+        raise NotImplementedError
 
     # -- derived quantities ------------------------------------------------
 
@@ -107,14 +150,6 @@ class Kernel:
         hu = self._value(u) if hu is None else hu
         hv = self._value(v) if hv is None else hv
         return float(hu - hv - np.dot(self._grad(v), u - v))
-
-    # value and grad without the domain check, for points already checked;
-    # kernels whose value and grad check nothing keep these defaults
-    def _value(self, x):
-        return self.value(x)
-
-    def _grad(self, x):
-        return self.grad(x)
 
     def dual_dist(self, x, y) -> float:
         """rho_h(x, y) = |grad h(x) - grad h(y)|, the dual-space distance."""
@@ -140,9 +175,21 @@ class Kernel:
             other.name = name
         return other
 
-    # -- generic damped Newton fallback for the inverse map -----------------
+    # -- inverse mirror maps without a closed form ---------------------------
+
+    def _invert_coordinatewise(self, z):
+        """Separable kernels: solve ``_grad(x) = z`` coordinate by coordinate
+        inside the domain's bounds."""
+        lo = np.broadcast_to(self.domain.lo, z.shape)
+        hi = np.broadcast_to(self.domain.hi, z.shape)
+        try:
+            return solve_increasing(self._grad, self._hess_diag, z, lo, hi)
+        except NoConvergence as exc:
+            raise NotInImage(f"{self.name}: dual vector not attained ({exc})") from exc
 
     def _newton_conj(self, z, x0, tol=TOL_INV, max_iter=100):
+        """Damped Newton solve of ``grad(x) = z`` from ``x0``.  The stopping
+        test and the line search cover the whole batch at once."""
         z = np.asarray(z, dtype=float)
         x = np.array(x0, dtype=float)
         for _ in range(max_iter):
@@ -216,51 +263,22 @@ class SeparableKernel(Kernel):
     def separable(self):
         return True
 
-    def value(self, x):
-        x = _check_shape(x, self.dim)
-        self.domain.require_interior(x)
-        return self._value(x)
-
     def _value(self, x):
         return self._phi(x).sum(axis=-1) + self.const
-
-    def grad(self, x):
-        x = _check_shape(x, self.dim)
-        self.domain.require_interior(x)
-        return self._dphi(x)
 
     def _grad(self, x):
         return self._dphi(x)
 
-    def hess_diag(self, x):
-        x = _check_shape(x, self.dim)
-        self.domain.require_interior(x)
-        d2 = self._d2phi(x)
-        if not np.isfinite(d2).all() or (d2 <= 0).any():
-            raise SingularHessian(f"{self.name}: nonpositive Hessian diagonal")
-        return d2
+    def _hess_diag(self, x):
+        return self._d2phi(x)
 
     def hess_apply(self, x, v):
         return self.hess_diag(x) * np.asarray(v, dtype=float)
 
-    def hess_solver(self, x):
-        d = self.hess_diag(x)
-        return lambda v: np.asarray(v, dtype=float) / d
-
-    def hess_matrix(self, x):
-        return np.diag(self.hess_diag(x))
-
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
         closed = self._conj_scalar(z)
-        if closed is not None:
-            return closed
-        lo = np.broadcast_to(self.domain.lo, z.shape)
-        hi = np.broadcast_to(self.domain.hi, z.shape)
-        try:
-            return solve_increasing(self._dphi, self._d2phi, z, lo, hi)
-        except NoConvergence as exc:
-            raise NotInImage(f"{self.name}: dual vector not attained ({exc})") from exc
+        return self._invert_coordinatewise(z) if closed is None else closed
 
 
 class BoltzmannShannon(SeparableKernel):
@@ -429,12 +447,10 @@ class RadialKernel(Kernel):
         """Closed-form inverse of ``_g`` or ``None``."""
         return None
 
-    def value(self, x):
-        x = _check_shape(x, self.dim)
+    def _value(self, x):
         return self._val_radius(np.linalg.norm(x, axis=-1))
 
-    def grad(self, x):
-        x = _check_shape(x, self.dim)
+    def _grad(self, x):
         t = np.linalg.norm(x, axis=-1, keepdims=True)
         return self._s(t) * x
 
@@ -453,8 +469,7 @@ class RadialKernel(Kernel):
 
     def hess_solver(self, x):
         # Sherman-Morrison on a*I + b*x*x^T (a > 0, a + b|x|^2 > 0)
-        x = _check_shape(x, self.dim)
-        self.domain.require_interior(x)
+        x = self._checked(x)
         t, a, b = self._coeffs(x)
         if np.any(a <= 0):
             raise SingularHessian(f"{self.name}: nonpositive radial coefficient")
@@ -465,11 +480,6 @@ class RadialKernel(Kernel):
             inner = np.sum(x * v, axis=-1, keepdims=True)
             return v / a - (b * inner / denom) * x
         return solve
-
-    def hess_matrix(self, x):
-        x = _check_shape(x, self.dim)
-        _, a, b = self._coeffs(x)
-        return a.item() * np.eye(self.dim) + b.item() * np.outer(x, x)
 
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
@@ -580,15 +590,16 @@ class QuadraticKernel(Kernel):
     def separable(self):
         return self.A is None
 
-    def value(self, x):
-        x = _check_shape(x, self.dim)
+    def _value(self, x):
         if self.A is None:
             return 0.5 * np.sum(x * x, axis=-1)
         return 0.5 * np.sum(x * (x @ self.A.T), axis=-1)
 
-    def grad(self, x):
-        x = _check_shape(x, self.dim)
+    def _grad(self, x):
         return x if self.A is None else x @ self.A.T
+
+    def _hess_diag(self, x):
+        return np.ones_like(x)
 
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
@@ -608,14 +619,6 @@ class QuadraticKernel(Kernel):
             return lambda v: np.array(v, dtype=float)
         return lambda v: scipy.linalg.cho_solve(
             self._cho, np.asarray(v, dtype=float).T).T
-
-    def hess_diag(self, x):
-        if self.A is None:
-            return np.ones_like(np.asarray(x, dtype=float))
-        return None
-
-    def hess_matrix(self, x):
-        return np.eye(self.dim) if self.A is None else self.A.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -686,17 +689,17 @@ class AffineKernel(Kernel):
     def separable(self):
         return self.base.separable and (self.A is None or self.A.ndim == 1)
 
-    def value(self, x):
-        return self.c * self.base.value(self._push(x))
-
     def _value(self, x):
         return self.c * self.base._value(self._push(x))
 
-    def grad(self, x):
-        return self._pull_grad(self.base.grad(self._push(x)))
-
     def _grad(self, x):
         return self._pull_grad(self.base._grad(self._push(x)))
+
+    def _hess_diag(self, x):
+        d = self.base._hess_diag(self._push(x))
+        if self.A is None:
+            return self.c * d
+        return self.c * self.A * self.A * d
 
     def _pull_grad(self, g):
         # c A^T g
@@ -733,22 +736,6 @@ class AffineKernel(Kernel):
         return lambda v: (solve(np.asarray(v, dtype=float) @ self._Ainv)
                           @ self._Ainv.T / self.c)
 
-    def hess_diag(self, x):
-        if not self.separable:
-            return None
-        d = self.base.hess_diag(self._push(x))
-        if self.A is None:
-            return self.c * d
-        return self.c * self.A * self.A * d
-
-    def hess_matrix(self, x):
-        H = self.base.hess_matrix(self._push(x))
-        if self.A is None:
-            return self.c * H
-        if self.A.ndim == 1:
-            return self.c * (self.A[:, None] * H * self.A[None, :])
-        return self.c * (self.A.T @ H @ self.A)
-
 
 class ConcatKernel(Kernel):
     """Block-separable kernel over the product domain of its parts."""
@@ -775,21 +762,16 @@ class ConcatKernel(Kernel):
     def separable(self):
         return all(p.separable for p in self.parts)
 
-    def value(self, x):
-        x = _check_shape(x, self.dim)
-        return sum(p.value(b) for p, b in zip(self.parts, self._blocks(x)))
-
     def _value(self, x):
         return sum(p._value(b) for p, b in zip(self.parts, self._blocks(x)))
-
-    def grad(self, x):
-        x = _check_shape(x, self.dim)
-        return np.concatenate(
-            [p.grad(b) for p, b in zip(self.parts, self._blocks(x))], axis=-1)
 
     def _grad(self, x):
         return np.concatenate(
             [p._grad(b) for p, b in zip(self.parts, self._blocks(x))], axis=-1)
+
+    def _hess_diag(self, x):
+        return np.concatenate(
+            [p._hess_diag(b) for p, b in zip(self.parts, self._blocks(x))], axis=-1)
 
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
@@ -808,16 +790,6 @@ class ConcatKernel(Kernel):
             [solve(w) for solve, w in
              zip(solves, self._blocks(np.asarray(v, dtype=float)))], axis=-1)
 
-    def hess_diag(self, x):
-        if not self.separable:
-            return None
-        return np.concatenate(
-            [p.hess_diag(b) for p, b in zip(self.parts, self._blocks(x))], axis=-1)
-
-    def hess_matrix(self, x):
-        return scipy.linalg.block_diag(
-            *[p.hess_matrix(b) for p, b in zip(self.parts, self._blocks(x))])
-
 
 class SumKernel(Kernel):
     """phi = h1 + h2 on the intersected domain, modulus supplied by `combine`."""
@@ -835,75 +807,24 @@ class SumKernel(Kernel):
     def separable(self):
         return self.k1.separable and self.k2.separable
 
-    def value(self, x):
-        x = _check_shape(x, self.dim)
-        self.domain.require_interior(x)
-        return self.k1.value(x) + self.k2.value(x)
-
     def _value(self, x):
         return self.k1._value(x) + self.k2._value(x)
-
-    def grad(self, x):
-        x = _check_shape(x, self.dim)
-        self.domain.require_interior(x)
-        return self.k1.grad(x) + self.k2.grad(x)
 
     def _grad(self, x):
         return self.k1._grad(x) + self.k2._grad(x)
 
+    def _hess_diag(self, x):
+        return self.k1._hess_diag(x) + self.k2._hess_diag(x)
+
     def hess_apply(self, x, v):
         return self.k1.hess_apply(x, v) + self.k2.hess_apply(x, v)
-
-    def hess_diag(self, x):
-        if not self.separable:
-            return None
-        return self.k1.hess_diag(x) + self.k2.hess_diag(x)
-
-    def hess_solver(self, x):
-        d = self.hess_diag(x)
-        if d is not None:
-            return lambda v: np.asarray(v, dtype=float) / d
-        H = self.hess_matrix(x)
-        return lambda v: np.linalg.solve(H, np.asarray(v, dtype=float))
-
-    def hess_matrix(self, x):
-        return self.k1.hess_matrix(x) + self.k2.hess_matrix(x)
 
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
         if self.separable:
-            lo = np.broadcast_to(self.domain.lo, z.shape)
-            hi = np.broadcast_to(self.domain.hi, z.shape)
-            try:
-                return solve_increasing(self._dual_sep, self._dual_sep_prime, z, lo, hi)
-            except NoConvergence as exc:
-                raise NotInImage(f"{self.name}: dual vector not attained") from exc
+            return self._invert_coordinatewise(z)
         x0 = np.broadcast_to(self._interior_point(), z.shape)
         return self._newton_conj(z, x0)
-
-    def _dual_sep(self, t):
-        return self._sep_part(self.k1, t) + self._sep_part(self.k2, t)
-
-    def _dual_sep_prime(self, t):
-        return self._sep_part(self.k1, t, second=True) + \
-            self._sep_part(self.k2, t, second=True)
-
-    @staticmethod
-    def _sep_part(k, t, second=False):
-        # Coordinatewise scalar derivative of a separable kernel, boundary
-        # checks bypassed (the enclosing solver keeps t inside its bracket).
-        if isinstance(k, AffineKernel):
-            a = k.A if (k.A is not None and k.A.ndim == 1) else 1.0
-            part = SumKernel._sep_part(k.base, t * a + k.b, second=second)
-            return k.c * (a * a if second else a) * part
-        if isinstance(k, QuadraticKernel):
-            return np.ones_like(t) if second else t
-        if isinstance(k, SeparableKernel):
-            return k._d2phi(t) if second else k._dphi(t)
-        if isinstance(k, SumKernel):
-            return SumKernel._sep_part(k.k1, t, second) + \
-                SumKernel._sep_part(k.k2, t, second)
-        raise ModeMismatch(f"{k.name}: not coordinate-separable")
 
     def _interior_point(self):
         lo = np.where(np.isfinite(self.domain.lo), self.domain.lo, -1.0)

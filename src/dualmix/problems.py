@@ -80,12 +80,13 @@ class Problem:
     """m local objectives f_i over a shared domain, f = (1/m) sum_i f_i.
 
     Each family is a subclass that holds its data as arrays stacked along a
-    leading agent axis, reads ``m`` and ``d`` from them, and provides three
-    oracles: ``_values(x)``, the m local values at one point, (m,);
-    ``_grads(x)``, the m local gradients there, (m, d); and
-    ``grads_rowwise(X)``, agent i's gradient at row i of X, (m, d).  X may
-    carry leading axes, (..., m, d), one per stacked batch of cells, and
-    each (m, d) block of the result equals bit for bit its own call.
+    leading agent axis, reads ``m`` and ``d`` from them, and provides two
+    oracles: ``_values(x)``, the m local values at one point, (m,), and
+    ``_grads(x)``, the m local gradients there, (m, d).  ``grads_rowwise(X)``
+    is agent i's gradient at row i of X, (m, d): ``_grads(X)`` unless a
+    family overrides it.  X may carry leading axes, (..., m, d), one per
+    stacked batch of cells, and each (m, d) block of the result equals bit
+    for bit its own call.
     ``value`` and ``grad`` add the agents in order, from agent 0, and then
     divide by m: recorded CSVs are byte-checked, and a vectorized mean
     would round differently.  ``value_and_grad`` returns the bits of both
@@ -118,6 +119,9 @@ class Problem:
 
     def _values_and_grads(self, x):
         return self._values(x), self._grads(x)
+
+    def grads_rowwise(self, X):
+        return self._grads(X)
 
     def _mean_value(self, vals) -> float:
         return float(sum(vals) / self.m)
@@ -157,9 +161,6 @@ class Quadratic(Problem):
 
     def _grads(self, x):
         return (self.Q @ (x - self.c)[..., None])[..., 0]
-
-    def grads_rowwise(self, X):
-        return self._grads(X)
 
 
 def quadratic_consensus(d, m, seed=0, cond=10.0) -> Problem:
@@ -207,9 +208,6 @@ class Entropy(Problem):
 
     def _grads(self, x):
         return self.c[:, None] * np.log(x) + self.a
-
-    def grads_rowwise(self, X):
-        return self._grads(X)
 
 
 def entropy_consensus(d, m, seed=0) -> Problem:
@@ -475,9 +473,6 @@ class TVDeblur(Problem):
         g = _block_apply(self.A.T, 1.0 - self.b / ax)
         images = X.reshape(X.shape[:-1] + (self.d_img, self.d_img))
         return g + self.lam * tv_grad(images).reshape(X.shape)
-
-    def grads_rowwise(self, X):
-        return self._grads(X)
 
     def permuted(self, perm):
         idx = (np.asarray(perm)[:, None] * self.d + np.arange(self.d)).ravel()

@@ -419,3 +419,25 @@ def test_unrecorded_run_observes_a_nonfinite_final_state_once():
     assert (res.status, res.diverged_at, res.reason) == \
         ("diverged", 3, "non-finite metric")
     assert math.isnan(res.records[-1].G_proxy)
+
+
+def test_recorded_nonfinite_metric_ends_a_cell_alone():
+    # dgt at eta=3 overflows the recorded metrics before the iterates turn
+    # non-finite; batched with a finishing cell, each equals its run alone
+    prob = problems.quadratic_consensus(d=3, m=4, seed=0)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    k = kernels.euclidean(3)
+    cfgs = [AlgoConfig("dgt", eta=eta, max_iter=400) for eta in (3.0, 0.05)]
+    with np.errstate(all="ignore"):
+        batch = algorithms.run(prob, k, mix, cfgs, np.zeros(3), L=1.0)
+        alone = [algorithms.run(prob, k, mix, c, np.zeros(3), L=1.0)
+                 for c in cfgs]
+    bad = alone[0]
+    assert (bad.status, bad.diverged_at, bad.reason) == \
+        ("diverged", 105, "non-finite metric")
+    assert len(bad.records) == 106 and alone[1].status == "done"
+    for b, a in zip(batch, alone):
+        assert (b.status, b.diverged_at, b.reason) == \
+            (a.status, a.diverged_at, a.reason)
+        assert [r.csv_row() for r in b.records] == \
+            [r.csv_row() for r in a.records]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dualmix import cli, config, diagnostics
+from dualmix import algorithms, cli, config, diagnostics, kernels
 from dualmix.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -550,6 +550,28 @@ def test_check_invariants_is_independent_of_the_hash_seed():
         assert proc.stdout.splitlines()[-1] == "7/7 checks passed"
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+QUADRATIC_AUTO = """
+problem: {kind: quadratic, d: 3, m: 4, seed: 0}
+kernel: {kind: euclidean}
+graph: {kind: erdos_renyi, p: 0.6, seed: 7}
+L: 2.5
+algorithms:
+  - {kind: dmgt, eta: auto, delta: auto, max_iter: 5}
+"""
+
+
+def test_config_L_drives_the_auto_parameters(tmp_path, capsys):
+    cfg = config.parse_config_text(QUADRATIC_AUTO)
+    _, meta = cli.execute_run(cfg, cfg.algorithms[0], 0)
+    mix = cli.build_mixing(cfg, 4)
+    want = algorithms.compliant_parameters(kernels.euclidean(3), 2.5, mix.rho, 4)
+    assert meta["L"] == 2.5
+    assert (meta["eta"], meta["delta"]) == want[:2]
+    cfgfile = _write(tmp_path, QUADRATIC_AUTO.replace("L: 2.5", "L: -1"))
+    assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == "error: L: must be a positive number"
 
 
 def test_dda_uses_shifted_kernel():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import catalogue
-from dualmix import hruc, kernels, problems
+from dualmix import domains, hruc, kernels, problems
+from dualmix.errors import SamplingExhausted
+from dualmix.modulus import separable_modulus
 
 
 def test_gap_frozen_values():
@@ -165,3 +167,35 @@ def test_certify_rejects_bad_arguments():
         hruc.certify(kernels.euclidean(2), [], 10, seed=0)
     with pytest.raises(ValueError):
         hruc.certify(kernels.euclidean(2), [0.1], 0, seed=0)
+
+
+class _NegLog(kernels.SeparableKernel):
+    """phi(t) = -log t on the orthant: its gradient -1/t is negative, so no
+    dual vector with a coordinate >= 0 has a preimage."""
+
+    def __init__(self, dim):
+        super().__init__(dim, domains.orthant(dim), separable_modulus(1.0, 1.0),
+                         "neglog")
+
+    def _phi(self, t):
+        return -np.log(t)
+
+    def _dphi(self, t):
+        return -1.0 / t
+
+    def _d2phi(self, t):
+        return 1.0 / (t * t)
+
+
+def test_certify_skips_and_counts_rejected_dual_samples():
+    # at d=2 some perturbed duals stay negative: the batch inverse fails and
+    # the per-sample fallback certifies the rest
+    k, shapes = _NegLog(2), []
+    grad_conj = k.grad_conj
+    k.grad_conj = lambda z: shapes.append(np.shape(z)) or grad_conj(z)
+    report = hruc.certify(k, [1e6], 200, seed=0)
+    assert shapes == [(200, 2)] + [(2,)] * 200
+    assert report.n_samples == 200 and len(report.worst_gap) == 1
+    # at d=10 almost every sample has a coordinate >= 0
+    with pytest.raises(SamplingExhausted, match="200/200 dual samples rejected"):
+        hruc.certify(_NegLog(10), [1e6], 200, seed=0)

@@ -156,6 +156,12 @@ def test_domain_violations():
     h = kernels.hellinger(1)
     with pytest.raises(DomainViolation):
         h.value(np.array([1.0]))
+    # every kernel checks its point, the whole-space ones for finiteness
+    for k in (kernels.quartic(2), kernels.euclidean(2)):
+        with pytest.raises(DomainViolation):
+            k.value(np.array([np.nan, 1.0]))
+        with pytest.raises(DomainViolation):
+            k.grad(np.array([1.0, np.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +403,40 @@ def test_fermi_dirac_derived_kernel():
     assert k.zeta(1.0) == pytest.approx(math.e - 1.0)
 
 
+@pytest.mark.parametrize("second, mode", [
+    (kernels.euclidean(3), "quadratic-shift"),
+    (kernels.burg(3), "coordinate-separable"),
+])
+def test_separable_sum_over_a_concatenation_inverts(second, mode):
+    k = kernels.combine(
+        kernels.concat([kernels.burg(2), kernels.boltzmann_shannon(1)]),
+        second, mode)
+    assert k.separable
+    X = k.sample_interior(np.random.default_rng(8), 20)
+    np.testing.assert_allclose(k.grad_conj(k.grad(X)), X, rtol=1e-10)
+    np.testing.assert_allclose(k.hess_matrix(X[0]), np.diag(k.hess_diag(X[0])))
+
+
+def test_dense_sum_oracles_take_batches():
+    k = kernels.combine(kernels.power(3), kernels.euclidean(3), "quadratic-shift")
+    assert not k.separable and k.hess_diag(np.ones(3)) is None
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((4, 3))
+    V = rng.standard_normal((4, 3))
+    H = k.hess_matrix(X)
+    assert H.shape == (4, 3, 3)
+    Z = 3.0 * k.grad(X)
+    Y = k.grad_conj(Z)
+    solved = k.hess_solver(X)(V)
+    for i in range(4):
+        np.testing.assert_array_equal(H[i], k.hess_matrix(X[i]))
+        np.testing.assert_allclose(H[i] @ solved[i], V[i], atol=1e-12)
+        np.testing.assert_allclose(solved[i], k.hess_solve(X[i], V[i]),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Y[i], k.grad_conj(Z[i]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(k.grad(Y), Z, rtol=1e-12)
+
+
 def test_shifted_kernel():
     base = kernels.burg(2)
     s = np.array([0.5, -0.25])
@@ -468,6 +508,16 @@ def test_hess_solver_rounds_like_hess_solve(name):
         assert np.array_equal(solve(V[0]), k.hess_solve(x, V[0]))
         assert np.array_equal(solve(V),
                               k.hess_solve(np.broadcast_to(x, V.shape), V))
+
+
+@pytest.mark.parametrize("name", _ALL_KERNELS)
+def test_hess_matrix_takes_batches(name):
+    k = _kernel(name)
+    X = k.sample_interior(np.random.default_rng(12), 6).reshape(2, 3, k.dim)
+    H = k.hess_matrix(X)
+    assert H.shape == (2, 3, k.dim, k.dim)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(H[i, j], k.hess_matrix(X[i, j]))
 
 
 def test_bregman_checks_each_argument_once(monkeypatch):
