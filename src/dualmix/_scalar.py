@@ -15,6 +15,32 @@ TOL_INV = 1e-12
 MAX_ITER = 100
 
 
+def _grow(f, z, t, end, side):
+    """The bracket's upper (``side = 1``) or lower (``-1``) end: ``t`` moved
+    toward ``end`` until ``f`` passes ``z``.  The steps, written for the upper
+    end on ``u = side * t``, halve the gap to a finite end or double an
+    outward step; negation is exact, so the lower end mirrors them exactly.
+    """
+    fin = np.isfinite(end)
+    e = np.where(fin, side * end, 0.0)
+    u = side * t
+    need = side * f(t) < side * z
+    step = np.ones_like(t)
+    for _ in range(200):
+        if not np.any(need):
+            break
+        u_new = np.where(fin, e - 0.5 * (e - u),
+                         np.where(u > 0, u * 2 + step, u + step))
+        u = np.where(need, u_new, u)
+        step = np.where(need, step * 2, step)
+        need = side * f(side * u) < side * z
+    if np.any(need):
+        raise NoConvergence(
+            f"failed to bracket {'above' if side > 0 else 'below'}",
+            residual=float(np.max(side * (z - f(side * u)))))
+    return side * u
+
+
 def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_ITER):
     """Solve ``f(t) = z`` elementwise for strictly increasing ``f``.
 
@@ -39,45 +65,9 @@ def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_IT
         t0 = 0.5 * (mid_lo + mid_hi)
     t = np.broadcast_to(np.asarray(t0, dtype=float), z.shape).copy()
 
-    # Grow a sign-changing bracket [a, b] around the root.  Both np.where
-    # branches evaluate, so arithmetic on infinite endpoints is masked.
-    a = t.copy()
-    b = t.copy()
-    lo_fin = np.isfinite(lo)
-    hi_fin = np.isfinite(hi)
-    lo_safe = np.where(lo_fin, lo, 0.0)
-    hi_safe = np.where(hi_fin, hi, 0.0)
-    need_lo = f(a) > z
-    step = np.ones_like(t)
-    for _ in range(200):
-        if not np.any(need_lo):
-            break
-        a_new = np.where(
-            lo_fin,
-            lo_safe + 0.5 * (a - lo_safe),  # halve the gap to a finite endpoint
-            np.where(a < 0, a * 2 - step, a - step),
-        )
-        a = np.where(need_lo, a_new, a)
-        step = np.where(need_lo, step * 2, step)
-        need_lo = f(a) > z
-    if np.any(need_lo):
-        raise NoConvergence("failed to bracket below", residual=float(np.max(f(a) - z)))
-
-    need_hi = f(b) < z
-    step = np.ones_like(t)
-    for _ in range(200):
-        if not np.any(need_hi):
-            break
-        b_new = np.where(
-            hi_fin,
-            hi_safe - 0.5 * (hi_safe - b),
-            np.where(b > 0, b * 2 + step, b + step),
-        )
-        b = np.where(need_hi, b_new, b)
-        step = np.where(need_hi, step * 2, step)
-        need_hi = f(b) < z
-    if np.any(need_hi):
-        raise NoConvergence("failed to bracket above", residual=float(np.max(z - f(b))))
+    # a sign-changing bracket [a, b] around the root
+    a = _grow(f, z, t, lo, -1)
+    b = _grow(f, z, t, hi, 1)
 
     t = 0.5 * (a + b)
     tol_vec = tol * (1.0 + np.abs(z))

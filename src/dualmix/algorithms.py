@@ -188,7 +188,7 @@ def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
     """grad h(X+) = grad h(W X) - eta * direction."""
     Xmix = W @ s.X
     kernel.domain.require_interior(Xmix, "mixed primal iterate")
-    Z1 = kernel.grad(Xmix) - eta * direction
+    Z1 = kernel._grad(Xmix) - eta * direction
     X1 = kernel.grad_conj(Z1)
     kernel.domain.require_interior(X1, "updated primal iterate")
     return Z1, X1, prob.grads_rowwise(X1)
@@ -233,7 +233,7 @@ def _finite(s: AgentSystem):
 
 def _observe_finite(recorder, system) -> bool:
     """Record ``system``; False when its objective or stationarity is not finite."""
-    rec = recorder.observe(system, clipped=system.clipped, status="running")
+    rec = recorder.observe(system)
     return math.isfinite(rec.f_bar) and math.isfinite(rec.stationarity)
 
 
@@ -272,7 +272,7 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
     record per iteration (plus the initial state); ``record_every=0``
     records only the initial and final states, which is what grid tuning
     needs.  Other values raise ``ValueError``: a stride k > 1 is not
-    implemented yet (ROADMAP item 4).  Hooks are called as
+    implemented yet (ROADMAP item 6).  Hooks are called as
     ``hook(t, prev_system, next_system)`` with one cell's systems after each
     of its accepted steps.  Divergence (domain exit, failed inversion,
     non-finite state) freezes a cell with status ``diverged`` and takes it
@@ -296,7 +296,7 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
         if head.algorithm in CLIPPED else None
     s0 = init_system(prob, kernel, x0, head)
     for recorder in recorders:
-        recorder.observe(s0, clipped=False, status="running")
+        recorder.observe(s0)
     system = AgentSystem(*(np.repeat(a[None], len(cfgs), axis=0)
                            for a in (s0.X, s0.Z, s0.Y, s0.grads)),
                          clipped=np.zeros(len(cfgs), dtype=bool))
@@ -345,8 +345,7 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
                     reason = "non-finite metric"
             else:
                 with contextlib.suppress(*_DIVERGENCE_ERRORS):
-                    recorder.observe(final, clipped=final.clipped,
-                                     status="running")
+                    recorder.observe(final)
         recorder.mark_final(status)
         results.append(RunResult(records=recorder.records, system=final,
                                  status=status, diverged_at=diverged_at,

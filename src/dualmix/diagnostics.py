@@ -245,7 +245,7 @@ class Recorder:
     """
 
     def __init__(self, prob, kernel, rho, L, eta, delta, run_id="run",
-                 algorithm="", m=None):
+                 algorithm=""):
         self.prob = prob
         self.kernel = kernel
         self.rho = rho
@@ -254,14 +254,13 @@ class Recorder:
         self.delta = delta
         self.run_id = run_id
         self.algorithm = algorithm
-        m = prob.m if m is None else m
-        lam = lambda_of(kernel, m, rho, delta)
+        lam = lambda_of(kernel, prob.m, rho, delta)
         self.lambda_val = lam if math.isfinite(lam) else 1.0
         self._xi = xi_const(L, rho, self.lambda_val)
         self.records = []
         self._prev = None   # (zbar, xbar, solve, h(xbar), E) of the last state
 
-    def observe(self, system, clipped=False, status="running"):
+    def observe(self, system):
         kernel = self.kernel
         X, Y, Z = system.X, system.Y, system.Z
         m = X.shape[0]
@@ -283,7 +282,7 @@ class Recorder:
             consensus_primal=float(((X - X.mean(axis=0)) ** 2).sum()) / m,
             consensus_dual=float((Zc ** 2).sum()) / m,
             E_t_proxy=E, M_t_proxy=f_bar + E / (8.0 * self.L),
-            clipped=clipped, status=status,
+            clipped=system.clipped, status="running",
         )
         self.records.append(rec)
         self._prev = (zbar, xbar, solve, h, E)

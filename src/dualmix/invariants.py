@@ -7,12 +7,14 @@ identities, mixing contraction, clipping bounds, and tracking.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import zlib
 
 import numpy as np
 
 from . import algorithms, diagnostics, kernels, network, problems
+from .modulus import DistortionModulus
 
 
 def fd_gradient(fun, x, eps):
@@ -86,15 +88,27 @@ def _test_kernels(d=4, n_pts=20, seed=3):
                 f"inverse {worst_inv:.2e}, three-point {worst_tp:.2e}")
 
 
-def _test_moduli():
-    cat = kernels.table_catalogue(4)
+def _test_moduli(d=4):
+    """zeta(0) = 0 and monotone, and delta < 0 rejected, for the table, the
+    composite kernels, Fermi-Dirac and a cross-monotone sum, whose moduli
+    cover every modulus class."""
+    ks = [*kernels.table_catalogue(d).values(), *_composite_kernels(d),
+          kernels.fermi_dirac(d),
+          kernels.combine(kernels.burg(d), kernels.power(d), "cross-monotone",
+                          kappa_h=2.0, kappa_g=3.0)]
     grid = np.logspace(-4, 1, 30)
-    ok = True
-    for k in cat.values():
-        vals = [k.zeta(d) for d in grid]
+    ok = {type(k.modulus) for k in ks} == {
+        c for c in DistortionModulus.__subclasses__()
+        if c.__module__ == DistortionModulus.__module__}
+    for k in ks:
+        vals = [k.zeta(r) for r in grid]
         ok = ok and k.zeta(0.0) == 0.0 and all(
             a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-    return ok, "zeta(0)=0 and monotone on a log grid"
+        with contextlib.suppress(ValueError):
+            k.modulus(-1e-3)
+            ok = False  # reached only if delta < 0 was accepted
+    return ok, (f"zeta(0)=0 and monotone on a log grid, delta < 0 rejected; "
+                f"{len(ks)} kernels, every modulus class")
 
 
 def _test_matrix_bound(n_cases=50, seed=11):

@@ -416,6 +416,7 @@ class Hellinger(SeparableKernel):
         return (1.0 - t * t) ** (-1.5)
 
     def _conj_scalar(self, z):
+        z = np.clip(z, -1e150, 1e150)  # the root rounds to +-1; z * z stays finite
         return z / np.sqrt(1.0 + z * z)
 
 
@@ -627,7 +628,8 @@ class QuadraticKernel(Kernel):
 
 
 class AffineKernel(Kernel):
-    """phi(x) = c * h(A x + b) with nonsingular A (None = identity, 1-D = diagonal)."""
+    """phi(x) = c * h(A x + b) with nonsingular A: 1-D is diagonal (None is
+    all ones), 2-D dense."""
 
     def __init__(self, base: Kernel, c=1.0, A=None, b=None):
         if c <= 0:
@@ -637,33 +639,26 @@ class AffineKernel(Kernel):
         self.b = np.zeros(base.dim) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (base.dim,):
             raise ValueError("b has wrong shape")
-        if A is None:
-            self.A = None
-            kappa = 1.0
-            dom = base.domain.shift(-self.b)
+        A = np.ones(base.dim) if A is None else np.asarray(A, dtype=float)
+        if A.ndim == 1:
+            if A.shape != (base.dim,) or np.any(A == 0):
+                raise SingularMatrix("diagonal scaling must be nonzero")
+            kappa = float(np.max(np.abs(A)) / np.min(np.abs(A)))
+            dom = base.domain.shift(-self.b).scale(A)
         else:
-            A = np.asarray(A, dtype=float)
-            if A.ndim == 1:
-                if A.shape != (base.dim,) or np.any(A == 0):
-                    raise SingularMatrix("diagonal scaling must be nonzero")
-                self.A = A
-                kappa = float(np.max(np.abs(A)) / np.min(np.abs(A)))
-                dom = base.domain.shift(-self.b).scale(A)
-            else:
-                if A.shape != (base.dim, base.dim):
-                    raise ValueError("A has wrong shape")
-                sv = np.linalg.svd(A, compute_uv=False)
-                if sv[-1] <= max(1e-12 * sv[0], 1e-300):
-                    raise SingularMatrix("A is numerically singular")
-                if base.domain.kind != "reals":
-                    raise ModeMismatch(
-                        "dense affine composition requires a full-space base domain"
-                    )
-                self.A = A
-                self._Ainv = np.linalg.inv(A)
-                kappa = float(sv[0] / sv[-1])
-                dom = base.domain
-        self.kappa = kappa
+            if A.shape != (base.dim, base.dim):
+                raise ValueError("A has wrong shape")
+            sv = np.linalg.svd(A, compute_uv=False)
+            if sv[-1] <= max(1e-12 * sv[0], 1e-300):
+                raise SingularMatrix("A is numerically singular")
+            if base.domain.kind != "reals":
+                raise ModeMismatch(
+                    "dense affine composition requires a full-space base domain"
+                )
+            self._Ainv = np.linalg.inv(A)
+            kappa = float(sv[0] / sv[-1])
+            dom = base.domain
+        self.A = A
         mod = base.modulus
         if kappa != 1.0 or c != 1.0:
             mod = ScaledModulus(inner=base.modulus, kappa=kappa, c=self.c)
@@ -671,65 +666,43 @@ class AffineKernel(Kernel):
 
     def _push(self, x):
         x = _check_shape(x, self.dim)
-        if self.A is None:
-            return x + self.b
         if self.A.ndim == 1:
             return x * self.A + self.b
         return x @ self.A.T + self.b
 
-    def _pull_dual(self, z):
-        # A^{-T} z / c
-        if self.A is None:
-            return z / self.c
-        if self.A.ndim == 1:
-            return z / (self.A * self.c)
-        return z @ self._Ainv / self.c
-
     @property
     def separable(self):
-        return self.base.separable and (self.A is None or self.A.ndim == 1)
+        return self.base.separable and self.A.ndim == 1
 
     def _value(self, x):
         return self.c * self.base._value(self._push(x))
 
     def _grad(self, x):
-        return self._pull_grad(self.base._grad(self._push(x)))
-
-    def _hess_diag(self, x):
-        d = self.base._hess_diag(self._push(x))
-        if self.A is None:
-            return self.c * d
-        return self.c * self.A * self.A * d
-
-    def _pull_grad(self, g):
-        # c A^T g
-        if self.A is None:
-            return self.c * g
+        # c A^T grad h(A x + b)
+        g = self.base._grad(self._push(x))
         if self.A.ndim == 1:
             return self.c * self.A * g
         return self.c * (g @ self.A)
 
+    def _hess_diag(self, x):
+        return self.c * self.A * self.A * self.base._hess_diag(self._push(x))
+
     def grad_conj(self, z):
         z = _check_shape(z, self.dim, "dual vector")
-        y = self.base.grad_conj(self._pull_dual(z))
-        if self.A is None:
-            return y - self.b
+        # A^{-1} (grad h*(A^{-T} z / c) - b)
         if self.A.ndim == 1:
-            return (y - self.b) / self.A
+            return (self.base.grad_conj(z / (self.A * self.c)) - self.b) / self.A
+        y = self.base.grad_conj(z @ self._Ainv / self.c)
         return (y - self.b) @ self._Ainv.T
 
     def hess_apply(self, x, v):
         v = np.asarray(v, dtype=float)
-        if self.A is None:
-            return self.c * self.base.hess_apply(self._push(x), v)
         if self.A.ndim == 1:
             return self.c * self.A * self.base.hess_apply(self._push(x), self.A * v)
         return self.c * (self.base.hess_apply(self._push(x), v @ self.A.T) @ self.A)
 
     def hess_solver(self, x):
         solve = self.base.hess_solver(self._push(x))
-        if self.A is None:
-            return lambda v: solve(np.asarray(v, dtype=float)) / self.c
         if self.A.ndim == 1:
             return lambda v: (solve(np.asarray(v, dtype=float) / self.A)
                               / (self.A * self.c))

@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 
 
 class DistortionModulus:
-    """Base class; subclasses implement ``__call__`` on scalars >= 0."""
-
-    description: str = ""
+    """Base class; subclasses implement ``_zeta`` on scalars >= 0."""
 
     def __call__(self, delta: float) -> float:
+        if delta < 0:
+            raise ValueError("delta must be >= 0")
+        return self._zeta(delta)
+
+    def _zeta(self, delta):
         raise NotImplementedError
 
     def largest_delta(self, target: float, cap: float = 1e9) -> float:
@@ -39,19 +42,12 @@ class DistortionModulus:
                 hi = mid
         return lo
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.description})"
-
 
 @dataclass(frozen=True)
 class ZeroModulus(DistortionModulus):
     """zeta(delta) = 0 (Euclidean-type kernels)."""
 
-    description: str = "0"
-
-    def __call__(self, delta):
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
+    def _zeta(self, delta):
         return 0.0
 
 
@@ -60,17 +56,12 @@ class ExpLinearModulus(DistortionModulus):
     """zeta(delta) = exp(c * delta) - 1 with c > 0."""
 
     c: float = 1.0
-    description: str = ""
 
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if not self.description:
-            object.__setattr__(self, "description", f"exp({self.c:g}*d)-1")
 
-    def __call__(self, delta):
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
+    def _zeta(self, delta):
         arg = self.c * delta
         return math.expm1(arg) if arg < 700.0 else math.inf
 
@@ -83,21 +74,12 @@ class PowerPairModulus(DistortionModulus):
     a: float = 1.0
     c2: float = 1.0
     b: float = 1.0
-    description: str = ""
 
     def __post_init__(self):
         if min(self.c1, self.c2) < 0 or min(self.a, self.b) <= 0:
             raise ValueError("coefficients must be >= 0 and exponents > 0")
-        if not self.description:
-            object.__setattr__(
-                self,
-                "description",
-                f"{self.c1:g}*d^{self.a:g}+{self.c2:g}*d^{self.b:g}",
-            )
 
-    def __call__(self, delta):
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
+    def _zeta(self, delta):
         return self.c1 * delta**self.a + self.c2 * delta**self.b
 
 
@@ -108,19 +90,12 @@ class ScaledModulus(DistortionModulus):
     inner: DistortionModulus = field(default_factory=ZeroModulus)
     kappa: float = 1.0
     c: float = 1.0
-    description: str = ""
 
     def __post_init__(self):
         if self.kappa <= 0 or self.c <= 0:
             raise ValueError("kappa and c must be positive")
-        if not self.description:
-            object.__setattr__(
-                self,
-                "description",
-                f"{self.kappa:g}*[{self.inner.description}](d/{self.c:g})",
-            )
 
-    def __call__(self, delta):
+    def _zeta(self, delta):
         return self.kappa * self.inner(delta / self.c)
 
 
@@ -129,19 +104,12 @@ class MaxModulus(DistortionModulus):
     """Pointwise max of component moduli (concatenation / separable sums)."""
 
     parts: tuple = ()
-    description: str = ""
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("need at least one component")
-        if not self.description:
-            object.__setattr__(
-                self,
-                "description",
-                "max{" + ", ".join(p.description for p in self.parts) + "}",
-            )
 
-    def __call__(self, delta):
+    def _zeta(self, delta):
         return max(p(delta) for p in self.parts)
 
 
@@ -150,21 +118,14 @@ class SumModulus(DistortionModulus):
     """Nonnegative combination sum_i w_i * zeta_i(delta)."""
 
     terms: tuple = ()  # pairs (weight, modulus)
-    description: str = ""
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("need at least one term")
         if any(w < 0 for w, _ in self.terms):
             raise ValueError("weights must be >= 0")
-        if not self.description:
-            object.__setattr__(
-                self,
-                "description",
-                " + ".join(f"{w:g}*[{m.description}]" for w, m in self.terms),
-            )
 
-    def __call__(self, delta):
+    def _zeta(self, delta):
         return sum(w * m(delta) for w, m in self.terms)
 
 

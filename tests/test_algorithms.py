@@ -204,6 +204,23 @@ def test_dmd_consensus_start_mixing_is_identity():
         np.testing.assert_allclose(res.system.X[i], expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("algorithm", ["dmd", "dgt"])
+def test_mirror_step_checks_each_iterate_once(algorithm, monkeypatch):
+    # the mixed iterate and the update pass one interior check each; the
+    # mirror map at the mixed iterate does not check it again
+    prob = problems.entropy_consensus(d=4, m=4, seed=6)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    k = kernels.boltzmann_shannon(4)
+    cfg = AlgoConfig(algorithm, eta=0.1, max_iter=1)
+    s = algorithms.init_system(prob, k, np.full(4, 0.25), cfg)
+    checked = []
+    is_interior = type(k.domain).is_interior
+    monkeypatch.setattr(type(k.domain), "is_interior",
+                        lambda dom, x: checked.append(1) or is_interior(dom, x))
+    algorithms._STEPS[algorithm](s, prob, k, mix.W, 0.1, None)
+    assert len(checked) == 2
+
+
 def test_dgt_single_agent_is_centralized_mirror_descent():
     prob = problems.entropy_consensus(d=3, m=1, seed=4)
     mix = network.MixingMatrix(m=1, W=np.ones((1, 1)), rho=0.0)

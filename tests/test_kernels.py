@@ -125,6 +125,40 @@ def test_hellinger_closed_form_inverse():
     assert np.all(np.abs(x) < 1.0)
 
 
+def test_hellinger_inverse_of_a_huge_dual_vector_is_on_the_boundary():
+    # z * z overflows beyond about 1e154; the inverse must not fall back to
+    # an interior 0 there, or a diverging run would pass the domain check
+    k = kernels.hellinger(2)
+    x = k.grad_conj(np.array([1e160, 1.0]))
+    assert x[0] == 1.0 and x[1] == 1.0 / math.sqrt(2.0)
+    assert k.grad_conj(np.array([-1e300, np.inf]))[0] == -1.0
+    assert not k.domain.is_interior(x)
+    # up to 1e150 the closed form keeps its bits
+    z = np.concatenate([np.logspace(-300, 150, 91), -np.logspace(-300, 150, 91),
+                        [0.0, -0.0, 1e150, -1e150]])
+    with np.errstate(over="raise"):
+        assert k.grad_conj(np.stack([z, z], axis=-1))[:, 0].tobytes() == \
+            (z / np.sqrt(1.0 + z * z)).tobytes()
+
+
+def test_shifted_kernel_is_its_base_at_x_minus_shift_bitwise(any_kernel):
+    # dual averaging runs over the shifted kernel: each oracle is the base's
+    # at x - s, and the inverse the base's plus s, bit for bit
+    base = any_kernel
+    rng = np.random.default_rng(21)
+    s = rng.uniform(-2.0, 2.0, base.dim)
+    k = kernels.shifted(base, s)
+    X = base.sample_interior(rng, 6) + s
+    V = rng.standard_normal(X.shape)
+    Y = X - s
+    assert k.value(X).tobytes() == base.value(Y).tobytes()
+    assert k.grad(X).tobytes() == base.grad(Y).tobytes()
+    assert k.hess_apply(X, V).tobytes() == base.hess_apply(Y, V).tobytes()
+    assert k.hess_solver(X)(V).tobytes() == base.hess_solver(Y)(V).tobytes()
+    Z = base.grad(Y) + 0.3 * V
+    assert k.grad_conj(Z).tobytes() == (base.grad_conj(Z) + s).tobytes()
+
+
 def test_bregman_basics(any_kernel):
     k = any_kernel
     rng = np.random.default_rng(11)
