@@ -19,19 +19,13 @@ an experimental observable.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .errors import (
-    DomainViolation,
-    NoConvergence,
-    NotInImage,
-    SingularHessian,
-)
+from .errors import DIVERGENCE
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,6 @@ CLIPPED = ("dmgt",)
 # the kinds that run over the kernel shifted so that x0 minimizes it
 SHIFTED = ("dda",)
 
-_DIVERGENCE_ERRORS = (DomainViolation, NotInImage, NoConvergence, SingularHessian)
-
 
 def _finite(s: AgentSystem):
     """Per cell: Z and Y are finite.  X needs no check: every step rule has
@@ -231,32 +223,28 @@ def _finite(s: AgentSystem):
     return (np.isfinite(s.Z) & np.isfinite(s.Y)).all(axis=(-2, -1))
 
 
-def _observe_finite(recorder, system) -> bool:
-    """Record ``system``; False when its objective or stationarity is not finite."""
-    rec = recorder.observe(system)
-    return math.isfinite(rec.f_bar) and math.isfinite(rec.stationarity)
-
-
 def _step_each(step, s, args, eta, delta):
-    """Step the batch ``s``.  Returns the next system of the cells that
-    stepped, in row order, and ``{row: reason}`` for the cells whose step
-    raised a divergence error.  A batch that raises is redone one cell at a
-    time, so each cell raises exactly what it raises alone.  Reasons are
-    kept as text: a kept exception's traceback would hold the batch's
-    arrays in a reference cycle."""
+    """Step the batch ``s``.  Returns the next batch and ``{row: reason}``
+    for the rows whose step raised a divergence error; those rows keep
+    their state.  A batch that raises is redone one cell at a time, so
+    each cell raises exactly what it raises alone.  Reasons are kept as
+    text: a kept exception's traceback would hold the batch's arrays in a
+    reference cycle."""
     try:
         return step(s, *args, eta, delta), {}
-    except _DIVERGENCE_ERRORS:
+    except DIVERGENCE:
         pass  # some cell raised: redo the step cell by cell to find which
-    stepped, raised = [], {}
+    cells, raised = [], {}
     for r in range(len(eta)):
+        cell = s.cells([r])
         try:
-            stepped.append(step(s.cells([r]), *args, eta[[r]],
-                                None if delta is None else delta[[r]]))
-        except _DIVERGENCE_ERRORS as exc:
+            cell = step(cell, *args, eta[[r]],
+                        None if delta is None else delta[[r]])
+        except DIVERGENCE as exc:
             raised[r] = f"{type(exc).__name__}: {exc}"
+        cells.append(cell)
     return AgentSystem(t=s.t + 1, **{
-        f: np.concatenate([getattr(n, f) for n in stepped] or [getattr(s, f)[:0]])
+        f: np.concatenate([getattr(c, f) for c in cells])
         for f in ("X", "Z", "Y", "grads", "clipped")}), raised
 
 
@@ -272,12 +260,20 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
     record per iteration (plus the initial state); ``record_every=0``
     records only the initial and final states, which is what grid tuning
     needs.  Other values raise ``ValueError``: a stride k > 1 is not
-    implemented yet (ROADMAP item 6).  Hooks are called as
-    ``hook(t, prev_system, next_system)`` with one cell's systems after each
-    of its accepted steps.  Divergence (domain exit, failed inversion,
-    non-finite state) freezes a cell with status ``diverged`` and takes it
-    out of the batch.  Everything is deterministic given the inputs; no
-    randomness is consumed here.
+    implemented yet (ROADMAP item 6).  Recorded states are buffered and
+    evaluated ``diagnostics.CHUNK`` at a time, when a cell ends and at the
+    end of the run; a state whose objective or stationarity is not finite
+    ends its cell there, and the steps taken after it are dropped.
+
+    Hooks are called as ``hook(t, prev_system, next_system)`` with one
+    cell's systems for each of its accepted steps, in step order.  With
+    ``record_every=0`` they run after each step.  With ``record_every=1``
+    they run when the steps' states are evaluated, for each step up to the
+    state that ends the cell, the cells of a step in row order.
+    Divergence (domain exit, failed inversion, non-finite state) freezes a
+    cell with status ``diverged`` and takes it out of the batch.
+    Everything is deterministic given the inputs; no randomness is
+    consumed here.
     """
     if record_every not in (0, 1):
         raise ValueError(f"record_every must be 0 or 1, got {record_every!r}")
@@ -291,61 +287,95 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
         c.eta, c.delta, run_id=run_id, algorithm=c.algorithm) for c in cfgs]
     step = _STEPS[head.algorithm]
     args = (prob, kernel, mixing.W)
-    eta = np.array([c.eta for c in cfgs])[:, None, None]
-    delta = np.array([c.delta for c in cfgs])[:, None, None] \
+    etas = np.array([c.eta for c in cfgs])[:, None, None]
+    deltas = np.array([c.delta for c in cfgs])[:, None, None] \
         if head.algorithm in CLIPPED else None
+    eta, delta = etas, deltas
     s0 = init_system(prob, kernel, x0, head)
-    for recorder in recorders:
-        recorder.observe(s0)
     system = AgentSystem(*(np.repeat(a[None], len(cfgs), axis=0)
                            for a in (s0.X, s0.Z, s0.Y, s0.grads)),
                          clipped=np.zeros(len(cfgs), dtype=bool))
     live = np.arange(len(cfgs))  # the cell of each row of the batch
     ends = {}  # cell -> (status, diverged_at, reason, final system)
+    for c, recorder in enumerate(recorders):
+        recorder.observe(system, c)
     emit_all = record_every == 1
+
+    def drop(*systems):
+        """``systems`` (batches whose rows are the live cells) without the
+        rows of the cells that have ended."""
+        nonlocal live, eta, delta
+        rows = np.array([c not in ends for c in live], dtype=bool)
+        if rows.all():
+            return systems
+        live, eta = live[rows], etas[live[rows]]
+        delta = None if deltas is None else deltas[live]
+        return tuple(s.cells(rows) for s in systems)
+
+    def record():
+        """Evaluate the live cells' buffered states, call the hooks on their
+        steps, and end each cell at a state whose metrics are not finite."""
+        flushed = [(c, *recorders[c].flush()) for c in live]
+        longest = max((len(states) for _, states, _ in flushed), default=0)
+        for i in range(1, longest if hooks else 0):
+            for _, states, _ in flushed:
+                if i < len(states):
+                    (prev, p), (cur, q) = states[i - 1], states[i]
+                    for hook in hooks:
+                        hook(prev.t, prev.cell(p), cur.cell(q))
+        for c, states, cut in flushed:
+            if cut:
+                cur, q = states[-1]
+                ends[c] = ("diverged", cur.t, "non-finite metric",
+                           cur.cell(q, copy=True))
+
     for t in range(head.max_iter):
         new, raised = _step_each(step, system, args, eta, delta)
-        if raised:
-            for r, reason in raised.items():
-                ends[live[r]] = ("diverged", t, reason, system.cell(r, copy=True))
-            rows = [r for r in range(len(live)) if r not in raised]
-            live, eta, system = live[rows], eta[rows], system.cells(rows)
-            delta = None if delta is None else delta[rows]
         keep = _finite(new)
-        for q in range(len(live)) if hooks or emit_all else ():
-            if not keep[q]:
-                continue
-            cur = new.cell(q)
-            for hook in hooks:
-                hook(t, system.cell(q), cur)
-            if emit_all and not _observe_finite(recorders[live[q]], cur):
-                ends[live[q]] = ("diverged", cur.t, "non-finite metric",
-                                 new.cell(q, copy=True))
-                keep[q] = False
-        if not keep.all():
+        if raised or not keep.all():
+            if emit_all:
+                record()  # a non-finite metric up to t ends a cell first
+            for r, reason in raised.items():
+                ends.setdefault(live[r], ("diverged", t, reason,
+                                          system.cell(r, copy=True)))
             for q in np.flatnonzero(~keep):
                 ends.setdefault(live[q], ("diverged", t + 1,
                                           "non-finite iterate",
                                           new.cell(q, copy=True)))
-            live, eta, new = live[keep], eta[keep], new.cells(keep)
-            delta = None if delta is None else delta[keep]
+            system, new = drop(system, new)
+        if hooks and not emit_all:
+            for q in range(len(live)):
+                for hook in hooks:
+                    hook(t, system.cell(q), new.cell(q))
         system = new
+        if emit_all and len(live):
+            for q, c in enumerate(live):
+                recorders[c].observe(system, q)
+            if recorders[live[0]].pending >= diagnostics.CHUNK:
+                record()
+                system, = drop(system)
         if not len(live):
             break
+    if emit_all:
+        record()
     for r, c in enumerate(live):
-        ends[c] = ("done", None, "", system.cell(r))
+        ends.setdefault(c, ("done", None, "", system.cell(r)))
     results = []
     for c, recorder in enumerate(recorders):
         status, diverged_at, reason, final = ends[c]
-        if not emit_all and final.t > 0 and _finite(final):
-            # the final state, observed once; a diverged run's may admit no record
-            if status == "done":
-                if not _observe_finite(recorder, final):
-                    status, diverged_at = "diverged", final.t
-                    reason = "non-finite metric"
-            else:
-                with contextlib.suppress(*_DIVERGENCE_ERRORS):
-                    recorder.observe(final)
+        if not emit_all:
+            if final.t > 0 and _finite(final):
+                recorder.observe(final)  # the final state, observed once
+            try:
+                cut = recorder.flush()[1]
+            except DIVERGENCE:
+                # a diverged run's final state may admit no record
+                if status == "done" or not recorder.records:
+                    raise
+                cut = False
+            if cut and status == "done":
+                status, diverged_at = "diverged", final.t
+                reason = "non-finite metric"
         recorder.mark_final(status)
         results.append(RunResult(records=recorder.records, system=final,
                                  status=status, diverged_at=diverged_at,

@@ -294,7 +294,8 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
                  for k in ("run_id", "algorithm", "seed", "eta", "delta",
                            "rho", "L", "graph_retries")}
                 | {"status": results[cell][0].status,
-                   "diverged_at": results[cell][0].diverged_at}
+                   "diverged_at": results[cell][0].diverged_at,
+                   "reason": results[cell][0].reason}
                 for cell in sorted(results)
             ],
             "csv_files": csv_files,

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DIVERGENCE
+
 BND_TOL = 1e-12
+# States a recorder evaluates in one pass; measured on the recorded Poisson
+# batch of perfbench's poisson-run workload
+CHUNK = 32
 
 CSV_COLUMNS = [
     "run_id", "algorithm", "kernel", "t", "f_bar", "stationarity", "rel_error",
@@ -69,22 +74,21 @@ def stationarity(prob, kernel, x) -> float:
     componentwise projection residual).
     """
     x = np.asarray(x, dtype=float)
-    return _stationarity(prob.domain, x, prob.grad(x))
+    return float(np.linalg.norm(_normal_residual(prob.domain, x, prob.grad(x))))
 
 
-def _stationarity(dom, x, g) -> float:
-    """:func:`stationarity` at ``x`` from the gradient ``g`` there.  An
-    infinite bound is never within BND_TOL of x: the gap is inf or nan."""
+def _normal_residual(dom, x, g):
+    """The gradients ``g`` at points ``x`` (..., d) less their parts in the
+    negative normal cone, whose norms are the stationarity.  An infinite
+    bound is never within BND_TOL of x: the gap is inf or nan."""
     at_lo = x - dom.lo <= BND_TOL
     at_hi = dom.hi - x <= BND_TOL
     if at_lo.any() or at_hi.any():
-        r = g.copy()
         # at a lower bound, -N contains all v >= 0: only the negative
         # part remains
-        r[at_lo] = np.minimum(g[at_lo], 0.0)
-        r[at_hi] = np.maximum(g[at_hi], 0.0)
-        g = r
-    return float(np.linalg.norm(g))
+        g = np.where(at_hi, np.maximum(g, 0.0),
+                     np.where(at_lo, np.minimum(g, 0.0), g))
+    return g
 
 
 def local_stationarity(prob, kernel, x) -> float:
@@ -123,8 +127,8 @@ def consensus_potential(system, kernel, L, rho, lambda_val) -> float:
     """E_t: tracker disagreement plus xi-weighted dual disagreement, both in
     the inverse-Hessian norm at the averaged dual iterate."""
     zbar, xbar = dual_average(system, kernel)
-    return _consensus(system.Y, system.Z - zbar, kernel.hess_solver(xbar),
-                      xi_const(L, rho, lambda_val))
+    return float(_consensus(_deviations(system, zbar), kernel.hess_solver(xbar),
+                            xi_const(L, rho, lambda_val)))
 
 
 def descent_potential(system, prob, kernel, L, rho, lambda_val,
@@ -147,27 +151,48 @@ def optimality_measure(system, system_next, kernel, L, eta, rho,
     """
     zbar, xbar = dual_average(system, kernel)
     solve = kernel.hess_solver(xbar)
-    E = _consensus(system.Y, system.Z - zbar, solve,
+    E = _consensus(_deviations(system, zbar), solve,
                    xi_const(L, rho, lambda_val))
     zbar_next, xbar_next = dual_average(system_next, kernel)
-    return _optimality(solve, zbar_next - zbar,
-                       kernel.bregman(xbar, xbar_next), E, L, eta, rho)
+    dz = zbar_next - zbar
+    return float(_optimality(float(dz @ solve(dz)),
+                             kernel.bregman(xbar, xbar_next), E, L, eta, rho))
 
 
-def _consensus(Y, Zc, solve, xi) -> float:
-    """E_t of a state with trackers ``Y`` and dual deviations ``Zc = Z -
-    zbar``, where ``solve`` is the inverse Hessian at xbar."""
-    Yc = Y - Y.mean(axis=0)
-    HY, HZ = solve(Yc), solve(Zc)
+def _deviations(system, zbar):
+    """[Y - ybar, Z - zbar] of one state, (2, m, d)."""
+    return np.stack([system.Y - system.Y.mean(axis=0), system.Z - zbar])
+
+
+def _consensus(dev, solve, xi):
+    """E_t of states from their tracker and dual deviations ``dev = [Y -
+    ybar, Z - zbar]``, (2, ..., m, d), solved together by ``solve``, the
+    inverse Hessian at xbar.  Each state's m*d products add as one
+    contiguous row."""
+    H = solve(dev)  # a fresh array: the products go in place
     with np.errstate(over="ignore"):  # diverging runs may overflow to inf
-        total = float((HY * Yc).sum() + xi * (HZ * Zc).sum())
-    return total / Y.shape[0]
+        H *= dev
+        sums = _state_sum(H)
+        total = sums[0] + xi * sums[1]
+    return total / dev.shape[-2]
 
 
-def _optimality(solve, dz, breg, E, L, eta, rho) -> float:
-    """G of iteration t from the inverse Hessian at xbar_t, the dual step
-    dz = zbar_{t+1} - zbar_t, D_h(xbar_t, xbar_{t+1}) and E_t."""
-    dual_sq = float(dz @ solve(dz))
+def _state_sum(A):
+    """The sum of each (m, d) block of A (..., m, d), as ``A.sum()`` adds
+    one block."""
+    return A.reshape(A.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _row_dot(u, v):
+    """Dot products of the rows of u and v (..., d): a (1, d) @ (d, 1)
+    product per row, which rounds like ``np.dot`` of the two rows."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _optimality(dual_sq, breg, E, L, eta, rho):
+    """G of iteration t from the dual step's squared local norm
+    dz . hess h(xbar_t)^{-1} dz, with dz = zbar_{t+1} - zbar_t,
+    D_h(xbar_t, xbar_{t+1}) and E_t."""
     return (dual_sq / (12.0 * eta * eta)
             + (L / eta) * breg
             + (1.0 - rho) / (32.0 * L * eta) * E)
@@ -235,13 +260,16 @@ def clipping_bound_residuals(prev, cur, delta, rho):
 class Recorder:
     """Builds the per-iteration record stream for one run.
 
-    The optimality measure of iteration t needs the successor state, so the
-    record for t is back-filled when t+1 arrives; the final record keeps
-    G = nan.  Each state is evaluated once: its dual average, one
-    ``value_and_grad`` of the problem at xbar, one inverse Hessian at xbar
-    (where xbar passes its one interior check), and h(xbar).  The last
-    state's dual average, Hessian, h(xbar) and E are kept for the back-fill,
-    whose Bregman term evaluates h and grad h at the new xbar unchecked.
+    ``observe`` buffers a state, and ``flush`` evaluates the buffered
+    states in one pass over stacked (K, m, d) arrays: their dual averages,
+    one ``grad_conj`` and one inverse Hessian at the K points xbar (the
+    chunk's one interior check), h(xbar), one ``value_and_grad`` of the
+    problem there, and from these every column of the records.  The
+    optimality measure of iteration t needs the successor state, so a chunk
+    starts with the state recorded last before it, evaluated again, whose
+    G it back-fills; the final record keeps G = nan.  Its Bregman term
+    evaluates grad h at each new xbar unchecked.  Every record has the bits
+    of its state evaluated alone.
     """
 
     def __init__(self, prob, kernel, rho, L, eta, delta, run_id="run",
@@ -258,35 +286,116 @@ class Recorder:
         self.lambda_val = lam if math.isfinite(lam) else 1.0
         self._xi = xi_const(L, rho, self.lambda_val)
         self.records = []
-        self._prev = None   # (zbar, xbar, solve, h(xbar), E) of the last state
+        self._buffer = []   # (system, row) of the states not evaluated yet
+        self._last = None   # (system, row) of the state recorded last
+        self._work = None   # X, Y and Z of a chunk, stacked (3, n, m, d)
 
-    def observe(self, system):
-        kernel = self.kernel
-        X, Y, Z = system.X, system.Y, system.Z
-        m = X.shape[0]
-        zbar, xbar = dual_average(system, kernel)
-        solve = kernel.hess_solver(xbar)  # xbar's one interior check
-        h = kernel._value(xbar)
+    def observe(self, system, row=None):
+        """Buffer a state: row ``row`` of the batch ``system``, or
+        ``system`` itself when ``row`` is None.  Systems are immutable, so
+        nothing is copied."""
+        self._buffer.append((system, row))
+
+    @property
+    def pending(self) -> int:
+        return len(self._buffer)
+
+    def flush(self):
+        """Record the buffered states.
+
+        Returns ``(states, cut)``: the states now recorded, preceded by the
+        one recorded last before them (if any), as ``(system, row)`` pairs,
+        and whether the last of them ends the record stream because its
+        f_bar or stationarity is not finite (past t = 0).  The states
+        buffered after it are dropped.  A chunk whose evaluation raises a
+        divergence error is redone state by state, so the state that raises
+        does so as if alone, after the states before it are recorded.
+        """
+        new, self._buffer = self._buffer, []
+        if not new:
+            return [], False
+        try:
+            return self._record(new)
+        except DIVERGENCE:
+            pass  # some state raised: redo the chunk one state at a time
+        states = [] if self._last is None else [self._last]
+        for state in new:
+            states.append(state)
+            if self._record([state])[1]:
+                return states, True
+        return states, False
+
+    def _record(self, new):
+        """Evaluate the states ``new`` after the last recorded one, append
+        their records up to the first that ends the stream, and back-fill
+        the G of the record before them."""
+        states = new if self._last is None else [self._last] + new
+        cols = self._evaluate(states)
+        f_bar, stat, G = cols["f_bar"], cols["stationarity"], cols["G"]
+        if self._last is not None:
+            self.records[-1].G_proxy = G[0]
+        for i in range(len(states) - len(new), len(states)):
+            system, row = states[i]
+            cut = system.t > 0 and not (math.isfinite(f_bar[i])
+                                        and math.isfinite(stat[i]))
+            self.records.append(RunRecord(
+                run_id=self.run_id, algorithm=self.algorithm,
+                kernel=self.kernel.name, t=system.t, f_bar=f_bar[i],
+                stationarity=stat[i],
+                consensus_primal=cols["consensus_primal"][i],
+                consensus_dual=cols["consensus_dual"][i],
+                E_t_proxy=cols["E"][i], M_t_proxy=cols["M"][i],
+                G_proxy=G[i] if i < len(G) and not cut else math.nan,
+                clipped=bool(system.clipped if row is None
+                             else system.clipped[row]),
+                status="running"))
+            if cut:
+                self._last = states[i]
+                return states[:i + 1], True
+        self._last = states[-1]
+        return states, False
+
+    def _evaluate(self, states):
+        """The record columns of ``states``, ``(system, row)`` pairs, as
+        lists of floats; ``G`` pairs each state with the next."""
+        kernel, L, n = self.kernel, self.L, len(states)
+        shape = (n,) + states[0][0].Z.shape[-2:]
+        if self._work is None or self._work.shape[1] < n:
+            # kept from chunk to chunk: fresh arrays of this size would be
+            # fresh pages, whose first touch costs more than the arithmetic
+            self._work = np.empty((3,) + shape)
+        X, Y, Z = (np.stack([getattr(s, f) if r is None else getattr(s, f)[r]
+                             for s, r in states], out=w[:n])
+                   for f, w in zip("XYZ", self._work))
+        m = shape[1]
+        zbar = Z.mean(axis=-2, keepdims=True)
+        # the kernel sees K points of one row each, (K, 1, d): a matrix
+        # product then rounds per point, as at one point (d,)
+        xs = kernel.grad_conj(zbar)
+        solve = kernel.hess_solver(xs)  # the chunk's one interior check
+        h = kernel._value(xs)[:, 0]
+        xbar = xs[:, 0]
         f_bar, g = self.prob.value_and_grad(xbar)
-        Zc = Z - zbar
-        E = _consensus(Y, Zc, solve, self._xi)
-        if self.records and math.isnan(self.records[-1].G_proxy):
-            zbar0, xbar0, solve0, h0, E0 = self._prev
-            self.records[-1].G_proxy = _optimality(
-                solve0, zbar - zbar0, kernel._bregman(xbar0, xbar, h0, h),
-                E0, self.L, self.eta, self.rho)
-        rec = RunRecord(
-            run_id=self.run_id, algorithm=self.algorithm, kernel=kernel.name,
-            t=system.t, f_bar=f_bar,
-            stationarity=_stationarity(self.prob.domain, xbar, g),
-            consensus_primal=float(((X - X.mean(axis=0)) ** 2).sum()) / m,
-            consensus_dual=float((Zc ** 2).sum()) / m,
-            E_t_proxy=E, M_t_proxy=f_bar + E / (8.0 * self.L),
-            clipped=system.clipped, status="running",
-        )
-        self.records.append(rec)
-        self._prev = (zbar, xbar, solve, h, E)
-        return rec
+        np.subtract(Y, Y.mean(axis=-2, keepdims=True), out=Y)
+        Zc = np.subtract(Z, zbar, out=Z)
+        E = _consensus(self._work[1:, :n], solve, self._xi)  # Y, Z adjacent
+        # the last state's step pairs with no successor: its dz is zero
+        dz = np.diff(zbar, axis=0, append=zbar[-1:])
+        breg = h[:-1] - h[1:] - _row_dot(kernel._grad(xs[1:])[:, 0],
+                                         xbar[:-1] - xbar[1:])
+        G = _optimality(_row_dot(dz, solve(dz))[:-1, 0], breg, E[:-1],
+                        L, self.eta, self.rho)
+        r = _normal_residual(self.prob.domain, xbar, g)
+        with np.errstate(over="ignore"):  # a diverged state's gradient
+            stat = np.sqrt(_row_dot(r, r))
+        Xc = np.subtract(X, X.mean(axis=-2, keepdims=True), out=X)
+        cols = {
+            "f_bar": f_bar, "stationarity": stat, "G": G, "E": E,
+            "M": f_bar + E / (8.0 * L),
+            "consensus_primal": _state_sum(np.square(Xc, out=Xc)) / m,
+            "consensus_dual": _state_sum(np.square(Zc, out=Zc)) / m,
+        }
+        return {k: v.tolist() for k, v in cols.items()}
 
     def mark_final(self, status):
         if self.records:

@@ -64,3 +64,8 @@ class ValidationError(DualmixError, ValueError):
     def __init__(self, key, message=""):
         super().__init__(f"{key}: {message}" if message else key)
         self.key = key
+
+
+# The errors that mark a run or a recorded state as diverged rather than
+# failed
+DIVERGENCE = (DomainViolation, NotInImage, NoConvergence, SingularHessian)

@@ -449,7 +449,13 @@ class RadialKernel(Kernel):
         return None
 
     def _value(self, x):
-        return self._val_radius(np.linalg.norm(x, axis=-1))
+        # every radius goes through the scalar math of a lone point, whose
+        # power numpy may round differently from its array power
+        t = np.linalg.norm(x, axis=-1)
+        if t.ndim == 0:
+            return self._val_radius(t)
+        return np.array([self._val_radius(ti) for ti in t.ravel()]
+                        ).reshape(t.shape)
 
     def _grad(self, x):
         t = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -618,8 +624,13 @@ class QuadraticKernel(Kernel):
         self.domain.require_interior(x)
         if self.A is None:
             return lambda v: np.array(v, dtype=float)
-        return lambda v: scipy.linalg.cho_solve(
-            self._cho, np.asarray(v, dtype=float).T).T
+
+        def solve(v):
+            # like grad_conj: a batch (..., m, d) is one (d, -1) block
+            v = np.asarray(v, dtype=float)
+            flat = v.reshape(-1, self.dim) if v.ndim > 2 else v
+            return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)
+        return solve
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +715,9 @@ class AffineKernel(Kernel):
     def hess_solver(self, x):
         solve = self.base.hess_solver(self._push(x))
         if self.A.ndim == 1:
+            if self.c == 1.0 and (self.A == 1.0).all():
+                # a shift: dividing by ones is exact, so skip both passes
+                return solve
             return lambda v: (solve(np.asarray(v, dtype=float) / self.A)
                               / (self.A * self.c))
         return lambda v: (solve(np.asarray(v, dtype=float) @ self._Ainv)

@@ -81,17 +81,19 @@ class Problem:
 
     Each family is a subclass that holds its data as arrays stacked along a
     leading agent axis, reads ``m`` and ``d`` from them, and provides two
-    oracles: ``_values(x)``, the m local values at one point, (m,), and
-    ``_grads(x)``, the m local gradients there, (m, d).  ``grads_rowwise(X)``
-    is agent i's gradient at row i of X, (m, d): ``_grads(X)`` unless a
-    family overrides it.  X may carry leading axes, (..., m, d), one per
-    stacked batch of cells, and each (m, d) block of the result equals bit
-    for bit its own call.
+    oracles: ``_values(x)``, the m local values, (..., m), and
+    ``_grads(x)``, the m local gradients, (..., m, d), at a point x (d,) or
+    at points (..., 1, d), whose agent axis of one broadcasts against the
+    agents.  ``grads_rowwise(X)`` is agent i's gradient at row i of X,
+    (m, d): ``_grads(X)`` unless a family overrides it.  X may carry
+    leading axes, (..., m, d), one per stacked batch of cells.  Every point
+    and every (m, d) block of a stacked call rounds as its own call.
     ``value`` and ``grad`` add the agents in order, from agent 0, and then
     divide by m: recorded CSVs are byte-checked, and a vectorized mean
     would round differently.  ``value_and_grad`` returns the bits of both
     from one ``_values_and_grads`` pass, which families that read x through
-    a design product override to form that product once.
+    a design product override to form that product once.  It also takes
+    points (..., d), each rounding as its own call.
     ``permuted`` reindexes the arrays named in ``_stacked``.
     """
 
@@ -113,8 +115,10 @@ class Problem:
 
     def value_and_grad(self, x):
         """``(value(x), grad(x))``, bit for bit, from one
-        ``_values_and_grads`` call."""
-        vals, G = self._values_and_grads(np.asarray(x, dtype=float))
+        ``_values_and_grads`` call; at points (..., d), the values (...,)
+        and gradients (..., d) of every point."""
+        x = np.asarray(x, dtype=float)
+        vals, G = self._values_and_grads(x if x.ndim == 1 else x[..., None, :])
         return self._mean_value(vals), self._mean_grad(G)
 
     def _values_and_grads(self, x):
@@ -123,13 +127,21 @@ class Problem:
     def grads_rowwise(self, X):
         return self._grads(X)
 
-    def _mean_value(self, vals) -> float:
-        return float(sum(vals) / self.m)
+    def _mean_value(self, vals):
+        """Mean over the last (agent) axis, the agents added in order from
+        0 as Python's ``sum`` adds them; a float at one point.  A numpy
+        reduction along a lone contiguous axis adds pairwise."""
+        total = 0 + vals[..., 0]
+        for i in range(1, self.m):
+            total = total + vals[..., i]
+        total = total / self.m
+        return float(total) if np.ndim(total) == 0 else total
 
     def _mean_grad(self, G) -> np.ndarray:
-        g = G[0].copy()
-        for gi in G[1:]:
-            g += gi
+        """Mean over the agent axis of G (..., m, d), added in order."""
+        g = G[..., 0, :].copy()
+        for i in range(1, self.m):
+            g += G[..., i, :]
         return g / self.m
 
     def permuted(self, perm) -> "Problem":
@@ -156,8 +168,8 @@ class Quadratic(Problem):
 
     def _values(self, x):
         # per-agent (1, d) products round like agent i's r @ Q_i @ r
-        r = (x - self.c)[:, None, :]
-        return 0.5 * ((r @ self.Q) @ r.transpose(0, 2, 1))[:, 0, 0]
+        r = (x - self.c)[..., None, :]
+        return 0.5 * ((r @ self.Q) @ np.swapaxes(r, -1, -2))[..., 0, 0]
 
     def _grads(self, x):
         return (self.Q @ (x - self.c)[..., None])[..., 0]
@@ -202,9 +214,9 @@ class Entropy(Problem):
         self.m, self.d = self.a.shape
 
     def _values(self, x):
-        # a (1, d) @ (d,) product per agent rounds like a_i @ x
-        return (self.c * np.sum(x * np.log(x) - x)
-                + (self.a[:, None, :] @ x)[:, 0])
+        # a (1, d) @ (d, 1) product per agent rounds like a_i @ x
+        return (self.c * np.sum(x * np.log(x) - x, axis=-1)
+                + (self.a[:, None, :] @ x[..., None])[..., 0, 0])
 
     def _grads(self, x):
         return self.c[:, None] * np.log(x) + self.a
@@ -250,14 +262,19 @@ class _Design(Problem):
         self.m, _, self.d = self.A.shape
 
     def _values(self, x):
-        return self._values_at(self.A @ x)
+        return self._values_at(self._design(x))
 
     def _grads(self, x):
-        return self._grads_at(self.A @ x)
+        return self._grads_at(self._design(x))
 
     def _values_and_grads(self, x):
-        ax = self.A @ x
+        ax = self._design(x)
         return self._values_at(ax), self._grads_at(ax)
+
+    def _design(self, x):
+        """A_i x for every agent, (..., m, n): an (n, d) @ (d, 1) product
+        per agent and point, which rounds like ``A_i @ x``."""
+        return (self.A @ x[..., None])[..., 0]
 
     def _AT_dot(self, W):
         """A_i^T w_i for every agent, stacked (m, d)."""
@@ -307,10 +324,12 @@ _KL_FLOOR = 1e-300
 
 
 def _kl_rows(b, ax):
-    """Generalized KL divergence of ``b`` from ``ax``, summed over the last axis."""
+    """Generalized KL divergence of ``b`` from ``ax``, summed over the last
+    axis; each row adds pairwise, as a contiguous row does, whatever the
+    layout of ``ax``."""
     ax = np.maximum(ax, _KL_FLOOR)
     terms = np.where(b > 0, b * np.log(np.maximum(b, _KL_FLOOR) / ax) - b, 0.0)
-    return (terms + ax).sum(axis=-1)
+    return np.ascontiguousarray(terms + ax).sum(axis=-1)
 
 
 class Poisson(_Design):
@@ -419,9 +438,15 @@ def blur_matrix(d_img, length, angle) -> scipy.sparse.csr_matrix:
 
 def tv_value(X, eps=EPS_TV) -> float:
     """Smoothed isotropic TV with replicate boundary differences."""
-    dv = np.diff(X, axis=0, append=X[-1:, :])
-    dh = np.diff(X, axis=1, append=X[:, -1:])
-    return float(np.sum(np.sqrt(dv * dv + dh * dh + eps * eps)))
+    return float(_tv_values(X, eps))
+
+
+def _tv_values(X, eps=EPS_TV):
+    """:func:`tv_value` of each image in the last two axes."""
+    dv = np.diff(X, axis=-2, append=X[..., -1:, :])
+    dh = np.diff(X, axis=-1, append=X[..., :, -1:])
+    s = np.sqrt(dv * dv + dh * dh + eps * eps)
+    return s.reshape(s.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def tv_grad(X, eps=EPS_TV) -> np.ndarray:
@@ -465,7 +490,7 @@ class TVDeblur(Problem):
                                                     + self.b.shape))
 
     def _values(self, x):
-        tv = tv_value(x.reshape(self.d_img, self.d_img))
+        tv = _tv_values(x.reshape(x.shape[:-1] + (self.d_img, self.d_img)))
         return _kl_rows(self.b, self._blur(x)) + self.lam * tv
 
     def _grads(self, X):

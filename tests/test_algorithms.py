@@ -421,12 +421,17 @@ def test_config_validation():
 def test_unrecorded_run_observes_a_nonfinite_final_state_once():
     prob = problems.quadratic_consensus(3, 3, 0)
     mix = network.metropolis_weights(network.complete_graph(3))
-    value_and_grad, calls = prob.value_and_grad, []
+    value_and_grad, points = prob.value_and_grad, []
 
     def value_inf_after_first(x):  # the final state's objective overflows
-        calls.append(1)
+        # the recorder evaluates its states together: count them one by one
         f, g = value_and_grad(x)
-        return (f if len(calls) == 1 else math.inf), g
+        f = np.array(f)
+        for i in np.ndindex(f.shape):
+            points.append(1)
+            if len(points) > 1:
+                f[i] = math.inf
+        return f, g
 
     prob.value_and_grad = value_inf_after_first
     cfg = AlgoConfig("dmgt", eta=0.05, delta=0.7, max_iter=3)
@@ -445,14 +450,28 @@ def test_recorded_nonfinite_metric_ends_a_cell_alone():
     mix = network.metropolis_weights(network.ring_graph(4))
     k = kernels.euclidean(3)
     cfgs = [AlgoConfig("dgt", eta=eta, max_iter=400) for eta in (3.0, 0.05)]
+    seen = []
+
+    def hook(t, prev, cur):
+        seen.append((t, prev.t, cur.t))
+
     with np.errstate(all="ignore"):
-        batch = algorithms.run(prob, k, mix, cfgs, np.zeros(3), L=1.0)
-        alone = [algorithms.run(prob, k, mix, c, np.zeros(3), L=1.0)
-                 for c in cfgs]
+        batch = algorithms.run(prob, k, mix, cfgs, np.zeros(3), L=1.0,
+                               hooks=[hook])
+        batch_seen, seen = seen, []
+        alone = [algorithms.run(prob, k, mix, c, np.zeros(3), L=1.0,
+                                hooks=[hook]) for c in cfgs]
     bad = alone[0]
     assert (bad.status, bad.diverged_at, bad.reason) == \
         ("diverged", 105, "non-finite metric")
     assert len(bad.records) == 106 and alone[1].status == "done"
+    # the hooks see the step into the cut state and nothing after it (t =
+    # 105 is inside a recorder chunk); in the batch, the cells of a step in
+    # row order
+    assert seen == [(t, t, t + 1) for t in range(105)] \
+        + [(t, t, t + 1) for t in range(400)]
+    assert batch_seen == [(t, t, t + 1) for t in range(400)
+                          for _ in range(2 if t < 105 else 1)]
     for b, a in zip(batch, alone):
         assert (b.status, b.diverged_at, b.reason) == \
             (a.status, a.diverged_at, a.reason)

@@ -252,6 +252,20 @@ def test_run_batch_outputs_and_manifest(tmp_path):
     assert min(rels) >= 0.0
 
 
+def test_manifest_carries_each_runs_divergence_reason(tmp_path):
+    cfg = config.parse_config_text(MINIMAL.replace(
+        "{kind: dmd, eta: 0.05, max_iter: 40}",
+        "{kind: dgt, eta: 1.0e3, max_iter: 40}"))
+    cfg.seeds = [1]
+    cli.run_batch(cfg, tmp_path / "out")
+    runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+    assert [(r["algorithm"], r["status"], r["diverged_at"], r["reason"])
+            for r in runs] == [
+        ("dmgt", "done", None, ""),
+        ("dgt", "diverged", 5, "DomainViolation: updated primal iterate is "
+         "outside the open domain orthant(d=12) (boundary guard 1e-14)")]
+
+
 def test_run_batch_deterministic_across_threads(tmp_path):
     cfg = config.parse_config_text(MINIMAL)
     cfg.seeds = [1, 2]

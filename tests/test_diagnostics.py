@@ -6,6 +6,7 @@ import pytest
 from dualmix import algorithms, cli, diagnostics, domains, kernels, network, \
     problems
 from dualmix.algorithms import AgentSystem, AlgoConfig
+from dualmix.errors import NotInImage, SingularHessian
 
 
 def _system(X, Z, Y, t=0):
@@ -277,6 +278,11 @@ def _stacked_solve_consensus(s, k, L, rho, lam):
     return float(np.sum(H[:m] * Yc) + xi * np.sum(H[m:] * Zc)) / m
 
 
+# long enough for the recorder's chunks to cross two boundaries and for
+# the run to end in the middle of a chunk
+_RECORDED_ITERS = 80
+
+
 def _recorded_case(case):
     """One short run of a (problem, kernel, algorithm) case used by the CSV
     equivalence tests: its result, every state it passed through, and the
@@ -293,6 +299,9 @@ def _recorded_case(case):
         prob = problems.entropy_consensus(d=5, m=4, seed=2)
         kernel, x0 = kernels.boltzmann_shannon(5), np.full(5, 0.5)
         L = prob.meta["L_exact"]
+    elif case.startswith("tv"):
+        prob = problems.tv_deblur(d_img=4, m=4, blur_len=3, seed=2)
+        kernel, x0, L = kernels.burg(16), np.full(16, 50.0), 1.0
     else:
         prob = problems.phase_retrieval(d=6, n=12, m=4, noise_sd=0.1, seed=2)
         kernel, x0, L = kernels.quartic(6), np.full(6, 0.3), 50.0
@@ -301,7 +310,7 @@ def _recorded_case(case):
     if algo == "dda":
         kernel = cli.kernel_for_algorithm("dda", kernel, x0)
     mix = network.metropolis_weights(network.ring_graph(4))
-    cfg = AlgoConfig(algo, eta=1e-3, delta=delta, max_iter=20)
+    cfg = AlgoConfig(algo, eta=1e-3, delta=delta, max_iter=_RECORDED_ITERS)
     states = []
 
     def keep(t, prev, cur):
@@ -317,13 +326,18 @@ def _recorded_case(case):
 
 
 _CSV_CASES = ["poisson-dmgt", "poisson-dda", "phase-dgt", "quadraticA-dmgt",
-              "entropy-dmd"]
+              "entropy-dmd", "tv-dmgt"]
+
+
+def test_recorded_cases_cross_two_chunk_boundaries_and_end_mid_chunk():
+    states = _RECORDED_ITERS + 1
+    assert 2 * diagnostics.CHUNK < states < 3 * diagnostics.CHUNK
 
 
 @pytest.mark.parametrize("case", _CSV_CASES)
 def test_recorder_rows_equal_public_metrics(case):
     res, states, prob, k, L, eta, rho, lam = _recorded_case(case)
-    assert res.status == "done" and len(res.records) == len(states) == 21
+    assert res.status == "done" and len(res.records) == len(states) == 81
     for t, s in enumerate(states):
         zbar, xbar = diagnostics.dual_average(s, k)
         last = t + 1 == len(states)
@@ -353,35 +367,135 @@ def test_consensus_potential_stacked_solve_equals_two_solves(case):
         assert E == _two_solve_consensus(s, k, L, rho, lam)
 
 
-def test_recorder_checks_and_builds_the_hessian_once_per_state(monkeypatch):
-    # each recorded state's xbar passes one interior check and gets one
-    # Hessian diagonal, shared by E_t, the dual term of G and the Bregman term
-    counts = {"is_interior": 0, "hess_diag": 0}
-    observing = []
+def test_recorder_checks_and_builds_the_hessian_once_per_chunk(monkeypatch):
+    # each chunk's xbar pass one interior check and get one Hessian
+    # diagonal, shared by E_t, the dual term of G and the Bregman term; dda's
+    # shifted kernel pushes its points once per oracle and chunk: the
+    # Hessian, h and grad h, where per-state evaluation pushed 3 per state
+    counts = {"is_interior": 0, "hess_diag": 0, "_push": 0, "chunks": 0}
+    flushing = []
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
-            if observing:
+            if flushing:
                 counts[name] += 1
             return fn(*args, **kwargs)
         return wrapped
 
-    recorder_observe = diagnostics.Recorder.observe
+    recorder_flush = diagnostics.Recorder.flush
 
-    def observe(self, *args, **kwargs):
-        observing.append(1)
+    def flush(self):
+        counts["chunks"] += self.pending > 0
+        flushing.append(1)
         try:
-            return recorder_observe(self, *args, **kwargs)
+            return recorder_flush(self)
         finally:
-            observing.pop()
+            flushing.pop()
 
     monkeypatch.setattr(domains.Domain, "is_interior",
                         counted("is_interior", domains.Domain.is_interior))
     monkeypatch.setattr(kernels.SeparableKernel, "hess_diag",
                         counted("hess_diag", kernels.SeparableKernel.hess_diag))
-    monkeypatch.setattr(diagnostics.Recorder, "observe", observe)
-    res, *_ = _recorded_case("poisson-dmgt")
-    assert res.status == "done" and len(res.records) == 21
-    assert all(math.isfinite(r.G_proxy) for r in res.records[:-1])
-    assert counts["is_interior"] <= len(res.records)
-    assert counts["hess_diag"] <= len(res.records)
+    monkeypatch.setattr(kernels.AffineKernel, "_push",
+                        counted("_push", kernels.AffineKernel._push))
+    monkeypatch.setattr(diagnostics.Recorder, "flush", flush)
+    for case in ("poisson-dmgt", "poisson-dda"):
+        counts.update(is_interior=0, hess_diag=0, _push=0, chunks=0)
+        res, *_ = _recorded_case(case)
+        assert res.status == "done" and len(res.records) == 81
+        assert all(math.isfinite(r.G_proxy) for r in res.records[:-1])
+        assert counts["chunks"] == 3  # 81 states in chunks of 32, 32 and 17
+        assert counts["is_interior"] <= counts["chunks"] <= len(res.records)
+        assert counts["hess_diag"] <= counts["chunks"]
+        assert counts["_push"] == (3 * counts["chunks"] if case.endswith("dda")
+                                   else 0)
+
+
+def test_batched_record_forms_round_like_one_state():
+    # the recorder's chunk pass keeps each state's bits through these forms
+    rng = np.random.default_rng(8)
+    for m, d in ((4, 6), (8, 200), (10, 50)):
+        Z = rng.standard_normal((17, m, d)) * 10.0 ** rng.integers(-3, 4, (17, 1, 1))
+        u, v = Z[:, 0], Z[:, 1]
+        dots, sums = diagnostics._row_dot(u, v), diagnostics._state_sum(Z)
+        means = Z.mean(axis=-2)
+        for k in range(17):
+            assert dots[k] == np.dot(u[k], v[k])
+            assert np.sqrt(diagnostics._row_dot(u, u)[k]) == np.linalg.norm(u[k])
+            assert sums[k] == Z[k].sum()
+            assert means[k].tobytes() == Z[k].mean(axis=0).tobytes()
+
+
+def test_a_chunk_state_that_raises_raises_alone(monkeypatch):
+    # a divergence error in a chunk's pass is redone state by state: the
+    # state that raises does so after the states before it are recorded,
+    # with the records of a clean run (the last one awaiting its G)
+    prob = problems.quadratic_consensus(d=5, m=4, seed=1)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    k = kernels.euclidean(5)
+    cfg = AlgoConfig("dmgt", eta=0.05, delta=0.7, max_iter=40)
+    states = []
+    clean = algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0,
+                           hooks=[lambda t, prev, cur: states.append(cur)])
+    bad = k.grad_conj(states[20].Z.mean(axis=0))  # t = 21, second flush
+    hess_solver = k.hess_solver
+
+    def singular_at_bad(x):
+        if (np.asarray(x) == bad).all(axis=-1).any():
+            raise SingularHessian("singular at the marked state")
+        return hess_solver(x)
+
+    monkeypatch.setattr(k, "hess_solver", singular_at_bad)
+    rec = diagnostics.Recorder(prob, k, mix.rho, 1.0, cfg.eta, cfg.delta,
+                               run_id="run", algorithm="dmgt")
+    rec.observe(algorithms.init_system(prob, k, np.zeros(5), cfg))
+    for s in states[:15]:
+        rec.observe(s)
+    rec.flush()
+    for s in states[15:31]:
+        rec.observe(s)
+    with pytest.raises(SingularHessian, match="marked state"):
+        rec.flush()
+    assert [r.t for r in rec.records] == list(range(21))
+    want = [r.csv_row() for r in clean.records[:21]]
+    clean.records[20].G_proxy = math.nan
+    assert [r.csv_row() for r in rec.records] == \
+        want[:20] + [clean.records[20].csv_row()]
+    # a recorded run raises it as well
+    with pytest.raises(SingularHessian, match="marked state"):
+        algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0)
+
+
+def test_a_diverged_cell_skips_its_final_observation_alone(monkeypatch):
+    # cell 0's step out of state 5 raises, so its final state is state 5,
+    # whose evaluation raises as well; it keeps its initial record, which
+    # shared a chunk with that state, and cell 1 keeps both of its records
+    prob = problems.quadratic_consensus(d=5, m=4, seed=1)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    k = kernels.euclidean(5)
+    cfgs = [AlgoConfig("dmgt", eta=eta, delta=0.7, max_iter=10)
+            for eta in (0.05, 0.02)]
+    states = []
+    algorithms.run(prob, k, mix, cfgs[0], np.zeros(5), L=1.0,
+                   hooks=[lambda t, prev, cur: states.append(cur)])
+    step_in, final = states[5].Z, states[4].Z  # Z at t = 6 and t = 5
+    grad_conj = k.grad_conj
+
+    def marked(z):
+        z = np.asarray(z)
+        rows = z.reshape(-1, z.shape[-1])
+        return ((rows == step_in[0]).all(axis=-1).any()
+                or (rows == final.mean(axis=0)).all(axis=-1).any())
+
+    def not_in_image_when_marked(z):
+        if marked(z):
+            raise NotInImage("marked dual vector")
+        return grad_conj(z)
+
+    monkeypatch.setattr(k, "grad_conj", not_in_image_when_marked)
+    bad, good = algorithms.run(prob, k, mix, cfgs, np.zeros(5), L=1.0,
+                               record_every=0)
+    assert (bad.status, bad.diverged_at, bad.reason) == \
+        ("diverged", 5, "NotInImage: marked dual vector")
+    assert bad.system.t == 5 and [r.t for r in bad.records] == [0]
+    assert good.status == "done" and [r.t for r in good.records] == [0, 10]

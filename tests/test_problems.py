@@ -182,6 +182,33 @@ def test_stacked_value_grad_equal_agent_loop_bitwise(family):
 
 
 @pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
+def test_value_and_grad_at_stacked_points_equals_each_point_bitwise(family):
+    # the recorder evaluates a chunk of K states' xbar in one call, and each
+    # row must keep the bits of its own call; K = 1 included, where a
+    # numpy mean over the agent axis would add pairwise
+    prob = _STACKED_FAMILIES[family](3)
+    rng = np.random.default_rng(11)
+    for K in (1, 2, 17):
+        X = prob.domain.sample_interior(rng, K)
+        f, g = prob.value_and_grad(X)
+        assert f.shape == (K,) and g.shape == (K, prob.d)
+        for k in range(K):
+            fk, gk = prob.value_and_grad(X[k])
+            assert f[k] == fk and g[k].tobytes() == gk.tobytes(), (K, k)
+
+
+@pytest.mark.parametrize("family", ["poisson", "phase_retrieval"])
+def test_design_product_per_point_is_the_matrix_vector_product(family):
+    # one (n, d) @ (d, 1) product per agent and point rounds like A_i @ x
+    prob = _STACKED_FAMILIES[family](1)
+    X = prob.domain.sample_interior(np.random.default_rng(5), 40)
+    stacked = prob._design(X[:, None, :])
+    for k, x in enumerate(X):
+        assert stacked[k].tobytes() == (prob.A @ x).tobytes()
+        assert prob._design(x).tobytes() == (prob.A @ x).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(_STACKED_FAMILIES))
 def test_grads_rowwise_batch_equals_each_block_bitwise(family):
     # the batched engine stacks B cells as (B, m, d); each cell's gradients
     # must not depend on B
