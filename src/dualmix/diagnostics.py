@@ -288,7 +288,7 @@ class Recorder:
         self.records = []
         self._buffer = []   # (system, row) of the states not evaluated yet
         self._last = None   # (system, row) of the state recorded last
-        self._work = None   # X, Y and Z of a chunk, stacked (3, n, m, d)
+        self._work = None   # X, Y and Z of a chunk, stacked (3, K, m, d)
 
     def observe(self, system, row=None):
         """Buffer a state: row ``row`` of the batch ``system``, or
@@ -359,15 +359,17 @@ class Recorder:
         """The record columns of ``states``, ``(system, row)`` pairs, as
         lists of floats; ``G`` pairs each state with the next."""
         kernel, L, n = self.kernel, self.L, len(states)
-        shape = (n,) + states[0][0].Z.shape[-2:]
         if self._work is None or self._work.shape[1] < n:
-            # kept from chunk to chunk: fresh arrays of this size would be
+            # kept from chunk to chunk: fresh (K, m, d) arrays would be
             # fresh pages, whose first touch costs more than the arithmetic
-            self._work = np.empty((3,) + shape)
-        X, Y, Z = (np.stack([getattr(s, f) if r is None else getattr(s, f)[r]
-                             for s, r in states], out=w[:n])
-                   for f, w in zip("XYZ", self._work))
-        m = shape[1]
+            self._work = np.empty((3, n) + states[0][0].Z.shape[-2:])
+        work = self._work[:, :n]
+        for f, out in zip("XYZ", work):
+            np.stack([getattr(s, f) if r is None else getattr(s, f)[r]
+                      for s, r in states], out=out)
+        X, dev = work[0], work[1:]  # dev = [Y, Z], centred in place below
+        Y, Z = dev
+        m = Z.shape[-2]
         zbar = Z.mean(axis=-2, keepdims=True)
         # the kernel sees K points of one row each, (K, 1, d): a matrix
         # product then rounds per point, as at one point (d,)
@@ -376,9 +378,9 @@ class Recorder:
         h = kernel._value(xs)[:, 0]
         xbar = xs[:, 0]
         f_bar, g = self.prob.value_and_grad(xbar)
-        np.subtract(Y, Y.mean(axis=-2, keepdims=True), out=Y)
-        Zc = np.subtract(Z, zbar, out=Z)
-        E = _consensus(self._work[1:, :n], solve, self._xi)  # Y, Z adjacent
+        Y -= Y.mean(axis=-2, keepdims=True)
+        Z -= zbar
+        E = _consensus(dev, solve, self._xi)
         # the last state's step pairs with no successor: its dz is zero
         dz = np.diff(zbar, axis=0, append=zbar[-1:])
         breg = h[:-1] - h[1:] - _row_dot(kernel._grad(xs[1:])[:, 0],
@@ -388,12 +390,12 @@ class Recorder:
         r = _normal_residual(self.prob.domain, xbar, g)
         with np.errstate(over="ignore"):  # a diverged state's gradient
             stat = np.sqrt(_row_dot(r, r))
-        Xc = np.subtract(X, X.mean(axis=-2, keepdims=True), out=X)
+        X -= X.mean(axis=-2, keepdims=True)
         cols = {
             "f_bar": f_bar, "stationarity": stat, "G": G, "E": E,
             "M": f_bar + E / (8.0 * L),
-            "consensus_primal": _state_sum(np.square(Xc, out=Xc)) / m,
-            "consensus_dual": _state_sum(np.square(Zc, out=Zc)) / m,
+            "consensus_primal": _state_sum(np.square(X, out=X)) / m,
+            "consensus_dual": _state_sum(np.square(Z, out=Z)) / m,
         }
         return {k: v.tolist() for k, v in cols.items()}
 

@@ -715,9 +715,6 @@ class AffineKernel(Kernel):
     def hess_solver(self, x):
         solve = self.base.hess_solver(self._push(x))
         if self.A.ndim == 1:
-            if self.c == 1.0 and (self.A == 1.0).all():
-                # a shift: dividing by ones is exact, so skip both passes
-                return solve
             return lambda v: (solve(np.asarray(v, dtype=float) / self.A)
                               / (self.A * self.c))
         return lambda v: (solve(np.asarray(v, dtype=float) @ self._Ainv)
