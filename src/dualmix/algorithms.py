@@ -82,6 +82,9 @@ class AlgoConfig:
     def from_spec(cls, spec: dict, max_iter=None) -> "AlgoConfig":
         """Config of an ``algorithms`` entry of an experiment config, with
         numeric ``eta``/``delta``; ``max_iter`` overrides its budget."""
+        for key in ("eta", "delta", "max_iter"):
+            if isinstance(spec.get(key), bool):  # YAML true and false are ints
+                raise ValueError(f"{key} must be a number, not a boolean")
         return cls(
             algorithm=spec.get("kind"),
             eta=float(spec.get("eta", 0.1)),
@@ -103,19 +106,6 @@ class RunResult:
     @property
     def diverged(self):
         return self.status == "diverged"
-
-
-def clip(v, eta, delta):
-    """v * min(eta, delta / |v|): an eta-scaling that caps the norm at delta.
-
-    A zero (or underflowing) norm lands in the small-step branch, so the
-    result is eta * v there.
-    """
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if eta * nv <= delta:
-        return eta * v
-    return v * (delta / nv)
 
 
 def clip_rows(V, eta, delta):

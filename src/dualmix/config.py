@@ -71,25 +71,32 @@ def validate(raw: dict) -> ExperimentConfig:
         values = cfg.tuning[grid]
         if not isinstance(values, list) or not values:
             raise ValidationError(f"tuning.{grid}", "must be a nonempty list")
-        if any(not isinstance(v, (int, float)) or v <= 0 for v in values):
-            raise ValidationError(f"tuning.{grid}", "entries must be positive")
+        if any(not _is_number(v) or v <= 0 for v in values):
+            raise ValidationError(f"tuning.{grid}",
+                                  "entries must be positive numbers")
     if cfg.tuning["select_by"] not in _SELECT_METRICS:
         raise ValidationError("tuning.select_by",
                               f"must be one of {sorted(_SELECT_METRICS)}")
     if not isinstance(cfg.seeds, list) or not cfg.seeds or \
-            any(not isinstance(s, int) for s in cfg.seeds):
+            any(not _is_number(s, int) for s in cfg.seeds):
         raise ValidationError("seeds", "must be a nonempty list of integers")
     if cfg.init["kind"] not in _INIT_DRAWS:
         raise ValidationError("init.kind", f"must be one of {sorted(_INIT_DRAWS)}")
-    if not isinstance(cfg.init["scale"], (int, float)):
+    if not _is_number(cfg.init["scale"]):
         raise ValidationError("init.scale", "must be a number")
     if not isinstance(cfg.output, str):
         raise ValidationError("output", "must be a path")
     if cfg.L is not None:
-        if not isinstance(cfg.L, (int, float)) or cfg.L <= 0:
+        if not _is_number(cfg.L) or cfg.L <= 0:
             raise ValidationError("L", "must be a positive number")
         cfg.L = float(cfg.L)
     return cfg
+
+
+def _is_number(value, kinds=(int, float)):
+    """``value`` is one of ``kinds`` and not a bool, which YAML's true and
+    false parse to and Python counts as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _check_domain_compat(kdom, pdom):

@@ -131,14 +131,11 @@ def consensus_potential(system, kernel, L, rho, lambda_val) -> float:
                             xi_const(L, rho, lambda_val)))
 
 
-def descent_potential(system, prob, kernel, L, rho, lambda_val,
-                      f_bar=None, E=None) -> float:
+def descent_potential(system, prob, kernel, L, rho, lambda_val) -> float:
     """M_t = f(xbar) + E_t / (8 L)."""
-    if f_bar is None:
-        f_bar = prob.value(dual_average(system, kernel)[1])
-    if E is None:
-        E = consensus_potential(system, kernel, L, rho, lambda_val)
-    return float(f_bar) + E / (8.0 * L)
+    xbar = dual_average(system, kernel)[1]
+    E = consensus_potential(system, kernel, L, rho, lambda_val)
+    return float(prob.value(xbar)) + E / (8.0 * L)
 
 
 def optimality_measure(system, system_next, kernel, L, eta, rho,
@@ -187,6 +184,13 @@ def _row_dot(u, v):
     """Dot products of the rows of u and v (..., d): a (1, d) @ (d, 1)
     product per row, which rounds like ``np.dot`` of the two rows."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _successive_divergences(kernel, xs):
+    """Bregman divergences D_h(x_t, x_{t+1}) of successive points ``xs``
+    (K, 1, d), unchecked, each with the bits of ``kernel.bregman``."""
+    h, x = kernel._value(xs)[:, 0], xs[:, 0]
+    return h[:-1] - h[1:] - _row_dot(kernel._grad(xs[1:])[:, 0], x[:-1] - x[1:])
 
 
 def _optimality(dual_sq, breg, E, L, eta, rho):
@@ -279,7 +283,6 @@ class Recorder:
         self.rho = rho
         self.L = L
         self.eta = eta
-        self.delta = delta
         self.run_id = run_id
         self.algorithm = algorithm
         lam = lambda_of(kernel, prob.m, rho, delta)
@@ -375,7 +378,6 @@ class Recorder:
         # product then rounds per point, as at one point (d,)
         xs = kernel.grad_conj(zbar)
         solve = kernel.hess_solver(xs)  # the chunk's one interior check
-        h = kernel._value(xs)[:, 0]
         xbar = xs[:, 0]
         f_bar, g = self.prob.value_and_grad(xbar)
         Y -= Y.mean(axis=-2, keepdims=True)
@@ -383,9 +385,8 @@ class Recorder:
         E = _consensus(dev, solve, self._xi)
         # the last state's step pairs with no successor: its dz is zero
         dz = np.diff(zbar, axis=0, append=zbar[-1:])
-        breg = h[:-1] - h[1:] - _row_dot(kernel._grad(xs[1:])[:, 0],
-                                         xbar[:-1] - xbar[1:])
-        G = _optimality(_row_dot(dz, solve(dz))[:-1, 0], breg, E[:-1],
+        G = _optimality(_row_dot(dz, solve(dz))[:-1, 0],
+                        _successive_divergences(kernel, xs), E[:-1],
                         L, self.eta, self.rho)
         r = _normal_residual(self.prob.domain, xbar, g)
         with np.errstate(over="ignore"):  # a diverged state's gradient

@@ -142,6 +142,16 @@ class Domain:
         return x
 
 
+def safe_eps(domain, x, base=1e-6):
+    """Central-difference step for unit directions at ``x``: ``base * (1 +
+    |x|)``, capped at a quarter of the gap to the nearest finite bound so
+    that x +- eps*v stays strictly inside; ``base`` if that is not positive."""
+    lo_gap = np.min(np.where(np.isfinite(domain.lo), x - domain.lo, np.inf))
+    hi_gap = np.min(np.where(np.isfinite(domain.hi), domain.hi - x, np.inf))
+    eps = min(base * (1.0 + float(np.linalg.norm(x))), 0.25 * min(lo_gap, hi_gap))
+    return eps if np.isfinite(eps) and eps > 0 else base
+
+
 def _finite_side(bound):
     """``(cols, bound[cols])`` for the finite entries of ``bound``, where
     ``cols`` is a full slice when every entry is finite; None when none is."""

@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 
 from . import algorithms, diagnostics, kernels, network, problems
+from .domains import safe_eps
 from .modulus import DistortionModulus
 
 
@@ -26,14 +27,6 @@ def fd_gradient(fun, x, eps):
         e[i] = eps
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * eps)
     return g
-
-
-def safe_eps(domain, x, base=1e-6):
-    """Step that keeps x +- eps*v strictly inside the domain."""
-    lo_gap = np.min(np.where(np.isfinite(domain.lo), x - domain.lo, np.inf))
-    hi_gap = np.min(np.where(np.isfinite(domain.hi), domain.hi - x, np.inf))
-    eps = min(base * (1.0 + float(np.linalg.norm(x))), 0.25 * min(lo_gap, hi_gap))
-    return eps if np.isfinite(eps) and eps > 0 else base
 
 
 def _composite_kernels(d=4):
@@ -69,10 +62,10 @@ def _test_kernels(d=4, n_pts=20, seed=3):
                           / (1.0 + float(np.max(np.abs(g)))))
             v = rng.standard_normal(d)
             v /= np.linalg.norm(v)
-            hv = k.hess_apply(x, v)
-            hvf = (k.grad(x + eps * v) - k.grad(x - eps * v)) / (2 * eps)
-            worst_h = max(worst_h, float(np.max(np.abs(hv - hvf)))
-                          / (1.0 + float(np.max(np.abs(hv)))))
+            hvp = k.hess_apply(x, v)
+            hvp_fd = (k.grad(x + eps * v) - k.grad(x - eps * v)) / (2 * eps)
+            worst_h = max(worst_h, float(np.max(np.abs(hvp - hvp_fd)))
+                          / (1.0 + float(np.max(np.abs(hvp)))))
             z = k.grad(x) + 0.3 * rng.standard_normal(d)
             xi = k.grad_conj(z)
             worst_inv = max(worst_inv, float(np.linalg.norm(k.grad(xi) - z))
@@ -121,11 +114,8 @@ def _test_matrix_bound(n_cases=50, seed=11):
         A = Qa @ Qa.T + 0.2 * np.eye(d)
         B = Qb @ Qb.T + 0.2 * np.eye(d)
         alpha = np.linalg.norm(A @ np.linalg.inv(B) - np.eye(d), 2)
-        vals_a, vecs_a = np.linalg.eigh(A)
-        vals_b, vecs_b = np.linalg.eigh(B)
-        As = (vecs_a * np.sqrt(vals_a)) @ vecs_a.T
-        Bs = (vecs_b * np.sqrt(vals_b)) @ vecs_b.T
-        lhs = np.linalg.norm(As @ np.linalg.inv(Bs), 2)
+        lhs = np.linalg.norm(network._sqrtm_spd(A)
+                             @ np.linalg.inv(network._sqrtm_spd(B)), 2)
         worst = max(worst, lhs - math.sqrt(1 + alpha) * (1 + 1e-10))
     return worst <= 0, f"max residual {worst:.2e}"
 
@@ -145,8 +135,7 @@ def _test_mixing_and_contraction(n_cases=50, seed=5):
         E = rng.standard_normal((d, d))
         E = 0.5 * (E + E.T)
         E *= 0.9 * alpha / max(np.linalg.norm(E, 2), 1e-12)
-        vals, vecs = np.linalg.eigh(H)
-        Hs = (vecs * np.sqrt(vals)) @ vecs.T
+        Hs = network._sqrtm_spd(H)
         H_plus = Hs @ (np.eye(d) + E) @ Hs
         V = rng.standard_normal((m, d))
         U = rng.standard_normal((m, d))
@@ -155,17 +144,17 @@ def _test_mixing_and_contraction(n_cases=50, seed=5):
 
 
 def _test_clip(seed=2):
+    """``clip_rows`` on 200 cells of 3 rows, each with its own eta, delta."""
     rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(200):
-        v = rng.standard_normal(5) * rng.uniform(0, 10)
-        eta = rng.uniform(0.01, 2.0)
-        delta = rng.uniform(0.01, 2.0)
-        c = algorithms.clip(v, eta, delta)
-        ok = ok and np.linalg.norm(c) <= delta * (1 + 1e-12)
-        if eta * np.linalg.norm(v) <= delta:
-            ok = ok and np.allclose(c, eta * v)
-    ok = ok and np.all(algorithms.clip(np.zeros(3), 0.1, 1.0) == 0)
+    V = rng.standard_normal((200, 3, 5)) * rng.uniform(0, 10, (200, 3, 1))
+    eta, delta = rng.uniform(0.01, 2.0, (2, 200, 1, 1))
+    C, clipped = algorithms.clip_rows(V, eta, delta)
+    small = (eta * np.linalg.norm(V, axis=-1, keepdims=True) <= delta)[..., 0]
+    zero, zero_clipped = algorithms.clip_rows(np.zeros((1, 3, 5)), 0.1, 1.0)
+    ok = (np.all(np.linalg.norm(C, axis=-1) <= delta[..., 0] * (1 + 1e-12))
+          and np.allclose(C[small], (eta * V)[small])
+          and np.array_equal(clipped, ~small.all(axis=-1))
+          and np.all(zero == 0) and not zero_clipped.any())
     return ok, "norm cap and small-step linearity"
 
 
@@ -192,6 +181,8 @@ def _test_run_invariants(seed=9):
 
 
 def _test_problem_gradients(seed=4):
+    """``grad`` against central differences of ``value``, and row i of
+    ``grads_rowwise``, the step's oracle, against those of agent i's value."""
     probs = [
         problems.phase_retrieval(d=8, n=6, m=3, noise_sd=0.1, seed=seed),
         problems.poisson_inverse(d=8, n=6, m=3, seed=seed),
@@ -201,11 +192,12 @@ def _test_problem_gradients(seed=4):
     for prob in probs:
         rng = np.random.default_rng([seed, 1])
         X = prob.domain.sample_interior(rng, 10)
-        for i in range(10):
-            x = X[i]
-            eps = safe_eps(prob.domain, x)
-            g = prob.grad(x)
-            gf = fd_gradient(prob.value, x, eps)
+        G = prob.grads_rowwise(X[:prob.m])
+        cases = [(prob.grad(x), prob.value, x) for x in X] + [
+            (G[i], lambda x, i=i: prob._values(x)[i], X[i])
+            for i in range(prob.m)]
+        for g, fun, x in cases:
+            gf = fd_gradient(fun, x, safe_eps(prob.domain, x))
             worst = max(worst, float(np.max(np.abs(g - gf)))
                         / (1.0 + float(np.max(np.abs(g)))))
     return worst < 1e-5, f"worst relative gradient error {worst:.2e}"

@@ -18,7 +18,10 @@ All vector arguments accept shape ``(..., d)`` with batched leading axes;
 unchecked math, ``_value``, ``_grad`` and (if separable) ``_hess_diag``;
 the public ``value``, ``grad`` and ``hess_diag`` of :class:`Kernel` check
 the shape and the open domain once and then call them, and no
-``_``-prefixed oracle checks the domain.  Every separable kernel, sums and
+``_``-prefixed oracle checks the domain.  A :class:`SeparableKernel` writes
+the scalar profile ``_phi``, its elementwise ``_grad`` and ``_hess_diag``,
+and an optional closed-form inverse ``_conj_scalar``, as ``_NegLog`` in
+``tests/test_hruc.py`` does.  Every separable kernel, sums and
 concatenations included, inverts its mirror map coordinatewise unless it
 has a closed form (a concatenation part by part).  A non-separable sum
 inverts by a damped Newton method whose stopping test covers the whole
@@ -142,14 +145,8 @@ class Kernel:
         v = np.asarray(v, dtype=float)
         self.domain.require_interior(u, "first Bregman argument")
         self.domain.require_interior(v, "second Bregman argument")
-        return self._bregman(u, v)
-
-    def _bregman(self, u, v, hu=None, hv=None) -> float:
-        """:meth:`bregman` of float arrays that have passed the interior
-        check, with h(u) and h(v) passed in when they are known."""
-        hu = self._value(u) if hu is None else hu
-        hv = self._value(v) if hv is None else hv
-        return float(hu - hv - np.dot(self._grad(v), u - v))
+        return float(self._value(u) - self._value(v)
+                     - np.dot(self._grad(v), u - v))
 
     def dual_dist(self, x, y) -> float:
         """rho_h(x, y) = |grad h(x) - grad h(y)|, the dual-space distance."""
@@ -249,14 +246,8 @@ class SeparableKernel(Kernel):
     def _phi(self, t):
         raise NotImplementedError
 
-    def _dphi(self, t):
-        raise NotImplementedError
-
-    def _d2phi(self, t):
-        raise NotImplementedError
-
     def _conj_scalar(self, z):
-        """Closed-form scalar inverse of ``_dphi`` or ``None``."""
+        """Closed-form inverse of ``_grad`` or ``None``."""
         return None
 
     @property
@@ -265,12 +256,6 @@ class SeparableKernel(Kernel):
 
     def _value(self, x):
         return self._phi(x).sum(axis=-1) + self.const
-
-    def _grad(self, x):
-        return self._dphi(x)
-
-    def _hess_diag(self, x):
-        return self._d2phi(x)
 
     def hess_apply(self, x, v):
         return self.hess_diag(x) * np.asarray(v, dtype=float)
@@ -291,10 +276,10 @@ class BoltzmannShannon(SeparableKernel):
     def _phi(self, t):
         return t * np.log(t) - t
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return np.log(t)
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return 1.0 / t
 
     def _conj_scalar(self, z):
@@ -314,10 +299,10 @@ class Burg(SeparableKernel):
     def _phi(self, t):
         return 0.5 * self.mu * t * t - np.log(t)
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return self.mu * t - 1.0 / t
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return self.mu + 1.0 / (t * t)
 
     def _conj_scalar(self, z):
@@ -347,10 +332,10 @@ class Tsallis(SeparableKernel):
     def _phi(self, t):
         return 0.5 * self.mu * t * t - t**self.q / (1.0 - self.q)
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return self.mu * t - (self.q / (1.0 - self.q)) * t ** (self.q - 1.0)
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return self.mu + self.q * t ** (self.q - 2.0)
 
 
@@ -367,10 +352,10 @@ class ExponentialEntropy(SeparableKernel):
     def _phi(self, t):
         return 0.5 * self.mu * t * t + np.exp(t)
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return self.mu * t + np.exp(t)
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return self.mu + np.exp(t)
 
 
@@ -389,10 +374,10 @@ class Harmonic(SeparableKernel):
     def _phi(self, t):
         return 0.5 * self.mu * t * t + t ** (-self.p)
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return self.mu * t - self.p * t ** (-self.p - 1.0)
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return self.mu + self.p * (self.p + 1.0) * t ** (-self.p - 2.0)
 
 
@@ -409,10 +394,10 @@ class Hellinger(SeparableKernel):
     def _phi(self, t):
         return -np.sqrt(1.0 - t * t)
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return t / np.sqrt(1.0 - t * t)
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return (1.0 - t * t) ** (-1.5)
 
     def _conj_scalar(self, z):
@@ -590,10 +575,6 @@ class QuadraticKernel(Kernel):
             self.name = "euclidean(A)"
 
     @property
-    def is_identity(self):
-        return self.A is None
-
-    @property
     def separable(self):
         return self.A is None
 
@@ -609,12 +590,7 @@ class QuadraticKernel(Kernel):
         return np.ones_like(x)
 
     def grad_conj(self, z):
-        z = _check_shape(z, self.dim, "dual vector")
-        if self.A is None:
-            return z.copy()
-        # a batch (..., m, d) is solved as the columns of one (d, -1) block
-        flat = z.reshape(-1, self.dim) if z.ndim > 2 else z
-        return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(z.shape)
+        return self._solve(_check_shape(z, self.dim, "dual vector"))
 
     def hess_apply(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -622,15 +598,16 @@ class QuadraticKernel(Kernel):
 
     def hess_solver(self, x):
         self.domain.require_interior(x)
-        if self.A is None:
-            return lambda v: np.array(v, dtype=float)
+        return self._solve
 
-        def solve(v):
-            # like grad_conj: a batch (..., m, d) is one (d, -1) block
-            v = np.asarray(v, dtype=float)
-            flat = v.reshape(-1, self.dim) if v.ndim > 2 else v
-            return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)
-        return solve
+    def _solve(self, v):
+        """A^{-1} v as a fresh array; a batch (..., m, d) is solved as the
+        columns of one (d, -1) block."""
+        v = np.asarray(v, dtype=float)
+        if self.A is None:
+            return v.copy()
+        flat = v.reshape(-1, self.dim) if v.ndim > 2 else v
+        return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +803,7 @@ def concat(kernels) -> Kernel:
     kernels = list(kernels)
     if len(kernels) == 1:
         return kernels[0]
-    if all(isinstance(k, QuadraticKernel) and k.is_identity for k in kernels):
+    if all(isinstance(k, QuadraticKernel) and k.A is None for k in kernels):
         return QuadraticKernel(sum(k.dim for k in kernels))
     return ConcatKernel(kernels)
 
@@ -853,7 +830,7 @@ def combine(h1: Kernel, h2: Kernel, mode: str, kappa_h=None, kappa_g=None) -> Ke
     Hessian condition-number bounds and uses the weighted-sum modulus.
     """
     if mode == "quadratic-shift":
-        if not (isinstance(h2, QuadraticKernel) and h2.is_identity):
+        if not (isinstance(h2, QuadraticKernel) and h2.A is None):
             raise ModeMismatch("quadratic-shift requires h2 = |x|^2 / 2")
         modulus = h1.modulus
     elif mode == "coordinate-separable":

@@ -558,19 +558,12 @@ def estimate_rel_smoothness(prob: Problem, kernel, n_samples=100, seed=0,
             continue
         v = rng.standard_normal(prob.d)
         v /= np.linalg.norm(v)
-        lo_gap = np.min(np.where(np.isfinite(prob.domain.lo),
-                                 x - prob.domain.lo, np.inf))
-        hi_gap = np.min(np.where(np.isfinite(prob.domain.hi),
-                                 prob.domain.hi - x, np.inf))
-        eps = min(1e-5 * (1.0 + float(np.linalg.norm(x))),
-                  0.25 * min(lo_gap, hi_gap))
-        if not np.isfinite(eps) or eps <= 0:
-            eps = 1e-5
+        eps = domains.safe_eps(prob.domain, x, base=1e-5)
         denom = float(kernel.hess_apply(x, v) @ v)
         HV = (prob._grads(x + eps * v)
               - prob._grads(x - eps * v)) / (2.0 * eps)
-        for hv in HV:  # one dot per agent: a stacked HV @ v rounds differently
-            ratio_max = max(ratio_max, abs(float(hv @ v)) / denom)
+        for hvp in HV:  # one dot per agent: a stacked HV @ v rounds differently
+            ratio_max = max(ratio_max, abs(float(hvp @ v)) / denom)
         used += 1
     if used == 0:
         raise SamplingExhausted("no interior sample lay in the problem domain")

@@ -1,7 +1,8 @@
 import pytest
 
 from dualmix import kernels
-from dualmix.invariants import fd_gradient, safe_eps  # noqa: F401
+from dualmix.domains import safe_eps  # noqa: F401
+from dualmix.invariants import fd_gradient  # noqa: F401
 
 
 def catalogue(dim=5):

@@ -27,25 +27,41 @@ def _quad_grad(prob, i, x):
 
 
 def test_clip_frozen_examples():
-    np.testing.assert_allclose(algorithms.clip(np.array([3.0, 4.0]), 0.1, 1.0),
-                               [0.3, 0.4])
-    np.testing.assert_allclose(algorithms.clip(np.array([3.0, 4.0]), 1.0, 1.0),
-                               [0.6, 0.8])
-    np.testing.assert_allclose(algorithms.clip(np.zeros(3), 0.5, 1.0),
-                               np.zeros(3))
+    V = np.array([[3.0, 4.0]])
+    np.testing.assert_allclose(algorithms.clip_rows(V, 0.1, 1.0)[0], [[0.3, 0.4]])
+    np.testing.assert_allclose(algorithms.clip_rows(V, 1.0, 1.0)[0], [[0.6, 0.8]])
+    np.testing.assert_allclose(algorithms.clip_rows(np.zeros((1, 3)), 0.5, 1.0)[0],
+                               np.zeros((1, 3)))
 
 
-@given(arrays(np.float64, 4,
-              elements=st.floats(-1e6, 1e6, allow_nan=False)),
-       st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
+def _clip_batches(B):
+    """(V, eta, delta): a (B, 3, 4) batch with per-cell (B, 1, 1) columns."""
+    cols = arrays(np.float64, (B, 1, 1), elements=st.floats(1e-6, 1e3))
+    return st.tuples(arrays(np.float64, (B, 3, 4),
+                            elements=st.floats(-1e6, 1e6, allow_nan=False)),
+                     cols, cols)
+
+
+@given(st.integers(1, 4).flatmap(_clip_batches))
 @settings(max_examples=200, deadline=None)
-def test_clip_properties(v, eta, delta):
-    c = algorithms.clip(v, eta, delta)
-    assert np.linalg.norm(c) <= delta * (1 + 1e-9)
-    if eta * np.linalg.norm(v) <= delta:
-        np.testing.assert_allclose(c, eta * v, rtol=1e-12, atol=0)
-    else:
-        assert np.linalg.norm(c) == pytest.approx(delta, rel=1e-9)
+def test_clip_properties(case):
+    V, eta, delta = case
+    C, clipped = algorithms.clip_rows(V, eta, delta)
+    norms = np.linalg.norm(C, axis=-1, keepdims=True)
+    small = eta * np.linalg.norm(V, axis=-1, keepdims=True) <= delta
+    assert np.all(norms <= delta * (1 + 1e-9))
+    np.testing.assert_allclose(np.where(small, C, 0.0),
+                               np.where(small, eta * V, 0.0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(norms[~small],
+                               np.broadcast_to(delta, norms.shape)[~small],
+                               rtol=1e-9)
+    # the flag says whether any row of the cell was clipped
+    assert np.array_equal(clipped, ~small.all(axis=(1, 2)))
+    for b in range(len(V)):  # each cell as its own (1, m, d) call
+        one = slice(b, b + 1)
+        C1, clipped1 = algorithms.clip_rows(V[one], eta[one], delta[one])
+        assert C1.tobytes() == C[one].tobytes()
+        assert clipped1.tolist() == clipped[one].tolist()
 
 
 def test_clip_rows_is_bitwise_the_nested_where_formula():
@@ -136,7 +152,7 @@ def test_dmgt_single_agent_is_clipped_mirror_descent():
 
     x = x0.copy()
     for _ in range(40):
-        z = k.grad(x) - algorithms.clip(prob.grad(x), eta, delta)
+        z = k.grad(x) - algorithms.clip_rows(prob.grad(x)[None], eta, delta)[0][0]
         x = k.grad_conj(z)
     np.testing.assert_allclose(res.system.X[0], x, rtol=1e-10)
 

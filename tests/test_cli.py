@@ -130,6 +130,23 @@ _BAD_CONFIGS = {
         lambda raw: raw["algorithms"][1].update(y0="both"), "algorithms[1]"),
     "algorithms[1].max_iter -4": (
         lambda raw: raw["algorithms"][1].update(max_iter=-4), "algorithms[1]"),
+    # YAML's true and false are ints to Python; no number key takes them
+    "algorithms[0].eta true": (
+        lambda raw: raw["algorithms"][0].update(eta=True), "algorithms[0]"),
+    "algorithms[0].delta true": (
+        lambda raw: raw["algorithms"][0].update(delta=True), "algorithms[0]"),
+    "algorithms[1].max_iter true": (
+        lambda raw: raw["algorithms"][1].update(max_iter=True), "algorithms[1]"),
+    "tuning.eta_grid [true]": (
+        lambda raw: raw.update(tuning={"eta_grid": [True]}), "tuning.eta_grid"),
+    "tuning.delta_grid [0.1, true]": (
+        lambda raw: raw.update(tuning={"delta_grid": [0.1, True]}),
+        "tuning.delta_grid"),
+    "seeds [true]": (lambda raw: raw.update(seeds=[True]), "seeds"),
+    "init.scale false": (
+        lambda raw: raw.update(init={"kind": "ones", "scale": False}),
+        "init.scale"),
+    "L true": (lambda raw: raw.update(L=True), "L"),
     "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
                         "graph.kind"),
     "init.kind uniform": (lambda raw: raw.update(init={"kind": "uniform"}),

@@ -180,10 +180,10 @@ class _NegLog(kernels.SeparableKernel):
     def _phi(self, t):
         return -np.log(t)
 
-    def _dphi(self, t):
+    def _grad(self, t):
         return -1.0 / t
 
-    def _d2phi(self, t):
+    def _hess_diag(self, t):
         return 1.0 / (t * t)
 
 

@@ -259,13 +259,12 @@ def test_estimate_rel_smoothness_is_the_per_agent_loop_bitwise():
             assert prob.domain.is_interior(x)
             v = rng.standard_normal(prob.d)
             v /= np.linalg.norm(v)
-            eps = min(1e-5 * (1.0 + float(np.linalg.norm(x))),
-                      0.25 * float(np.min(x)))
+            eps = safe_eps(prob.domain, x, base=1e-5)
             denom = float(k.hess_apply(x, v) @ v)
             for i in range(prob.m):
-                hv = (_local(prob, i, x + eps * v)[1]
+                hvp = (_local(prob, i, x + eps * v)[1]
                       - _local(prob, i, x - eps * v)[1]) / (2.0 * eps)
-                ratio_max = max(ratio_max, abs(float(hv @ v)) / denom)
+                ratio_max = max(ratio_max, abs(float(hvp @ v)) / denom)
         assert problems.estimate_rel_smoothness(
             prob, k, n_samples=20, seed=seed) == 1.2 * ratio_max
 
