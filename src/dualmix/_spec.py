@@ -36,6 +36,10 @@ def check(registry, spec, where):
     entry = registry[kind]
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
     check_keys(kwargs, entry[1], where, ctor=entry[0])
+    for key, value in kwargs.items():
+        # YAML's true and false are ints to Python; no family key takes them
+        if isinstance(value, bool):
+            raise ValidationError(f"{where}.{key}", "must not be a boolean")
     return entry, kwargs
 
 

@@ -11,10 +11,13 @@ All methods run synchronous rounds over a fixed mixing matrix:
 Steps are pure: they consume one :class:`AgentSystem` and return the next.
 One engine, :func:`run`, steps a batch of cells that share a problem,
 kernel, network, initial point and algorithm and differ in ``eta`` and
-``delta``; a single run is a batch of one.  A cell that leaves the
-attainable domain or produces non-finite state is frozen with status
-``diverged`` rather than raising, since baseline nonconvergence is itself
-an experimental observable.
+``delta``; a single run is a batch of one.  Cells whose dual iterates
+have the same bits share the inverse mirror map and the gradient: each
+distinct trajectory is stepped once.  The usual case is a dmgt grid over
+delta, whose cells with one eta follow one trajectory until their delta
+starts to clip.  A cell that leaves the attainable domain or produces
+non-finite state is frozen with status ``diverged`` rather than raising,
+since baseline nonconvergence is itself an experimental observable.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ class AgentSystem:
 
     The engine steps B cells at once: its systems carry a leading cell axis,
     (B, m, d), and ``clipped`` is then a (B,) mask.  ``cell(b)`` is one
-    cell's (m, d) system."""
+    cell's (m, d) system.  ``twin`` (B,) gives each cell the first cell of
+    its group, whose Z has the same bits; it is None when every cell is
+    its own twin, and always for a single cell."""
 
     X: np.ndarray
     Z: np.ndarray
@@ -43,6 +48,7 @@ class AgentSystem:
     grads: np.ndarray  # per-agent local gradients at X, cached for GT
     t: int = 0
     clipped: bool = False
+    twin: np.ndarray = None
 
     def cell(self, b, copy=False) -> "AgentSystem":
         """Cell b's system: views into the batch, or copies that do not
@@ -53,10 +59,41 @@ class AgentSystem:
         return AgentSystem(X, Z, Y, grads, self.t, bool(self.clipped[b]))
 
     def cells(self, rows) -> "AgentSystem":
-        """The batch of the given rows (an index array or a mask)."""
+        """The batch of the given rows (an index array in increasing order,
+        or a mask).  A kept cell whose twin is dropped takes the first kept
+        cell of its group as its twin."""
+        twin = None
+        if self.twin is not None:
+            _, first, group = np.unique(self.twin[rows], return_index=True,
+                                        return_inverse=True)
+            twin = _distinct_or_none(first[group])
         return AgentSystem(X=self.X[rows], Z=self.Z[rows], Y=self.Y[rows],
                            grads=self.grads[rows], t=self.t,
-                           clipped=self.clipped[rows])
+                           clipped=self.clipped[rows], twin=twin)
+
+
+def _distinct_or_none(twin):
+    """``twin``, or None when every cell is its own twin."""
+    return None if (twin == np.arange(len(twin))).all() else twin
+
+
+def _regroup(twin, Z):
+    """The twins of the cells of Z (B, m, d), given their twins before it
+    (None stays None).  A cell keeps its twin while their Z have the same
+    bits, compared as int64 patterns so that -0.0 and +0.0, or two NaN
+    payloads, never meet; only cells with a twin are compared.  The cells
+    that part from their twins are regrouped among themselves by their
+    bytes."""
+    if twin is None:
+        return None
+    rows = np.flatnonzero(twin != np.arange(len(twin)))
+    bits = Z.view(np.int64)
+    parted = rows[(bits[rows] != bits[twin[rows]]).any(axis=(-2, -1))]
+    if len(parted):
+        twin, first = twin.copy(), {}
+        for r in parted:
+            twin[r] = first.setdefault(Z[r].tobytes(), r)
+    return _distinct_or_none(twin)
 
 
 @dataclass(frozen=True)
@@ -64,7 +101,7 @@ class AlgoConfig:
     algorithm: str
     eta: float
     delta: float = math.inf        # clipping radius, finite only for dmgt
-    max_iter: int = 100
+    max_iter: int = 1000
     y0: str = "grad"               # 'grad' | 'zero'
 
     def __post_init__(self):
@@ -89,7 +126,7 @@ class AlgoConfig:
             algorithm=spec.get("kind"),
             eta=float(spec.get("eta", 0.1)),
             delta=float(spec.get("delta", math.inf)),
-            max_iter=int(spec.get("max_iter", 1000) if max_iter is None
+            max_iter=int(spec.get("max_iter", cls.max_iter) if max_iter is None
                          else max_iter),
             y0=spec.get("y0", "grad"),
         )
@@ -148,7 +185,22 @@ def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
 # Every step maps a batch (B, m, d) to the next one.  ``eta`` and ``delta``
 # are (B, 1, 1) columns, one entry per cell (``delta`` is None for the kinds
 # that do not clip), and every operation acts on each cell on its own, so a
-# cell's bits do not depend on the batch it is in.
+# cell's bits do not depend on the batch it is in.  That also lets a cell
+# whose Z+ has the bits of its twin's take its twin's X+ and gradients.
+
+
+def _primal_and_grads(prob, kernel, Z1, twin):
+    """X+ = grad h*(Z+), checked to be interior, the gradients at X+, and
+    the twins of Z+'s cells (``_regroup``).  Each distinct cell is mapped
+    once; a cell with a twin gets a copy of its twin's results."""
+    twin = _regroup(twin, Z1)
+    firsts = slot = slice(None)
+    if twin is not None:
+        firsts, slot = np.unique(twin, return_inverse=True)
+    X1 = kernel.grad_conj(Z1[firsts])
+    kernel.domain.require_interior(X1, "updated primal iterate")
+    G1 = prob.grads_rowwise(X1)
+    return X1[slot], G1[slot], twin
 
 
 def dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
@@ -160,12 +212,10 @@ def dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     else:
         S, was_clipped = clip_rows(s.Y, eta, delta)
     Z1 = W @ (s.Z - S)
-    X1 = kernel.grad_conj(Z1)
-    kernel.domain.require_interior(X1, "updated primal iterate")
-    G1 = prob.grads_rowwise(X1)
+    X1, G1, twin = _primal_and_grads(prob, kernel, Z1, s.twin)
     Y1 = W @ s.Y + G1 - s.grads
     return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1,
-                       clipped=was_clipped)
+                       clipped=was_clipped, twin=twin)
 
 
 def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
@@ -173,26 +223,24 @@ def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
     Xmix = W @ s.X
     kernel.domain.require_interior(Xmix, "mixed primal iterate")
     Z1 = kernel._grad(Xmix) - eta * direction
-    X1 = kernel.grad_conj(Z1)
-    kernel.domain.require_interior(X1, "updated primal iterate")
-    return Z1, X1, prob.grads_rowwise(X1)
+    return (Z1, *_primal_and_grads(prob, kernel, Z1, s.twin))
 
 
 def dmd_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with local gradients:
     grad h(X+) = grad h(W X) - eta grad f(X)."""
-    Z1, X1, G1 = _mirror_step(s, prob, kernel, W, eta, s.grads)
+    Z1, X1, G1, twin = _mirror_step(s, prob, kernel, W, eta, s.grads)
     return AgentSystem(X=X1, Z=Z1, Y=G1, grads=G1, t=s.t + 1,
-                       clipped=s.clipped)  # never clipped: all False
+                       clipped=s.clipped, twin=twin)  # never clipped
 
 
 def dgt_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with gradient tracking:
     Z+ = grad h(W X) - eta Y; Y+ = W Y + grad f(X+) - grad f(X)."""
-    Z1, X1, G1 = _mirror_step(s, prob, kernel, W, eta, s.Y)
+    Z1, X1, G1, twin = _mirror_step(s, prob, kernel, W, eta, s.Y)
     Y1 = W @ s.Y + G1 - s.grads
     return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1,
-                       clipped=s.clipped)  # never clipped: all False
+                       clipped=s.clipped, twin=twin)  # never clipped
 
 
 _STEPS = {"dmgt": dual_mix_step, "dmd": dmd_step, "dgt": dgt_step,
@@ -217,9 +265,10 @@ def _step_each(step, s, args, eta, delta):
     """Step the batch ``s``.  Returns the next batch and ``{row: reason}``
     for the rows whose step raised a divergence error; those rows keep
     their state.  A batch that raises is redone one cell at a time, so
-    each cell raises exactly what it raises alone.  Reasons are kept as
-    text: a kept exception's traceback would hold the batch's arrays in a
-    reference cycle."""
+    each cell raises exactly what it raises alone, and the cells are then
+    regrouped with their twins.  Reasons are kept as text: a kept
+    exception's traceback would hold the batch's arrays in a reference
+    cycle."""
     try:
         return step(s, *args, eta, delta), {}
     except DIVERGENCE:
@@ -233,9 +282,10 @@ def _step_each(step, s, args, eta, delta):
         except DIVERGENCE as exc:
             raised[r] = f"{type(exc).__name__}: {exc}"
         cells.append(cell)
-    return AgentSystem(t=s.t + 1, **{
-        f: np.concatenate([getattr(c, f) for c in cells])
-        for f in ("X", "Z", "Y", "grads", "clipped")}), raised
+    new = {f: np.concatenate([getattr(c, f) for c in cells])
+           for f in ("X", "Z", "Y", "grads", "clipped")}
+    return AgentSystem(t=s.t + 1, twin=_regroup(s.twin, new["Z"]),
+                       **new), raised
 
 
 def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
@@ -282,9 +332,11 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
         if head.algorithm in CLIPPED else None
     eta, delta = etas, deltas
     s0 = init_system(prob, kernel, x0, head)
+    # every cell starts from the one initial state: a twin of cell 0
     system = AgentSystem(*(np.repeat(a[None], len(cfgs), axis=0)
                            for a in (s0.X, s0.Z, s0.Y, s0.grads)),
-                         clipped=np.zeros(len(cfgs), dtype=bool))
+                         clipped=np.zeros(len(cfgs), dtype=bool),
+                         twin=_distinct_or_none(np.zeros(len(cfgs), int)))
     live = np.arange(len(cfgs))  # the cell of each row of the batch
     ends = {}  # cell -> (status, diverged_at, reason, final system)
     for c, recorder in enumerate(recorders):

@@ -66,7 +66,7 @@ def records_to_csv(records) -> str:
 # ---------------------------------------------------------------------------
 
 
-def stationarity(prob, kernel, x) -> float:
+def stationarity(prob, x) -> float:
     """Distance from grad f(x) to the negative normal cone of the feasible set.
 
     Interior points reduce to the plain gradient norm; at an active bound the

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import _spec, domains
 from ._scalar import TOL_INV, solve_increasing
@@ -567,6 +566,7 @@ class QuadraticKernel(Kernel):
             A = np.asarray(A, dtype=float)
             if A.shape != (dim, dim) or not np.allclose(A, A.T, atol=1e-12):
                 raise ValueError("A must be a symmetric (dim, dim) matrix")
+            import scipy.linalg  # slow to import, and only this kernel needs it
             try:
                 self._cho = scipy.linalg.cho_factor(A)
             except scipy.linalg.LinAlgError as exc:
@@ -606,6 +606,7 @@ class QuadraticKernel(Kernel):
         v = np.asarray(v, dtype=float)
         if self.A is None:
             return v.copy()
+        import scipy.linalg
         flat = v.reshape(-1, self.dim) if v.ndim > 2 else v
         return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)
 

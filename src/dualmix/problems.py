@@ -14,60 +14,59 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from . import _spec, domains
 from .errors import SamplingExhausted
+
+if TYPE_CHECKING:  # imported where used: scipy is slow to import
+    import scipy.sparse
 
 
 # ---------------------------------------------------------------------------
 # Deterministic Poisson sampling
 # ---------------------------------------------------------------------------
 
-def _poisson_inverse_transform(rng, lam):
-    """Sequential inverse transform; exact, intended for lam < 30."""
-    u = rng.random()
-    p = math.exp(-lam)
-    cdf = p
-    k = 0
-    # mean + 40*sqrt(mean) standard deviations is unreachable in double precision
-    kmax = int(lam + 40.0 * math.sqrt(lam) + 50.0)
-    while u > cdf and k < kmax:
-        k += 1
-        p *= lam / k
-        cdf += p
-    return k
-
-
 def poisson_sample(rng, lam):
     """Exact Poisson draws from the generator's uniform stream.
 
-    Means below 30 use inverse transform; larger means split recursively
-    via Poisson(a+b) = Poisson(a) + Poisson(b), which keeps every step in
-    the numerically safe regime.
+    A mean of 30 or more is halved j times, until it is below 30, and its
+    draw is the sum of 2^j draws at the halved mean, since Poisson(a + b) =
+    Poisson(a) + Poisson(b); this keeps every inversion in the numerically
+    safe regime.  Each such leaf takes one uniform, in order, mean by mean
+    (a zero mean takes none), and is inverted by a sequential search of
+    the CDF, all leaves at once with the operations of one leaf's search.
     """
     lam = np.asarray(lam, dtype=float)
-    out = np.empty(lam.shape, dtype=np.int64)
-    flat = lam.ravel()
-    res = out.ravel()
-    for idx, lam_i in enumerate(flat):
-        if lam_i < 0:
-            raise ValueError("Poisson mean must be nonnegative")
-        total = 0
-        stack = [float(lam_i)]
-        while stack:
-            cur = stack.pop()
-            if cur == 0.0:
-                continue
-            if cur < 30.0:
-                total += _poisson_inverse_transform(rng, cur)
-            else:
-                stack.append(0.5 * cur)
-                stack.append(0.5 * cur)
-        res[idx] = total
-    return out.reshape(lam.shape)
+    if not ((lam >= 0) & (lam < math.inf)).all():
+        raise ValueError("Poisson mean must be finite and nonnegative")
+    leaf = lam.ravel().copy()
+    halvings = np.zeros(leaf.shape, dtype=np.int64)
+    while (big := leaf >= 30.0).any():
+        leaf[big] *= 0.5
+        halvings[big] += 1
+    owner = np.repeat(np.arange(leaf.size),
+                      np.where(leaf > 0, 2 ** halvings, 0))
+    u = rng.random(owner.size)
+    # math.exp, not np.exp, whose rounding may differ between builds
+    p = np.array([math.exp(-x) for x in leaf])[owner]
+    cdf = p.copy()
+    mean = leaf[owner]
+    # mean + 40*sqrt(mean) standard deviations is unreachable in double precision
+    kmax = (mean + 40.0 * np.sqrt(mean) + 50.0).astype(np.int64)
+    k = np.zeros(owner.size, dtype=np.int64)
+    ratio = np.empty_like(p)
+    on = u > cdf
+    while on.any():  # p *= mean / k; cdf += p, on the leaves still searching
+        k += on
+        np.divide(mean, k, out=ratio, where=on)
+        np.multiply(p, ratio, out=p, where=on)
+        np.add(cdf, p, out=cdf, where=on)
+        on &= (u > cdf) & (k < kmax)
+    counts = np.bincount(owner, weights=k, minlength=leaf.size)
+    return counts.astype(np.int64).reshape(lam.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +414,7 @@ def _line_stencil(length, angle):
 def blur_matrix(d_img, length, angle) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the motion-blur convolution with replicate padding,
     acting on row-major flattened d_img x d_img images."""
+    import scipy.sparse
     K = _line_stencil(length, angle)
     r = K.shape[0] // 2
     rows, cols, vals = [], [], []
@@ -513,6 +513,7 @@ def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Probl
     """
     if d_img < 4:
         raise ValueError("need d_img >= 4")
+    import scipy.sparse
     rng = np.random.default_rng(seed)
     X_true = phantom_image(d_img)
     x_true = X_true.ravel()

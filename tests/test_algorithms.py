@@ -493,3 +493,105 @@ def test_recorded_nonfinite_metric_ends_a_cell_alone():
             (a.status, a.diverged_at, a.reason)
         assert [r.csv_row() for r in b.records] == \
             [r.csv_row() for r in a.records]
+
+
+# ---------------------------------------------------------------------------
+# Cells whose dual iterates coincide share the step's tail
+# ---------------------------------------------------------------------------
+
+
+def _counting_blocks(prob, monkeypatch):
+    """Record the number of (m, d) blocks of each batched gradient call."""
+    blocks, grads_rowwise = [], prob.grads_rowwise
+
+    def counted(X):
+        if X.ndim == 3:
+            blocks.append(len(X))
+        return grads_rowwise(X)
+
+    monkeypatch.setattr(prob, "grads_rowwise", counted)
+    return blocks
+
+
+def _twin_case(kernel, etas, max_iter=60):
+    """dmgt on a small Poisson instance over a grid of etas and deltas:
+    delta 1e-3 clips at every step, and 1e6 and 1e9 never clip."""
+    prob = problems.poisson_inverse(d=6, n=5, m=4, seed=2)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    cfgs = [AlgoConfig("dmgt", eta=eta, delta=delta, max_iter=max_iter)
+            for eta in etas for delta in (1e-3, 1e6, 1e9)]
+    return prob, mix, kernel, cfgs, np.full(6, 0.5)
+
+
+def _runs_alone(prob, kernel, mix, cfgs, x0):
+    """Each cell's run alone, and the number of distinct trajectories at
+    each step: the distinct Z+ of the cells that take that step."""
+    results, Zs = [], {}
+    for cfg in cfgs:
+        def hook(t, prev, cur):
+            Zs.setdefault(t, set()).add(cur.Z.tobytes())
+        results.append(algorithms.run(prob, kernel, mix, cfg, x0, L=1.0,
+                                      hooks=[hook]))
+    return results, [len(Zs[t]) for t in sorted(Zs)]
+
+
+def _assert_cells_equal(results, alone):
+    for res, ref in zip(results, alone):
+        assert (res.status, res.diverged_at, res.reason) == \
+            (ref.status, ref.diverged_at, ref.reason)
+        assert [r.csv_row() for r in res.records] == \
+            [r.csv_row() for r in ref.records]
+        for f in ("X", "Z", "Y"):
+            assert getattr(res.system, f).tobytes() == \
+                getattr(ref.system, f).tobytes()
+
+
+def test_twin_cells_share_the_gradient_and_equal_their_runs(monkeypatch):
+    prob, mix, k, cfgs, x0 = _twin_case(kernels.burg(6), etas=(0.01, 0.1))
+    alone, distinct = _runs_alone(prob, k, mix, cfgs, x0)
+    blocks = _counting_blocks(prob, monkeypatch)
+    results = algorithms.run(prob, k, mix, cfgs, x0, L=1.0)
+    assert [sum(r.clipped for r in res.records) for res in results] == \
+        [60, 0, 0] * 2
+    # a cell clipped at every step takes steps of length delta whatever
+    # its eta: the two clipped cells and the two unclipped pairs make 3
+    assert distinct == [3] * 60
+    assert blocks == distinct
+    _assert_cells_equal(results, alone)
+
+
+def test_twins_survive_a_dropped_cell(monkeypatch):
+    # at eta = 1 the unclipped cells leave the domain mid-run; they are
+    # rows 1 and 2 of the batch, so the later cells move up two rows
+    prob, mix, k, cfgs, x0 = _twin_case(kernels.boltzmann_shannon(6),
+                                        etas=(1.0, 0.01, 0.1))
+    with np.errstate(all="ignore"):  # the metrics overflow before the exit
+        alone, distinct = _runs_alone(prob, k, mix, cfgs, x0)
+        blocks = _counting_blocks(prob, monkeypatch)
+        results = algorithms.run(prob, k, mix, cfgs, x0, L=1.0)
+    t = results[1].diverged_at
+    assert 0 < t < 59
+    assert [(r.status, r.diverged_at) for r in results] == \
+        [("done", None)] + [("diverged", t)] * 2 + [("done", None)] * 6
+    assert results[1].reason.startswith("DomainViolation")
+    assert distinct == [4] * t + [3] * (60 - t)
+    # the failed step is redone cell by cell, and the two failing cells
+    # raise before their gradients
+    assert blocks == distinct[:t] + [1] * 7 + distinct[t + 1:]
+    _assert_cells_equal(results, alone)
+
+
+def test_twins_part_on_a_signed_zero_or_a_nan_payload(monkeypatch):
+    prob = problems.poisson_inverse(d=3, n=4, m=2, seed=0)
+    k = kernels.burg(3)
+    blocks = _counting_blocks(prob, monkeypatch)
+    Z = np.zeros((3, 2, 3))
+    Z[1, 1, 2] = -0.0  # the same value as cell 0's, with other bits
+    X, G, twin = algorithms._primal_and_grads(prob, k, Z, np.zeros(3, int))
+    # cell 2 keeps its twin, cell 1 parts from it
+    assert twin.tolist() == [0, 1, 0] and blocks == [2]
+    assert X[0].tobytes() == X[1].tobytes() == X[2].tobytes()
+    assert G[0].tobytes() == G[1].tobytes() == G[2].tobytes()
+    nans = np.full((2, 1, 1), np.nan)
+    nans[1].view(np.int64)[...] += 1  # another NaN payload
+    assert algorithms._regroup(np.zeros(2, int), nans) is None

@@ -147,6 +147,13 @@ _BAD_CONFIGS = {
         lambda raw: raw.update(init={"kind": "ones", "scale": False}),
         "init.scale"),
     "L true": (lambda raw: raw.update(L=True), "L"),
+    "kernel.mu true": (lambda raw: raw["kernel"].update(mu=True), "kernel.mu"),
+    "problem.m true": (lambda raw: raw["problem"].update(m=True), "problem.m"),
+    "problem.seed true": (lambda raw: raw["problem"].update(seed=True),
+                          "problem.seed"),
+    "graph.p true": (lambda raw: raw["graph"].update(p=True), "graph.p"),
+    "graph.seed true": (lambda raw: raw["graph"].update(seed=True),
+                        "graph.seed"),
     "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
                         "graph.kind"),
     "init.kind uniform": (lambda raw: raw.update(init={"kind": "uniform"}),
@@ -581,6 +588,16 @@ def test_check_invariants_is_independent_of_the_hash_seed():
         assert proc.stdout.splitlines()[-1] == "7/7 checks passed"
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dualmix.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 QUADRATIC_AUTO = """

@@ -21,18 +21,17 @@ def _system(X, Z, Y, t=0):
 
 def test_stationarity_unconstrained():
     prob = problems.quadratic_consensus(d=4, m=3, seed=0)
-    k = kernels.euclidean(4)
-    assert diagnostics.stationarity(prob, k, prob.x_true) == \
+    assert diagnostics.stationarity(prob, prob.x_true) == \
         pytest.approx(0.0, abs=1e-10)
     x = prob.x_true + 1.0
-    assert diagnostics.stationarity(prob, k, x) == \
+    assert diagnostics.stationarity(prob, x) == \
         pytest.approx(np.linalg.norm(prob.grad(x)))
 
 
 def test_stationarity_orthant_interior_is_gradient_norm():
     prob = problems.poisson_inverse(d=5, n=6, m=2, seed=1)
     x = np.full(5, 0.5)
-    assert diagnostics.stationarity(prob, kernels.burg(5), x) == \
+    assert diagnostics.stationarity(prob, x) == \
         pytest.approx(np.linalg.norm(prob.grad(x)))
 
 
@@ -51,13 +50,13 @@ def test_stationarity_orthant_active_projection():
     prob = _zero_quadratic(problems.domains.orthant(3))
     prob.grad = lambda x: np.array([-2.0, 3.0, 0.0])
     x = np.array([0.0, 1.0, 1.0])
-    got = diagnostics.stationarity(prob, kernels.burg(3), x)
+    got = diagnostics.stationarity(prob, x)
     # independent oracle: minimize |g - v| over v in -N = {v1 >= 0, v2=v3=0}
     oracle = math.sqrt(min(-2.0, 0.0) ** 2 + 3.0**2 + 0.0**2)
     assert got == pytest.approx(oracle)
     # a nonnegative gradient at the active coordinate is absorbed entirely
     prob.grad = lambda x: np.array([2.0, 3.0, 0.0])
-    assert diagnostics.stationarity(prob, kernels.burg(3), x) == \
+    assert diagnostics.stationarity(prob, x) == \
         pytest.approx(3.0)
 
 
@@ -65,11 +64,9 @@ def test_stationarity_box_faces():
     prob = _zero_quadratic(problems.domains.box(2))
     prob.grad = lambda x: np.array([-1.5, 2.5])
     # at the upper face the positive part remains; at the lower the negative
-    assert diagnostics.stationarity(prob, kernels.hellinger(2),
-                                    np.array([1.0, -1.0])) == \
+    assert diagnostics.stationarity(prob, np.array([1.0, -1.0])) == \
         pytest.approx(0.0, abs=1e-15)
-    assert diagnostics.stationarity(prob, kernels.hellinger(2),
-                                    np.array([-1.0, 1.0])) == \
+    assert diagnostics.stationarity(prob, np.array([-1.0, 1.0])) == \
         pytest.approx(math.hypot(1.5, 2.5))
 
 
@@ -89,7 +86,7 @@ def test_local_stationarity_vanishes_at_boundary_active_optimum():
     locs = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         x = x_star + eps
-        assert diagnostics.stationarity(prob, k, x) >= c_active
+        assert diagnostics.stationarity(prob, x) >= c_active
         locs.append(diagnostics.local_stationarity(prob, k, x))
     assert all(b < a for a, b in zip(locs, locs[1:]))
     assert locs[-1] < 1e-5 * locs[0]
@@ -100,7 +97,7 @@ def test_local_stationarity_euclidean_is_gradient_norm():
     x = np.random.default_rng(4).standard_normal(5)
     k = kernels.euclidean(5)
     assert diagnostics.local_stationarity(prob, k, x) == \
-        pytest.approx(diagnostics.stationarity(prob, k, x), rel=1e-14)
+        pytest.approx(diagnostics.stationarity(prob, x), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +341,7 @@ def test_recorder_rows_equal_public_metrics(case):
         want = diagnostics.RunRecord(
             run_id="r", algorithm=case.split("-")[1], kernel=k.name, t=s.t,
             f_bar=prob.value(xbar),
-            stationarity=diagnostics.stationarity(prob, k, xbar),
+            stationarity=diagnostics.stationarity(prob, xbar),
             consensus_primal=float(np.sum((s.X - s.X.mean(axis=0)) ** 2)) / prob.m,
             consensus_dual=float(np.sum((s.Z - zbar) ** 2)) / prob.m,
             E_t_proxy=diagnostics.consensus_potential(s, k, L, rho, lam),

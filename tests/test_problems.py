@@ -303,6 +303,75 @@ def test_poisson_sampler_exact_pmf_small_mean():
         assert p_emp == pytest.approx(p_true, abs=0.012)
 
 
+def _scalar_inverse_transform(rng, lam):
+    u = rng.random()
+    p = math.exp(-lam)
+    cdf = p
+    k = 0
+    kmax = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    while u > cdf and k < kmax:
+        k += 1
+        p *= lam / k
+        cdf += p
+    return k
+
+
+def _scalar_poisson_sample(rng, lam):
+    """The one-draw-at-a-time sampler that ``poisson_sample`` vectorizes:
+    a mean of 30 or more splits into two halves, and a smaller positive
+    one takes one uniform and a sequential search of its CDF."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(lam.shape, dtype=np.int64)
+    res = out.ravel()
+    for idx, lam_i in enumerate(lam.ravel()):
+        total = 0
+        stack = [float(lam_i)]
+        while stack:
+            cur = stack.pop()
+            if cur == 0.0:
+                continue
+            if cur < 30.0:
+                total += _scalar_inverse_transform(rng, cur)
+            else:
+                stack.append(0.5 * cur)
+                stack.append(0.5 * cur)
+        res[idx] = total
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poisson_sampler_is_the_scalar_sampler_bitwise(seed):
+    # the same counts from the same uniforms, which leave the generator at
+    # the same place
+    means = [np.linspace(0.0, 3000.0, 301), np.array([0.0, 29.999, 30.0, 1e-300]),
+             np.array(7.5), 2550.0 * problems.phantom_image(32) / 255.0]
+    for lam in means:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = problems.poisson_sample(a, lam), _scalar_poisson_sample(b, lam)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_poisson_sampler_rejects_a_bad_mean(lam):
+    with pytest.raises(ValueError):
+        problems.poisson_sample(np.random.default_rng(0), [1.0, lam])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_poisson_data_is_the_scalar_samplers_bitwise(seed, monkeypatch):
+    built = [problems.poisson_inverse(d=30, n=20, m=3, seed=seed),
+             problems.tv_deblur(d_img=8, m=3, seed=seed)]
+    monkeypatch.setattr(problems, "poisson_sample", _scalar_poisson_sample)
+    want = [problems.poisson_inverse(d=30, n=20, m=3, seed=seed),
+            problems.tv_deblur(d_img=8, m=3, seed=seed)]
+    assert np.array_equal(built[0].A, want[0].A)
+    assert (built[1].A != want[1].A).nnz == 0
+    for got, ref in zip(built, want):
+        assert got.b.tobytes() == ref.b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # TV deblurring
 # ---------------------------------------------------------------------------
