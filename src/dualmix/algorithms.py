@@ -125,10 +125,10 @@ class AlgoConfig:
         return cls(
             algorithm=spec.get("kind"),
             eta=float(spec.get("eta", 0.1)),
-            delta=float(spec.get("delta", math.inf)),
+            delta=float(spec.get("delta", cls.delta)),
             max_iter=int(spec.get("max_iter", cls.max_iter) if max_iter is None
                          else max_iter),
-            y0=spec.get("y0", "grad"),
+            y0=spec.get("y0", cls.y0),
         )
 
 

@@ -18,8 +18,6 @@ from . import _spec, algorithms, kernels, network, problems
 from .errors import ParseError, ValidationError
 
 _ALGO_KEYS = {"kind", "eta", "delta", "max_iter", "y0"}
-_TUNING_KEYS = {"eta_grid", "delta_grid", "select_by"}
-_INIT_KEYS = {"kind", "scale"}
 _SELECT_METRICS = {"stationarity", "f_bar", "rel_error"}
 
 DEFAULT_TUNING = {
@@ -27,6 +25,7 @@ DEFAULT_TUNING = {
     "delta_grid": [10.0**k for k in range(-4, 5)],
     "select_by": "stationarity",
 }
+DEFAULT_INIT = {"kind": "random_positive", "scale": 1.0}
 
 
 @dataclass
@@ -38,8 +37,7 @@ class ExperimentConfig:
     tuning: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_TUNING))
     seeds: list = field(default_factory=lambda: [0])
     output: str = "runs"
-    init: dict = field(default_factory=lambda: {"kind": "random_positive",
-                                                "scale": 1.0})
+    init: dict = field(default_factory=lambda: dict(DEFAULT_INIT))
     L: float = None
 
 
@@ -48,9 +46,9 @@ def validate(raw: dict) -> ExperimentConfig:
                      ctor=ExperimentConfig)
     cfg = ExperimentConfig(**{k: copy.deepcopy(v) for k, v in raw.items()
                               if k not in ("tuning", "init")})
-    for name, allowed in (("tuning", _TUNING_KEYS), ("init", _INIT_KEYS)):
+    for name, defaults in (("tuning", DEFAULT_TUNING), ("init", DEFAULT_INIT)):
         if name in raw:  # given keys replace the defaults one by one
-            _spec.check_keys(raw[name], allowed, name)
+            _spec.check_keys(raw[name], defaults, name)
             getattr(cfg, name).update(copy.deepcopy(raw[name]))
 
     problem_domain = problems.spec_domain(cfg.problem)
@@ -154,5 +152,5 @@ _INIT_DRAWS = {
 def initial_point(cfg: ExperimentConfig, prob, kernel, seed: int) -> np.ndarray:
     """Draw the (consensus) initial point for one seed."""
     rng = np.random.default_rng([seed, 17])
-    scale = float(cfg.init.get("scale", 1.0))
+    scale = float(cfg.init.get("scale", DEFAULT_INIT["scale"]))
     return _INIT_DRAWS[cfg.init["kind"]](rng, prob, scale)

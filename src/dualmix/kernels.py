@@ -2,16 +2,17 @@
 
 Every kernel exposes value / mirror map / Hessian / inverse mirror map
 oracles together with an analytic distortion modulus bounding its relative
-Hessian drift.  Three structural families cover the whole catalogue:
+Hessian drift.  Two structural families cover the whole catalogue:
 
-* separable kernels (entropies, Hellinger): diagonal Hessians, coordinatewise
-  inverses;
+* separable kernels (Euclidean, entropies, Hellinger): diagonal Hessians,
+  coordinatewise inverses;
 * radial kernels (power, norm exponential): gradient ``s(|x|) * x``, Hessian
-  ``a*I + b*x*x^T``, radius-only inverse;
-* quadratic kernels: a fixed SPD preconditioner.
+  ``a*I + b*x*x^T``, radius-only inverse.
 
 Affine composition, concatenation, and sums close the catalogue under the
-modulus calculus (condition-number scaling, pointwise max, weighted sum).
+modulus calculus (condition-number scaling, pointwise max, weighted sum);
+the preconditioned Euclidean kernel ``x^T A x / 2`` is the identity one
+composed with a Cholesky factor of ``A``.
 
 All vector arguments accept shape ``(..., d)`` with batched leading axes;
 ``hess_matrix`` returns ``(..., d, d)``.  Each class writes only its
@@ -263,6 +264,26 @@ class SeparableKernel(Kernel):
         z = _check_shape(z, self.dim, "dual vector")
         closed = self._conj_scalar(z)
         return self._invert_coordinatewise(z) if closed is None else closed
+
+
+class Euclidean(SeparableKernel):
+    """|x|^2 / 2 on the whole space.  ``_value`` sums the squares directly,
+    not through a profile ``_phi``."""
+
+    def __init__(self, dim):
+        super().__init__(dim, domains.reals(dim), ZeroModulus(), "euclidean")
+
+    def _value(self, x):
+        return 0.5 * np.sum(x * x, axis=-1)
+
+    def _grad(self, t):
+        return t
+
+    def _hess_diag(self, t):
+        return np.ones_like(t)
+
+    def _conj_scalar(self, z):
+        return z.copy()  # a fresh array: an iterate X must not alias Z
 
 
 class BoltzmannShannon(SeparableKernel):
@@ -550,68 +571,6 @@ class NormExponential(RadialKernel):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic (Euclidean) kernels
-# ---------------------------------------------------------------------------
-
-
-class QuadraticKernel(Kernel):
-    """h(x) = x^T A x / 2 with A positive definite (identity by default)."""
-
-    def __init__(self, dim, A=None):
-        super().__init__(dim, domains.reals(dim), ZeroModulus(), "euclidean")
-        if A is None:
-            self.A = None
-            self._cho = None
-        else:
-            A = np.asarray(A, dtype=float)
-            if A.shape != (dim, dim) or not np.allclose(A, A.T, atol=1e-12):
-                raise ValueError("A must be a symmetric (dim, dim) matrix")
-            import scipy.linalg  # slow to import, and only this kernel needs it
-            try:
-                self._cho = scipy.linalg.cho_factor(A)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularMatrix("preconditioner is not positive definite") from exc
-            self.A = A
-            self.name = "euclidean(A)"
-
-    @property
-    def separable(self):
-        return self.A is None
-
-    def _value(self, x):
-        if self.A is None:
-            return 0.5 * np.sum(x * x, axis=-1)
-        return 0.5 * np.sum(x * (x @ self.A.T), axis=-1)
-
-    def _grad(self, x):
-        return x if self.A is None else x @ self.A.T
-
-    def _hess_diag(self, x):
-        return np.ones_like(x)
-
-    def grad_conj(self, z):
-        return self._solve(_check_shape(z, self.dim, "dual vector"))
-
-    def hess_apply(self, x, v):
-        v = np.asarray(v, dtype=float)
-        return v if self.A is None else v @ self.A.T
-
-    def hess_solver(self, x):
-        self.domain.require_interior(x)
-        return self._solve
-
-    def _solve(self, v):
-        """A^{-1} v as a fresh array; a batch (..., m, d) is solved as the
-        columns of one (d, -1) block."""
-        v = np.asarray(v, dtype=float)
-        if self.A is None:
-            return v.copy()
-        import scipy.linalg
-        flat = v.reshape(-1, self.dim) if v.ndim > 2 else v
-        return scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)
-
-
-# ---------------------------------------------------------------------------
 # Combinators
 # ---------------------------------------------------------------------------
 
@@ -804,8 +763,8 @@ def concat(kernels) -> Kernel:
     kernels = list(kernels)
     if len(kernels) == 1:
         return kernels[0]
-    if all(isinstance(k, QuadraticKernel) and k.A is None for k in kernels):
-        return QuadraticKernel(sum(k.dim for k in kernels))
+    if all(isinstance(k, Euclidean) for k in kernels):
+        return Euclidean(sum(k.dim for k in kernels))
     return ConcatKernel(kernels)
 
 
@@ -831,7 +790,7 @@ def combine(h1: Kernel, h2: Kernel, mode: str, kappa_h=None, kappa_g=None) -> Ke
     Hessian condition-number bounds and uses the weighted-sum modulus.
     """
     if mode == "quadratic-shift":
-        if not (isinstance(h2, QuadraticKernel) and h2.A is None):
+        if not isinstance(h2, Euclidean):
             raise ModeMismatch("quadratic-shift requires h2 = |x|^2 / 2")
         modulus = h1.modulus
     elif mode == "coordinate-separable":
@@ -857,8 +816,21 @@ def combine(h1: Kernel, h2: Kernel, mode: str, kappa_h=None, kappa_g=None) -> Ke
 # ---------------------------------------------------------------------------
 
 
-def euclidean(dim, A=None) -> QuadraticKernel:
-    return QuadraticKernel(dim, A=A)
+def euclidean(dim, A=None) -> Kernel:
+    """|x|^2 / 2, or x^T A x / 2 = |L^T x|^2 / 2 with A = L L^T positive
+    definite: the identity kernel composed with L^T."""
+    if A is None:
+        return Euclidean(dim)
+    A = np.asarray(A, dtype=float)
+    if A.shape != (dim, dim) or not np.allclose(A, A.T, atol=1e-12):
+        raise ValueError("A must be a symmetric (dim, dim) matrix")
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("preconditioner is not positive definite") from exc
+    k = affine_compose(Euclidean(dim), A=L.T)
+    k.name = "euclidean(A)"
+    return k
 
 
 def boltzmann_shannon(dim) -> BoltzmannShannon:

@@ -242,15 +242,18 @@ def entropy_consensus(d, m, seed=0) -> Problem:
 
 
 @dataclass(kw_only=True)
-class _Design(Problem):
+class Design(Problem):
     """Designs ``A`` (m, n, d), one sensing vector per row, and
     observations ``b`` (m, n).
 
     ``_values`` and ``_grads`` round exactly like agent i's own products
     ``A_i @ x`` and ``A_i.T @ w``; they are ``_values_at`` and ``_grads_at``
     of the stacked product ``A @ x`` (m, n), which ``_values_and_grads``
-    forms once for both.  ``grads_rowwise`` keeps the two einsums that the
-    reference CSVs were recorded with.
+    forms once for both.  ``_grads_at(ax, AT)`` takes the ``A^T`` product
+    as an argument, so ``grads_rowwise`` shares its formula while keeping
+    the two einsums that the reference CSVs were recorded with.  (The
+    class is public so that perfbench's tracer, which skips ``_`` names,
+    times ``grads_rowwise``.)
     """
 
     A: np.ndarray
@@ -264,11 +267,16 @@ class _Design(Problem):
         return self._values_at(self._design(x))
 
     def _grads(self, x):
-        return self._grads_at(self._design(x))
+        return self._grads_at(self._design(x), self._AT_dot)
 
     def _values_and_grads(self, x):
         ax = self._design(x)
-        return self._values_at(ax), self._grads_at(ax)
+        return self._values_at(ax), self._grads_at(ax, self._AT_dot)
+
+    def grads_rowwise(self, X):
+        ax = np.einsum("mnd,...md->...mn", self.A, X)
+        return self._grads_at(
+            ax, lambda W: np.einsum("mnd,...mn->...md", self.A, W))
 
     def _design(self, x):
         """A_i x for every agent, (..., m, n): an (n, d) @ (d, 1) product
@@ -280,21 +288,16 @@ class _Design(Problem):
         return (self.A.transpose(0, 2, 1) @ W[..., None])[..., 0]
 
 
-class PhaseRetrieval(_Design):
+class PhaseRetrieval(Design):
     """f_i(x) = (1/n) sum_l (b_il - <a_il, x>^2)^2."""
 
     def _values_at(self, ax):
         r = self.b - ax ** 2
         return np.sum(r * r, axis=-1) / self.A.shape[1]
 
-    def _grads_at(self, ax):
+    def _grads_at(self, ax, AT):
         r = self.b - ax * ax
-        return (-4.0 / self.A.shape[1]) * self._AT_dot(r * ax)
-
-    def grads_rowwise(self, X):
-        ax = np.einsum("mnd,...md->...mn", self.A, X)
-        w = (self.b - ax * ax) * ax
-        return (-4.0 / self.A.shape[1]) * np.einsum("mnd,...mn->...md", self.A, w)
+        return (-4.0 / self.A.shape[1]) * AT(r * ax)
 
 
 def phase_retrieval(d, n, m, noise_sd, seed=0) -> Problem:
@@ -331,18 +334,14 @@ def _kl_rows(b, ax):
     return np.ascontiguousarray(terms + ax).sum(axis=-1)
 
 
-class Poisson(_Design):
+class Poisson(Design):
     """f_i(x) = KL(b_i, A_i x), the generalized Kullback-Leibler divergence."""
 
     def _values_at(self, ax):
         return _kl_rows(self.b, ax)
 
-    def _grads_at(self, ax):
-        return self._AT_dot(1.0 - self.b / np.maximum(ax, _KL_FLOOR))
-
-    def grads_rowwise(self, X):
-        ax = np.maximum(np.einsum("mnd,...md->...mn", self.A, X), _KL_FLOOR)
-        return np.einsum("mnd,...mn->...md", self.A, 1.0 - self.b / ax)
+    def _grads_at(self, ax, AT):
+        return AT(1.0 - self.b / np.maximum(ax, _KL_FLOOR))
 
 
 def poisson_inverse(d, n, m, seed=0) -> Problem:
@@ -417,22 +416,17 @@ def blur_matrix(d_img, length, angle) -> scipy.sparse.csr_matrix:
     import scipy.sparse
     K = _line_stencil(length, angle)
     r = K.shape[0] // 2
-    rows, cols, vals = [], [], []
-    for p in range(d_img):
-        for q in range(d_img):
-            out = p * d_img + q
-            for di in range(-r, r + 1):
-                for dj in range(-r, r + 1):
-                    w = K[di + r, dj + r]
-                    if w == 0.0:
-                        continue
-                    ii = min(max(p + di, 0), d_img - 1)
-                    jj = min(max(q + dj, 0), d_img - 1)
-                    rows.append(out)
-                    cols.append(ii * d_img + jj)
-                    vals.append(w)
-    M = scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                shape=(d_img * d_img, d_img * d_img))
+    # entries in the order of a loop over pixels, then over the nonzero
+    # stencil entries row by row: ``tocsr`` sums the duplicates that
+    # clipping makes in this order, and the bits of the sums depend on it
+    di, dj = np.nonzero(K)
+    n = d_img * d_img
+    p, q = np.divmod(np.arange(n), d_img)
+    ii = np.clip(p[:, None] + (di - r), 0, d_img - 1)
+    jj = np.clip(q[:, None] + (dj - r), 0, d_img - 1)
+    rows = np.repeat(np.arange(n), len(di))
+    M = scipy.sparse.coo_matrix(
+        (np.tile(K[di, dj], n), (rows, (ii * d_img + jj).ravel())), shape=(n, n))
     return M.tocsr()
 
 

@@ -600,6 +600,24 @@ def test_importing_the_cli_leaves_scipy_unimported():
     assert proc.stdout.strip() == "False"
 
 
+def test_a_preconditioned_euclidean_kernel_leaves_scipy_unimported():
+    # x^T A x / 2 is factored, inverted and solved by numpy alone
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import sys, numpy as np\n"
+            "from dualmix import kernels\n"
+            "A = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]\n"
+            "k = kernels.euclidean(3, A=A)\n"
+            "Z = np.arange(12.0).reshape(2, 2, 3)\n"
+            "X = k.grad_conj(Z)\n"
+            "V = k.hess_solver(X)(Z)\n"
+            "print(np.allclose(k.grad(X), Z), np.allclose(V, X),"
+            " 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "False"]
+
+
 QUADRATIC_AUTO = """
 problem: {kind: quadratic, d: 3, m: 4, seed: 0}
 kernel: {kind: euclidean}

@@ -493,6 +493,19 @@ def test_quadratic_preconditioned():
     assert k.zeta(3.0) == 0.0
 
 
+def test_quadratic_maps_an_overflowed_dual_vector_to_a_rejected_point():
+    # an overflowed dual iterate must reach the step engine's interior
+    # check, which ends the cell as diverged, and not raise from the solve
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    Z = np.array([[np.inf, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    for k in (kernels.euclidean(3), kernels.euclidean(3, A=A)):
+        with np.errstate(invalid="ignore"):
+            X = k.grad_conj(Z)
+        assert not np.isfinite(X[0]).all() and np.isfinite(X[1]).all()
+        with pytest.raises(DomainViolation):
+            k.domain.require_interior(X, "updated primal iterate")
+
+
 # ---------------------------------------------------------------------------
 # Reused Hessian solves and the unchecked Bregman divergence
 # ---------------------------------------------------------------------------

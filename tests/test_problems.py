@@ -427,6 +427,42 @@ def test_blur_matrix_is_stochastic_nonnegative():
     np.testing.assert_allclose(A @ np.ones(36), np.ones(36), rtol=1e-12)
 
 
+def _loop_blur_matrix(d_img, length, angle):
+    """The pixel-by-pixel loop that ``blur_matrix`` vectorizes: every
+    nonzero stencil entry of every pixel, its index clipped to the image."""
+    K = problems._line_stencil(length, angle)
+    r = K.shape[0] // 2
+    rows, cols, vals = [], [], []
+    for p in range(d_img):
+        for q in range(d_img):
+            for di in range(-r, r + 1):
+                for dj in range(-r, r + 1):
+                    w = K[di + r, dj + r]
+                    if w == 0.0:
+                        continue
+                    ii = min(max(p + di, 0), d_img - 1)
+                    jj = min(max(q + dj, 0), d_img - 1)
+                    rows.append(p * d_img + q)
+                    cols.append(ii * d_img + jj)
+                    vals.append(w)
+    return scipy.sparse.coo_matrix(
+        (vals, (rows, cols)), shape=(d_img * d_img, d_img * d_img)).tocsr()
+
+
+@pytest.mark.parametrize("d_img", [1, 2, 3, 6, 13])
+def test_blur_matrix_is_the_loop_bitwise(d_img):
+    # small images clip most stencil entries onto a few border pixels, so
+    # tocsr sums many duplicates, whose bits depend on their order
+    for length in (2, 3, 5, 9):
+        for k in range(8):
+            got = problems.blur_matrix(d_img, length, k * math.pi / 8.0)
+            want = _loop_blur_matrix(d_img, length, k * math.pi / 8.0)
+            assert got.shape == want.shape
+            for a, b in ((got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_phantom_deterministic():
     a = problems.phantom_image(16)
     b = problems.phantom_image(16)
