@@ -155,11 +155,14 @@ def clip_rows(V, eta, delta):
     """
     V = np.asarray(V, dtype=float)
     # np.linalg.norm's own formula for a single axis, without its dispatch
-    norms = np.sqrt((V * V).sum(axis=-1, keepdims=True))
+    out = V * V
+    norms = out.sum(axis=-1, keepdims=True)
+    np.sqrt(norms, out=norms)
     # delta / 0 counts as inf, so a zero (or nan) row keeps the factor eta
     ratios = np.divide(delta, norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
-    return V * np.fmin(eta, ratios), (eta * norms > delta).any(axis=(-2, -1))
+    return (np.multiply(V, np.fmin(eta, ratios), out=out),
+            (eta * norms > delta).any(axis=(-2, -1)))
 
 
 def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
@@ -187,6 +190,15 @@ def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
 # that do not clip), and every operation acts on each cell on its own, so a
 # cell's bits do not depend on the batch it is in.  That also lets a cell
 # whose Z+ has the bits of its twin's take its twin's X+ and gradients.
+#
+# A step writes its large intermediate results in place, which saves the
+# allocator from mapping fresh pages for each (B, m, d) temporary.  It writes
+# only into an array allocated in the same function or returned fresh by a
+# call made there, never into an array of a system: recorders, hooks and
+# finished cells keep systems.  Each ufunc gets the operands of the written-
+# out formula in the same order, so the bits are those of the formula.  The
+# results checked at once by ``require_interior`` or ``_finite`` may overflow
+# on a diverging cell, so their operations do not warn.
 
 
 def _primal_and_grads(prob, kernel, Z1, twin):
@@ -203,26 +215,37 @@ def _primal_and_grads(prob, kernel, Z1, twin):
     return X1[slot], G1[slot], twin
 
 
+def _tracker(W, s, G1):
+    """Y+ = W Y + G+ - G."""
+    Y1 = W @ s.Y
+    Y1 += G1
+    Y1 -= s.grads
+    return Y1
+
+
 def dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Dual mixing with clipped tracker steps (dmgt; dda runs it unclipped,
     over the shifted kernel):
     Z+ = W (Z - clip(Y)); X+ = grad h*(Z+); Y+ = W Y + grad f(X+) - grad f(X)."""
     if delta is None:  # s.clipped is then the all-False mask it started as
-        S, was_clipped = eta * s.Y, s.clipped
+        with np.errstate(over="ignore", invalid="ignore"):
+            S, was_clipped = eta * s.Y, s.clipped
     else:
         S, was_clipped = clip_rows(s.Y, eta, delta)
-    Z1 = W @ (s.Z - S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z1 = W @ np.subtract(s.Z, S, out=S)
     X1, G1, twin = _primal_and_grads(prob, kernel, Z1, s.twin)
-    Y1 = W @ s.Y + G1 - s.grads
-    return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1,
-                       clipped=was_clipped, twin=twin)
+    return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1), grads=G1,
+                       t=s.t + 1, clipped=was_clipped, twin=twin)
 
 
 def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
     """grad h(X+) = grad h(W X) - eta * direction."""
     Xmix = W @ s.X
     kernel.domain.require_interior(Xmix, "mixed primal iterate")
-    Z1 = kernel._grad(Xmix) - eta * direction
+    Z1 = kernel._grad(Xmix)  # Xmix itself (Euclidean), which is this step's own
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z1 -= eta * direction
     return (Z1, *_primal_and_grads(prob, kernel, Z1, s.twin))
 
 
@@ -238,9 +261,8 @@ def dgt_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with gradient tracking:
     Z+ = grad h(W X) - eta Y; Y+ = W Y + grad f(X+) - grad f(X)."""
     Z1, X1, G1, twin = _mirror_step(s, prob, kernel, W, eta, s.Y)
-    Y1 = W @ s.Y + G1 - s.grads
-    return AgentSystem(X=X1, Z=Z1, Y=Y1, grads=G1, t=s.t + 1,
-                       clipped=s.clipped, twin=twin)  # never clipped
+    return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1), grads=G1,
+                       t=s.t + 1, clipped=s.clipped, twin=twin)  # never clipped
 
 
 _STEPS = {"dmgt": dual_mix_step, "dmd": dmd_step, "dgt": dgt_step,

@@ -25,8 +25,8 @@ and an optional closed-form inverse ``_conj_scalar``, as ``_NegLog`` in
 ``tests/test_hruc.py`` does.  Every separable kernel, sums and
 concatenations included, inverts its mirror map coordinatewise unless it
 has a closed form (a concatenation part by part).  A non-separable sum
-inverts by a damped Newton method whose stopping test covers the whole
-batch, so its bits may depend on the batch; no config kind builds one.
+inverts by a damped Newton method that stops and damps each point on its
+own, so a point's inverse does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -185,29 +185,38 @@ class Kernel:
             raise NotInImage(f"{self.name}: dual vector not attained ({exc})") from exc
 
     def _newton_conj(self, z, x0, tol=TOL_INV, max_iter=100):
-        """Damped Newton solve of ``grad(x) = z`` from ``x0``.  The stopping
-        test and the line search cover the whole batch at once."""
+        """Damped Newton solve of ``grad(x) = z`` from ``x0``, point by
+        point: each point (a vector along the last axis) stops at its own
+        tolerance and halves its own step, so its inverse depends on that
+        point alone, whatever the batch it is in."""
         z = np.asarray(z, dtype=float)
-        x = np.array(x0, dtype=float)
-        for _ in range(max_iter):
-            r = z - self.grad(x)
-            nr = np.linalg.norm(r)
-            if nr <= tol * (1.0 + np.linalg.norm(z)):
-                return x
-            step = self.hess_solve(x, r)
-            alpha = 1.0
+        x = np.array(x0, dtype=float).reshape(-1, self.dim)
+        zs = z.reshape(-1, self.dim)
+        bound = tol * (1.0 + np.linalg.norm(zs, axis=-1))
+        live = np.arange(len(zs))  # the points not yet within tolerance
+        for it in range(max_iter + 1):
+            r = zs[live] - self.grad(x[live])
+            nr = np.linalg.norm(r, axis=-1)
+            far = nr > bound[live]
+            live, r, nr = live[far], r[far], nr[far]
+            if not len(live):
+                return x.reshape(z.shape)
+            if it == max_iter:
+                raise NoConvergence("inverse mirror map stalled",
+                                    residual=float(nr.max()))
+            xl = x[live]
+            step = self.hess_solve(xl, r)
+            alpha = np.ones((len(live), 1))
             for _ in range(60):
-                cand = x + alpha * step
-                if self.domain.is_interior(cand):
+                cand = xl + alpha * step
+                out = np.array([not self.domain.is_interior(c) for c in cand])
+                if not out.any():
                     break
-                alpha *= 0.5
+                alpha[out] *= 0.5
             else:
-                raise NoConvergence("line search left the domain", residual=float(nr))
-            x = x + alpha * step
-        nr = float(np.linalg.norm(z - self.grad(x)))
-        if nr <= tol * (1.0 + np.linalg.norm(z)):
-            return x
-        raise NoConvergence("inverse mirror map stalled", residual=nr)
+                raise NoConvergence("line search left the domain",
+                                    residual=float(nr.max()))
+            x[live] = cand
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} d={self.dim}>"
@@ -319,15 +328,26 @@ class Burg(SeparableKernel):
     def _phi(self, t):
         return 0.5 * self.mu * t * t - np.log(t)
 
+    # _grad and _conj_scalar are on the step path: they write their
+    # temporaries in place, with the bits of the formulas in the comments
+
     def _grad(self, t):
-        return self.mu * t - 1.0 / t
+        # mu * t - 1 / t
+        r = 1.0 / t
+        return np.subtract(self.mu * t, r, out=r)
 
     def _hess_diag(self, t):
         return self.mu + 1.0 / (t * t)
 
     def _conj_scalar(self, z):
-        # positive root of mu*t^2 - z*t - 1 = 0
-        return (z + np.sqrt(z * z + 4.0 * self.mu)) / (2.0 * self.mu)
+        # the positive root of mu*t^2 - z*t - 1 = 0,
+        # (z + sqrt(z * z + 4 mu)) / (2 mu)
+        t = z * z
+        t += 4.0 * self.mu
+        np.sqrt(t, out=t)
+        np.add(z, t, out=t)
+        t /= 2.0 * self.mu
+        return t
 
 
 class Tsallis(SeparableKernel):

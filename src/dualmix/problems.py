@@ -341,7 +341,11 @@ class Poisson(Design):
         return _kl_rows(self.b, ax)
 
     def _grads_at(self, ax, AT):
-        return AT(1.0 - self.b / np.maximum(ax, _KL_FLOOR))
+        # AT(1 - b / max(ax, floor)), its temporaries in one buffer
+        w = np.maximum(ax, _KL_FLOOR)
+        np.divide(self.b, w, out=w)
+        np.subtract(1.0, w, out=w)
+        return AT(w)
 
 
 def poisson_inverse(d, n, m, seed=0) -> Problem:

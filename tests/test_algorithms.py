@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -595,3 +596,160 @@ def test_twins_part_on_a_signed_zero_or_a_nan_payload(monkeypatch):
     nans = np.full((2, 1, 1), np.nan)
     nans[1].view(np.int64)[...] += 1  # another NaN payload
     assert algorithms._regroup(np.zeros(2, int), nans) is None
+
+
+def test_a_newton_inverted_kernel_steps_each_cell_as_alone():
+    # a non-separable sum inverts its mirror map by Newton's method, which
+    # stops and damps each point on its own
+    prob = problems.quadratic_consensus(3, 4)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    k = kernels.combine(kernels.power(3), kernels.euclidean(3),
+                        "quadratic-shift")
+    x0 = np.full(3, 0.5)
+    for algorithm in ("dmgt", "dgt", "dmd"):
+        cfgs = [AlgoConfig(algorithm, eta=eta, max_iter=40,
+                           delta=1.0 if algorithm == "dmgt" else math.inf)
+                for eta in (0.01, 0.03, 0.1, 0.3)]
+        results = algorithms.run(prob, k, mix, cfgs, x0, L=1.0)
+        alone = [algorithms.run(prob, k, mix, c, x0, L=1.0) for c in cfgs]
+        _assert_cells_equal(results, alone)
+
+
+# ---------------------------------------------------------------------------
+# The step rules write in place into their own arrays only
+# ---------------------------------------------------------------------------
+
+
+def _step_cases():
+    """(problem, kernel, x0) for Burg, Euclidean (whose ``_grad`` returns
+    its argument) and quartic geometry."""
+    return (
+        (problems.poisson_inverse(d=5, n=4, m=3, seed=0), kernels.burg(5),
+         np.full(5, 0.5)),
+        (problems.quadratic_consensus(d=5, m=3, seed=0), kernels.euclidean(5),
+         np.full(5, 0.5)),
+        (problems.phase_retrieval(d=5, n=6, m=3, noise_sd=0.1, seed=0),
+         kernels.quartic(5), np.full(5, 0.5)),
+    )
+
+
+def _batch_start(prob, kernel, x0, algorithm, B):
+    """B cells at the initial state, all twins of cell 0."""
+    s0 = algorithms.init_system(prob, kernel, x0, AlgoConfig(algorithm, 0.1))
+    return algorithms.AgentSystem(
+        *(np.repeat(a[None], B, axis=0) for a in (s0.X, s0.Z, s0.Y, s0.grads)),
+        clipped=np.zeros(B, dtype=bool), twin=np.zeros(B, int))
+
+
+@pytest.mark.parametrize("algorithm", algorithms.ALGORITHMS)
+def test_a_step_leaves_its_input_and_returns_unaliased_arrays(algorithm):
+    W = network.metropolis_weights(network.ring_graph(3)).W
+    # cells 0 and 1 are twins: they take the same step
+    eta = np.array([0.01, 0.01, 0.02])[:, None, None]
+    delta = np.array([1e-3, 1e-3, 1e6])[:, None, None] \
+        if algorithm in algorithms.CLIPPED else None
+    step = algorithms._STEPS[algorithm]
+    for prob, kernel, x0 in _step_cases():
+        s = _batch_start(prob, kernel, x0, algorithm, 3)
+        for _ in range(2):
+            s = step(s, prob, kernel, W, eta, delta)
+        assert s.twin.tolist() == [0, 0, 2], kernel.name
+        fields = ("X", "Z", "Y", "grads")
+        before = [getattr(s, f).tobytes() for f in fields]
+        new = step(s, prob, kernel, W, eta, delta)
+        assert [getattr(s, f).tobytes() for f in fields] == before
+        outs = {f: getattr(new, f) for f in fields}
+        if algorithm == "dmd":  # Y+ is G+ by design
+            assert outs.pop("Y") is new.grads
+        for f, a in outs.items():
+            for g in fields:
+                assert not np.shares_memory(a, getattr(s, g)), (f, g)
+            for g, b in outs.items():
+                assert f == g or not np.shares_memory(a, b), (f, g)
+
+
+def _written_out_step(algorithm, s, prob, kernel, W, eta, delta):
+    """A step rule as its docstring writes it, every operation out of place,
+    with the Burg mirror maps and the Poisson gradient written out too."""
+    X, Z, Y, G = s
+
+    def grad_h(x):
+        if isinstance(kernel, kernels.Burg):
+            return kernel.mu * x - 1.0 / x
+        return kernel._grad(x)
+
+    def grad_h_conj(z):
+        if isinstance(kernel, kernels.Burg):
+            return (z + np.sqrt(z * z + 4.0 * kernel.mu)) / (2.0 * kernel.mu)
+        return kernel.grad_conj(z)
+
+    def grads(x):
+        if isinstance(prob, problems.Poisson):
+            ax = np.einsum("mnd,...md->...mn", prob.A, x)
+            return np.einsum("mnd,...mn->...md", prob.A,
+                             1.0 - prob.b / np.maximum(ax, 1e-300))
+        return prob.grads_rowwise(x)
+
+    if algorithm == "dmgt":
+        norms = np.sqrt((Y * Y).sum(axis=-1, keepdims=True))
+        ratios = np.divide(delta, norms, out=np.full_like(norms, np.inf),
+                           where=norms > 0)
+        Z1 = W @ (Z - Y * np.fmin(eta, ratios))
+    elif algorithm == "dda":
+        Z1 = W @ (Z - eta * Y)
+    else:
+        Z1 = grad_h(W @ X) - eta * (G if algorithm == "dmd" else Y)
+    X1 = grad_h_conj(Z1)
+    G1 = grads(X1)
+    return X1, Z1, G1 if algorithm == "dmd" else W @ Y + G1 - G, G1
+
+
+@pytest.mark.parametrize("algorithm", algorithms.ALGORITHMS)
+def test_the_step_rules_are_their_formulas_bitwise(algorithm):
+    W = network.metropolis_weights(network.ring_graph(3)).W
+    eta = np.array([0.002, 0.01, 0.05])[:, None, None]
+    delta = np.array([1e-2, 0.1, 1e6])[:, None, None] \
+        if algorithm in algorithms.CLIPPED else None
+    step = algorithms._STEPS[algorithm]
+    burg_case, _, quartic_case = _step_cases()
+    for prob, kernel, x0 in (burg_case, quartic_case):
+        s = _batch_start(prob, kernel, x0, algorithm, 3)
+        ref = (s.X, s.Z, s.Y, s.grads)
+        for t in range(20):
+            s = step(s, prob, kernel, W, eta, delta)
+            ref = _written_out_step(algorithm, ref, prob, kernel, W, eta,
+                                    delta)
+            for f, want in zip(("X", "Z", "Y", "grads"), ref):
+                got = getattr(s, f)
+                assert (got.view(np.int64) == want.view(np.int64)).all(), \
+                    (kernel.name, t, f)
+
+
+def test_diverging_steps_raise_no_warning_from_the_step_rules():
+    # dmd, dgt and dda diverge on a quadratic at these steps; the recorder,
+    # the problem and the kernel may warn, the step rules do not
+    prob = problems.quadratic_consensus(d=3, m=4, seed=0)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    ends = {}
+    for algorithm in algorithms.ALGORITHMS:
+        for eta in (10.0, 1e3):
+            cfg = AlgoConfig(algorithm, eta=eta, max_iter=500,
+                             delta=1.0 if algorithm == "dmgt" else math.inf)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = algorithms.run(prob, kernels.euclidean(3), mix, cfg,
+                                     np.zeros(3), L=1.0, record_every=0)
+            assert not [w for w in caught
+                        if w.filename == algorithms.__file__], (algorithm, eta)
+            ends[algorithm, eta] = (res.status, res.diverged_at,
+                                    res.reason.split(":")[0])
+    assert ends == {
+        ("dmgt", 10.0): ("done", None, ""),
+        ("dmgt", 1e3): ("done", None, ""),
+        ("dmd", 10.0): ("diverged", 154, "DomainViolation"),
+        ("dmd", 1e3): ("diverged", 77, "non-finite iterate"),
+        ("dgt", 10.0): ("diverged", 154, "non-finite iterate"),
+        ("dgt", 1e3): ("diverged", 77, "non-finite iterate"),
+        ("dda", 10.0): ("diverged", 173, "DomainViolation"),
+        ("dda", 1e3): ("diverged", 81, "DomainViolation"),
+    }
