@@ -211,7 +211,8 @@ def _primal_and_grads(prob, kernel, Z1, twin):
         firsts, slot = np.unique(twin, return_inverse=True)
     X1 = kernel.grad_conj(Z1[firsts])
     kernel.domain.require_interior(X1, "updated primal iterate")
-    G1 = prob.grads_rowwise(X1)
+    with np.errstate(over="ignore", invalid="ignore"):  # Y+ is checked
+        G1 = prob.grads_rowwise(X1)
     return X1[slot], G1[slot], twin
 
 
@@ -322,10 +323,10 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
     record per iteration (plus the initial state); ``record_every=0``
     records only the initial and final states, which is what grid tuning
     needs.  Other values raise ``ValueError``: a stride k > 1 is not
-    implemented yet (ROADMAP item 6).  Recorded states are buffered and
-    evaluated ``diagnostics.CHUNK`` at a time, when a cell ends and at the
-    end of the run; a state whose objective or stationarity is not finite
-    ends its cell there, and the steps taken after it are dropped.
+    implemented yet.  Recorded states are buffered and evaluated
+    ``diagnostics.CHUNK`` at a time, when a cell ends and at the end of the
+    run; a state whose objective or stationarity is not finite ends its
+    cell there, and the steps taken after it are dropped.
 
     Hooks are called as ``hook(t, prev_system, next_system)`` with one
     cell's systems for each of its accepted steps, in step order.  With

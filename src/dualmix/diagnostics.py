@@ -361,44 +361,46 @@ class Recorder:
     def _evaluate(self, states):
         """The record columns of ``states``, ``(system, row)`` pairs, as
         lists of floats; ``G`` pairs each state with the next."""
-        kernel, L, n = self.kernel, self.L, len(states)
-        if self._work is None or self._work.shape[1] < n:
-            # kept from chunk to chunk: fresh (K, m, d) arrays would be
-            # fresh pages, whose first touch costs more than the arithmetic
-            self._work = np.empty((3, n) + states[0][0].Z.shape[-2:])
-        work = self._work[:, :n]
-        for f, out in zip("XYZ", work):
-            np.stack([getattr(s, f) if r is None else getattr(s, f)[r]
-                      for s, r in states], out=out)
-        X, dev = work[0], work[1:]  # dev = [Y, Z], centred in place below
-        Y, Z = dev
-        m = Z.shape[-2]
-        zbar = Z.mean(axis=-2, keepdims=True)
-        # the kernel sees K points of one row each, (K, 1, d): a matrix
-        # product then rounds per point, as at one point (d,)
-        xs = kernel.grad_conj(zbar)
-        solve = kernel.hess_solver(xs)  # the chunk's one interior check
-        xbar = xs[:, 0]
-        f_bar, g = self.prob.value_and_grad(xbar)
-        Y -= Y.mean(axis=-2, keepdims=True)
-        Z -= zbar
-        E = _consensus(dev, solve, self._xi)
-        # the last state's step pairs with no successor: its dz is zero
-        dz = np.diff(zbar, axis=0, append=zbar[-1:])
-        G = _optimality(_row_dot(dz, solve(dz))[:-1, 0],
-                        _successive_divergences(kernel, xs), E[:-1],
-                        L, self.eta, self.rho)
-        r = _normal_residual(self.prob.domain, xbar, g)
-        with np.errstate(over="ignore"):  # a diverged state's gradient
+        # a diverging state overflows here; its non-finite columns, not a
+        # warning, end the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel, L, n = self.kernel, self.L, len(states)
+            if self._work is None or self._work.shape[1] < n:
+                # kept from chunk to chunk: fresh (K, m, d) arrays would be
+                # fresh pages, whose first touch costs more than the arithmetic
+                self._work = np.empty((3, n) + states[0][0].Z.shape[-2:])
+            work = self._work[:, :n]
+            for f, out in zip("XYZ", work):
+                np.stack([getattr(s, f) if r is None else getattr(s, f)[r]
+                          for s, r in states], out=out)
+            X, dev = work[0], work[1:]  # dev = [Y, Z], centred in place below
+            Y, Z = dev
+            m = Z.shape[-2]
+            zbar = Z.mean(axis=-2, keepdims=True)
+            # the kernel sees K points of one row each, (K, 1, d): a matrix
+            # product then rounds per point, as at one point (d,)
+            xs = kernel.grad_conj(zbar)
+            solve = kernel.hess_solver(xs)  # the chunk's one interior check
+            xbar = xs[:, 0]
+            f_bar, g = self.prob.value_and_grad(xbar)
+            Y -= Y.mean(axis=-2, keepdims=True)
+            Z -= zbar
+            E = _consensus(dev, solve, self._xi)
+            # the last state's step pairs with no successor: its dz is zero
+            dz = np.diff(zbar, axis=0, append=zbar[-1:])
+            G = _optimality(_row_dot(dz, solve(dz))[:-1, 0],
+                            _successive_divergences(kernel, xs), E[:-1],
+                            L, self.eta, self.rho)
+            r = _normal_residual(self.prob.domain, xbar, g)
             stat = np.sqrt(_row_dot(r, r))
-        X -= X.mean(axis=-2, keepdims=True)
-        cols = {
-            "f_bar": f_bar, "stationarity": stat, "G": G, "E": E,
-            "M": f_bar + E / (8.0 * L),
-            "consensus_primal": _state_sum(np.square(X, out=X)) / m,
-            "consensus_dual": _state_sum(np.square(Z, out=Z)) / m,
-        }
-        return {k: v.tolist() for k, v in cols.items()}
+            X -= X.mean(axis=-2, keepdims=True)
+            cols = {
+                "f_bar": f_bar, "stationarity": stat, "G": G, "E": E,
+                "M": f_bar + E / (8.0 * L),
+                "consensus_primal": _state_sum(np.square(X, out=X)) / m,
+                "consensus_dual": _state_sum(np.square(Z, out=Z)) / m,
+            }
+            return {k: v.tolist() for k, v in cols.items()}
 
     def mark_final(self, status):
         if self.records:

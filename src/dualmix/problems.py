@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _spec, domains
 from .errors import SamplingExhausted
-
-if TYPE_CHECKING:  # imported where used: scipy is slow to import
-    import scipy.sparse
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +410,73 @@ def _line_stencil(length, angle):
     return K / K.sum()
 
 
-def blur_matrix(d_img, length, angle) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of the motion-blur convolution with replicate padding,
-    acting on row-major flattened d_img x d_img images."""
-    import scipy.sparse
+def blur_entries(d_img, length, angle):
+    """Entries ``(rows, cols, vals)`` of the motion-blur convolution with
+    replicate padding, acting on row-major flattened d_img x d_img images,
+    in the order of a loop over pixels, then over the nonzero stencil
+    entries row by row.  Clipping at the border repeats (row, col) pairs."""
     K = _line_stencil(length, angle)
     r = K.shape[0] // 2
-    # entries in the order of a loop over pixels, then over the nonzero
-    # stencil entries row by row: ``tocsr`` sums the duplicates that
-    # clipping makes in this order, and the bits of the sums depend on it
     di, dj = np.nonzero(K)
     n = d_img * d_img
     p, q = np.divmod(np.arange(n), d_img)
     ii = np.clip(p[:, None] + (di - r), 0, d_img - 1)
     jj = np.clip(q[:, None] + (dj - r), 0, d_img - 1)
-    rows = np.repeat(np.arange(n), len(di))
-    M = scipy.sparse.coo_matrix(
-        (np.tile(K[di, dj], n), (rows, (ii * d_img + jj).ravel())), shape=(n, n))
-    return M.tocsr()
+    return (np.repeat(np.arange(n), len(di)), (ii * d_img + jj).ravel(),
+            np.tile(K[di, dj], n))
+
+
+def row_layout(rows, cols, vals, n):
+    """Gather layout ``(idx, w)``, (s, n), of the n x n matrix with entries
+    ``vals`` at ``(rows, cols)``: row p of a product is the sum over slots k
+    of ``w[k, p] * v[idx[k, p]]``, its columns in increasing order, then
+    padding of zero weight at index p.  Repeated (row, col) entries are
+    added in their given order, as CSR's ``sum_duplicates`` adds them."""
+    order = np.argsort(rows * n + cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    merged = np.zeros(np.count_nonzero(first))
+    np.add.at(merged, np.cumsum(first) - 1, vals[order])  # from 0.0
+    rows, cols = rows[first], cols[first]
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    idx = np.tile(np.arange(n), (counts.max(), 1))
+    w = np.zeros(idx.shape)
+    idx[slot, rows] = cols
+    w[slot, rows] = merged
+    return idx, w
+
+
+def transposed_layout(layout):
+    """The :func:`row_layout` of the transpose of a layout's matrix, whose
+    entries are the layout's nonzero weights."""
+    idx, w = layout
+    row, slot = np.nonzero(w.T)  # in row order, which the sort keeps
+    return row_layout(idx[slot, row], row, w[slot, row], w.shape[1])
+
+
+def _block_diagonal(layouts):
+    """The layout (s, m n) of the block diagonal of m layouts (s_i, n),
+    each one's indices shifted into its block and its rows padded to s
+    slots as :func:`row_layout` pads them."""
+    s, n = max(len(idx) for idx, _ in layouts), layouts[0][0].shape[1]
+    idx = np.tile(np.arange(len(layouts) * n), (s, 1))
+    w = np.zeros(idx.shape)
+    for i, (ix, wi) in enumerate(layouts):
+        idx[:len(ix), i * n:(i + 1) * n] = ix + i * n
+        w[:len(wi), i * n:(i + 1) * n] = wi
+    return idx, w
+
+
+def _gather(layout, V):
+    """The product of a layout with each vector of V (..., n): slot by
+    slot, from 0.0, as a CSR row product adds its columns (a sum over a
+    leading axis adds in order)."""
+    idx, w = layout
+    terms = np.take(V, idx, axis=-1)
+    terms *= w
+    return terms.sum(axis=-2)
 
 
 def tv_value(X, eps=EPS_TV) -> float:
@@ -460,20 +505,15 @@ def tv_grad(X, eps=EPS_TV) -> np.ndarray:
     return g
 
 
-def _block_apply(M, X):
-    """M times each flattened (m, d) block of X (..., m, d).  The blocks are
-    the columns of one sparse product, and a column rounds as a vector
-    multiplied alone."""
-    flat = X.reshape(-1, X.shape[-2] * X.shape[-1])
-    return (M @ flat.T).T.reshape(X.shape)
-
-
 @dataclass(kw_only=True)
 class TVDeblur(Problem):
-    """f_i(x) = KL(b_i, A_i x) + lam TV(x) on a d_img x d_img image: ``A`` is
-    the block-diagonal (m d, m d) CSR of the m blur matrices, ``b`` (m, d)."""
+    """f_i(x) = KL(b_i, A_i x) + lam TV(x) on a d_img x d_img image, ``b``
+    (m, d).  ``A`` is the :func:`row_layout` (s, m d) of the block diagonal
+    of the m blur matrices, which acts on the agents' flattened points, and
+    ``AT`` is the layout of its transpose."""
 
-    A: scipy.sparse.csr_matrix
+    A: tuple
+    AT: tuple
     b: np.ndarray
     lam: float
     d_img: int = field(init=False)
@@ -482,24 +522,31 @@ class TVDeblur(Problem):
         self.m, self.d = self.b.shape
         self.d_img = math.isqrt(self.d)
 
-    def _blur(self, X):
-        """A_i x_i for every agent, (..., m, d); a shared x (d,) serves all."""
-        return _block_apply(self.A, np.broadcast_to(X, X.shape[:-2]
-                                                    + self.b.shape))
+    def _blocks(self, layout, X):
+        """The layout's product with X (..., m, d), agent by agent; a
+        shared x (d,) or (..., 1, d) serves all."""
+        lead = X.shape[:-2]
+        flat = np.broadcast_to(X, lead + self.b.shape).reshape(lead + (-1,))
+        return _gather(layout, flat).reshape(lead + self.b.shape)
 
     def _values(self, x):
         tv = _tv_values(x.reshape(x.shape[:-1] + (self.d_img, self.d_img)))
-        return _kl_rows(self.b, self._blur(x)) + self.lam * tv
+        return _kl_rows(self.b, self._blocks(self.A, x)) + self.lam * tv
 
     def _grads(self, X):
-        ax = np.maximum(self._blur(X), _KL_FLOOR)
-        g = _block_apply(self.A.T, 1.0 - self.b / ax)
+        ax = np.maximum(self._blocks(self.A, X), _KL_FLOOR)
+        g = self._blocks(self.AT, 1.0 - self.b / ax)
         images = X.reshape(X.shape[:-1] + (self.d_img, self.d_img))
         return g + self.lam * tv_grad(images).reshape(X.shape)
 
     def permuted(self, perm):
-        idx = (np.asarray(perm)[:, None] * self.d + np.arange(self.d)).ravel()
-        return replace(self, A=self.A[idx][:, idx], b=self.b[perm])
+        perm = np.asarray(perm)
+        cols = (perm[:, None] * self.d + np.arange(self.d)).ravel()
+        # each index moves with its agent's block
+        shift = np.repeat((np.arange(self.m) - perm) * self.d, self.d)
+        return replace(self, b=self.b[perm], **{
+            k: (idx[:, cols] + shift, w[:, cols])
+            for k, (idx, w) in (("A", self.A), ("AT", self.AT))})
 
 
 def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Problem:
@@ -511,24 +558,22 @@ def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Probl
     """
     if d_img < 4:
         raise ValueError("need d_img >= 4")
-    import scipy.sparse
     rng = np.random.default_rng(seed)
-    X_true = phantom_image(d_img)
-    x_true = X_true.ravel()
-    # agents i and i + 8 share an angle, so each distinct matrix is built once
-    by_angle = [blur_matrix(d_img, blur_len, k * math.pi / 8.0)
+    x_true = phantom_image(d_img).ravel()
+    n = d_img * d_img
+    # agents i and i + 8 share an angle, so each distinct layout is built once
+    by_angle = [row_layout(*blur_entries(d_img, blur_len, k * math.pi / 8.0), n)
                 for k in range(min(m, 8))]
-    blurs, bs = [], []
-    for i in range(m):
-        A = by_angle[i % 8]
-        lam_img = alpha * np.asarray(A @ x_true)
-        bs.append(poisson_sample(rng, lam_img).astype(float) / alpha)
-        blurs.append(A)
+    T_by_angle = [transposed_layout(layout) for layout in by_angle]
+    A = _block_diagonal([by_angle[i % 8] for i in range(m)])
+    AT = _block_diagonal([T_by_angle[i % 8] for i in range(m)])
+    lam_img = alpha * _gather(A, np.tile(x_true, m)).reshape(m, n)
+    b = np.stack([poisson_sample(rng, lam) for lam in lam_img])
     return TVDeblur(
-        name="tv_deblur", domain=domains.orthant(d_img * d_img), f_lower=0.0,
+        name="tv_deblur", domain=domains.orthant(n), f_lower=0.0,
         x_true=x_true,
         meta={"alpha": alpha, "lambda_tv": lambda_tv, "blur_len": blur_len},
-        A=scipy.sparse.block_diag(blurs, format="csr"), b=np.stack(bs),
+        A=A, AT=AT, b=b.astype(float) / alpha,
         lam=lambda_tv,
     )
 

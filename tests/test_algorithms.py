@@ -726,30 +726,41 @@ def test_the_step_rules_are_their_formulas_bitwise(algorithm):
 
 
 def test_diverging_steps_raise_no_warning_from_the_step_rules():
-    # dmd, dgt and dda diverge on a quadratic at these steps; the recorder,
-    # the problem and the kernel may warn, the step rules do not
+    # dmd, dgt and dda diverge on a quadratic at these steps; recorded or
+    # not, the cell ends with a status, and nothing warns on the way
     prob = problems.quadratic_consensus(d=3, m=4, seed=0)
     mix = network.metropolis_weights(network.ring_graph(4))
     ends = {}
-    for algorithm in algorithms.ALGORITHMS:
-        for eta in (10.0, 1e3):
-            cfg = AlgoConfig(algorithm, eta=eta, max_iter=500,
-                             delta=1.0 if algorithm == "dmgt" else math.inf)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                res = algorithms.run(prob, kernels.euclidean(3), mix, cfg,
-                                     np.zeros(3), L=1.0, record_every=0)
-            assert not [w for w in caught
-                        if w.filename == algorithms.__file__], (algorithm, eta)
-            ends[algorithm, eta] = (res.status, res.diverged_at,
-                                    res.reason.split(":")[0])
+    for record_every in (0, 1):
+        for algorithm in algorithms.ALGORITHMS:
+            for eta in (10.0, 1e3):
+                delta = 1.0 if algorithm == "dmgt" else math.inf
+                cfg = AlgoConfig(algorithm, eta=eta, max_iter=500, delta=delta)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    res = algorithms.run(prob, kernels.euclidean(3), mix, cfg,
+                                         np.zeros(3), L=1.0,
+                                         record_every=record_every)
+                assert not [(w.filename, w.lineno) for w in caught
+                            if issubclass(w.category, RuntimeWarning)], \
+                    (record_every, algorithm, eta)
+                ends[record_every, algorithm, eta] = (
+                    res.status, res.diverged_at, res.reason.split(":")[0])
     assert ends == {
-        ("dmgt", 10.0): ("done", None, ""),
-        ("dmgt", 1e3): ("done", None, ""),
-        ("dmd", 10.0): ("diverged", 154, "DomainViolation"),
-        ("dmd", 1e3): ("diverged", 77, "non-finite iterate"),
-        ("dgt", 10.0): ("diverged", 154, "non-finite iterate"),
-        ("dgt", 1e3): ("diverged", 77, "non-finite iterate"),
-        ("dda", 10.0): ("diverged", 173, "DomainViolation"),
-        ("dda", 1e3): ("diverged", 81, "DomainViolation"),
+        (0, "dmgt", 10.0): ("done", None, ""),
+        (0, "dmgt", 1e3): ("done", None, ""),
+        (0, "dmd", 10.0): ("diverged", 154, "DomainViolation"),
+        (0, "dmd", 1e3): ("diverged", 77, "non-finite iterate"),
+        (0, "dgt", 10.0): ("diverged", 154, "non-finite iterate"),
+        (0, "dgt", 1e3): ("diverged", 77, "non-finite iterate"),
+        (0, "dda", 10.0): ("diverged", 173, "DomainViolation"),
+        (0, "dda", 1e3): ("diverged", 81, "DomainViolation"),
+        (1, "dmgt", 10.0): ("done", None, ""),
+        (1, "dmgt", 1e3): ("done", None, ""),
+        (1, "dmd", 10.0): ("diverged", 78, "non-finite metric"),
+        (1, "dmd", 1e3): ("diverged", 39, "non-finite metric"),
+        (1, "dgt", 10.0): ("diverged", 78, "non-finite metric"),
+        (1, "dgt", 1e3): ("diverged", 39, "non-finite metric"),
+        (1, "dda", 10.0): ("diverged", 87, "non-finite metric"),
+        (1, "dda", 1e3): ("diverged", 41, "non-finite metric"),
     }

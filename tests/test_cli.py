@@ -600,6 +600,47 @@ def test_importing_the_cli_leaves_scipy_unimported():
     assert proc.stdout.strip() == "False"
 
 
+_WITHOUT_SCIPY = """\
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was importable")
+import dualmix
+from dualmix.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_the_package_runs_where_scipy_cannot_be_imported(tmp_path):
+    # scipy is a test dependency only: TV-deblur's blur is numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    cfgfile = _write(tmp_path, MINIMAL.replace(
+        "{kind: poisson, d: 12, n: 8, m: 4, seed: 1}",
+        "{kind: tv_deblur, d_img: 4, m: 2, seed: 1}"))
+    for args, last in ((["run", str(cfgfile), "--out", str(tmp_path / "o"),
+                         "--max-iter", "10"], None),
+                       (["check-invariants"], "7/7 checks passed")):
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        if last is not None:
+            assert proc.stdout.splitlines()[-1] == last
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["problem"]["kind"] == "tv_deblur"
+    assert [r["status"] for r in manifest["runs"]] == ["done", "done"]
+
+
 def test_a_preconditioned_euclidean_kernel_leaves_scipy_unimported():
     # x^T A x / 2 is factored, inverted and solved by numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -103,6 +103,16 @@ def _kl_local(A, b, x):
     return float(np.sum(terms + ax)), A.T @ (1.0 - b / ax)
 
 
+def _layout_csr(layout):
+    """The scipy CSR matrix that a :func:`problems.row_layout` holds: its
+    products add the same terms in the same order as the layout's, and
+    those of its transpose as the transposed layout's."""
+    idx, w = layout
+    slot, row = np.nonzero(w)
+    return scipy.sparse.csr_matrix((w[slot, row], (row, idx[slot, row])),
+                                   shape=(w.shape[1], w.shape[1]))
+
+
 def _local(prob, i, x):
     """f_i(x) and grad f_i(x), written out for agent i from its family's
     formula and its slice of the stacked data."""
@@ -122,7 +132,7 @@ def _local(prob, i, x):
         return _kl_local(prob.A[i], prob.b[i], x)
     assert prob.name == "tv_deblur"
     block = slice(i * prob.d, (i + 1) * prob.d)
-    value, g = _kl_local(prob.A[block, block], prob.b[i], x)
+    value, g = _kl_local(_layout_csr(prob.A)[block, block], prob.b[i], x)
     image = x.reshape(prob.d_img, prob.d_img)
     return (value + prob.lam * problems.tv_value(image),
             g + prob.lam * problems.tv_grad(image).ravel())
@@ -367,7 +377,8 @@ def test_poisson_data_is_the_scalar_samplers_bitwise(seed, monkeypatch):
     want = [problems.poisson_inverse(d=30, n=20, m=3, seed=seed),
             problems.tv_deblur(d_img=8, m=3, seed=seed)]
     assert np.array_equal(built[0].A, want[0].A)
-    assert (built[1].A != want[1].A).nnz == 0
+    for got, ref in zip(built[1].A + built[1].AT, want[1].A + want[1].AT):
+        assert np.array_equal(got, ref)
     for got, ref in zip(built, want):
         assert got.b.tobytes() == ref.b.tobytes()
 
@@ -396,9 +407,11 @@ def test_tv_gradient_matches_fd():
 
 def test_tv_deblur_perfect_fit():
     data = problems.tv_deblur(d_img=6, m=2, blur_len=3, lambda_tv=0.0, seed=0)
-    A = data.A[:data.d, :data.d]
+    # agent 0's block: its columns of both layouts index only its own pixels
+    A, AT = (tuple(a[:, :data.d] for a in L) for L in (data.A, data.AT))
     prob = problems.TVDeblur(name="tv_deblur", domain=data.domain, A=A,
-                             b=(A @ data.x_true)[None], lam=0.0)
+                             AT=AT, b=(_layout_csr(A) @ data.x_true)[None],
+                             lam=0.0)
     assert prob.value(data.x_true) == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(prob.grad(data.x_true), 0.0, atol=1e-9)
 
@@ -418,21 +431,28 @@ def test_tv_deblur_gradients():
 
 
 def test_blur_matrix_is_stochastic_nonnegative():
-    A = problems.blur_matrix(6, 4, 0.3)
-    assert A.shape == (36, 36)
-    assert A.min() >= 0
-    np.testing.assert_allclose(np.asarray(A.sum(axis=1)).ravel(), 1.0,
-                               rtol=1e-12)
+    layout = problems.row_layout(*problems.blur_entries(6, 4, 0.3), 36)
+    idx, w = layout
+    assert idx.shape == w.shape and idx.shape[1] == 36
+    assert w.min() >= 0 and idx.min() >= 0 and idx.max() < 36
+    # padding, zero weights after the last entry, points at the row itself
+    pad = np.cumsum(w[::-1] > 0, axis=0)[::-1] == 0
+    assert (idx == np.arange(36))[pad].all()
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
     # replicate padding preserves constants
-    np.testing.assert_allclose(A @ np.ones(36), np.ones(36), rtol=1e-12)
+    np.testing.assert_allclose(problems._gather(layout, np.ones(36)),
+                               np.ones(36), rtol=1e-12)
 
 
-def _loop_blur_matrix(d_img, length, angle):
-    """The pixel-by-pixel loop that ``blur_matrix`` vectorizes: every
-    nonzero stencil entry of every pixel, its index clipped to the image."""
+def _loop_blur_layout(d_img, length, angle):
+    """The pixel-by-pixel loop that ``blur_entries`` and ``row_layout``
+    vectorize: every nonzero stencil entry of every pixel, its index
+    clipped to the image, and the layout whose rows add the entries of a
+    column in loop order, from 0.0, columns in increasing order."""
     K = problems._line_stencil(length, angle)
     r = K.shape[0] // 2
-    rows, cols, vals = [], [], []
+    n = d_img * d_img
+    entries, rows = [], [{} for _ in range(n)]
     for p in range(d_img):
         for q in range(d_img):
             for di in range(-r, r + 1):
@@ -442,25 +462,69 @@ def _loop_blur_matrix(d_img, length, angle):
                         continue
                     ii = min(max(p + di, 0), d_img - 1)
                     jj = min(max(q + dj, 0), d_img - 1)
-                    rows.append(p * d_img + q)
-                    cols.append(ii * d_img + jj)
-                    vals.append(w)
-    return scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(d_img * d_img, d_img * d_img)).tocsr()
+                    row, col = p * d_img + q, ii * d_img + jj
+                    entries.append((row, col, w))
+                    rows[row][col] = rows[row].get(col, 0.0) + w
+    s = max(len(row) for row in rows)
+    idx = np.tile(np.arange(n), (s, 1))
+    weights = np.zeros((s, n))
+    for p, row in enumerate(rows):
+        for k, col in enumerate(sorted(row)):
+            idx[k, p], weights[k, p] = col, row[col]
+    return entries, idx, weights
 
 
 @pytest.mark.parametrize("d_img", [1, 2, 3, 6, 13])
 def test_blur_matrix_is_the_loop_bitwise(d_img):
     # small images clip most stencil entries onto a few border pixels, so
-    # tocsr sums many duplicates, whose bits depend on their order
+    # row_layout merges many duplicates, whose bits depend on their order
     for length in (2, 3, 5, 9):
         for k in range(8):
-            got = problems.blur_matrix(d_img, length, k * math.pi / 8.0)
-            want = _loop_blur_matrix(d_img, length, k * math.pi / 8.0)
-            assert got.shape == want.shape
-            for a, b in ((got.data, want.data), (got.indices, want.indices),
-                         (got.indptr, want.indptr)):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            entries = problems.blur_entries(d_img, length, k * math.pi / 8.0)
+            idx, w = problems.row_layout(*entries, d_img * d_img)
+            want, want_idx, want_w = _loop_blur_layout(d_img, length,
+                                                       k * math.pi / 8.0)
+            assert list(zip(*(e.tolist() for e in entries))) == want
+            assert idx.dtype == np.intp and idx.tobytes() == want_idx.tobytes()
+            assert w.dtype == want_w.dtype and w.tobytes() == want_w.tobytes()
+
+
+def _scipy_blur(d_img, length, angle):
+    """The blur as a scipy CSR matrix: ``tocsr`` sums duplicates in entry
+    order while a row holds at most 16 entries (beyond that its sort is
+    unstable), and a product adds a row's columns in order from 0.0."""
+    rows, cols, vals = problems.blur_entries(d_img, length, angle)
+    n = d_img * d_img
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("d_img", [4, 5, 8, 13])
+def test_blur_layout_products_are_scipys_bitwise(d_img):
+    # blur_len <= 6 keeps every row within tocsr's stable sort; no config,
+    # invariant or workload uses a longer blur
+    V = np.random.default_rng(d_img).random((3, d_img * d_img)) * 200 + 5
+    for length in range(2, 7):
+        for k in range(8):
+            M = _scipy_blur(d_img, length, k * math.pi / 8.0)
+            layout = problems.row_layout(
+                *problems.blur_entries(d_img, length, k * math.pi / 8.0),
+                d_img * d_img)
+            for L, ref in ((layout, M), (problems.transposed_layout(layout),
+                                         M.T)):
+                got = problems._gather(L, V)
+                assert got.tobytes() == (ref @ V.T).T.copy().tobytes()
+                assert got[0].tobytes() == (ref @ V[0]).tobytes()
+
+
+def test_tv_deblur_gradients_are_the_scipy_products_bitwise():
+    prob = problems.tv_deblur(d_img=8, m=10, blur_len=5, seed=3)
+    A = scipy.sparse.block_diag([_scipy_blur(8, 5, (i % 8) * math.pi / 8.0)
+                                 for i in range(prob.m)], format="csr")
+    X = np.random.default_rng(4).random((prob.m, prob.d)) * 200 + 5
+    ax = np.maximum(A @ X.ravel(), 1e-300)
+    g = (A.T @ (1.0 - prob.b.ravel() / ax)).reshape(X.shape)
+    tv = problems.tv_grad(X.reshape(prob.m, 8, 8)).reshape(X.shape)
+    assert prob.grads_rowwise(X).tobytes() == (g + prob.lam * tv).tobytes()
 
 
 def test_phantom_deterministic():
@@ -591,18 +655,27 @@ def test_spec_domain_is_the_built_problems_domain(kind):
 
 
 def test_tv_deblur_builds_each_angle_once_with_the_same_bits():
-    # agents i and i + 8 share a blur angle; sharing the built matrix must
-    # leave A and b exactly as one blur_matrix per agent made them
+    # agents i and i + 8 share a blur angle; sharing its stencil must leave
+    # A, AT and b exactly as one blur matrix per agent made them
     d_img, m, blur_len, alpha, seed = 6, 10, 3, 10.0, 4
+    n = d_img * d_img
     prob = problems.tv_deblur(d_img, m, blur_len=blur_len, alpha=alpha,
                               seed=seed)
-    blurs = [problems.blur_matrix(d_img, blur_len, (i % 8) * math.pi / 8.0)
+    blurs = [problems.blur_entries(d_img, blur_len, (i % 8) * math.pi / 8.0)
              for i in range(m)]
-    A = scipy.sparse.block_diag(blurs, format="csr")
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(prob.A, attr), getattr(A, attr))
+    for layout, want in ((prob.A, problems.row_layout), (
+            prob.AT, lambda r, c, v, n: problems.transposed_layout(
+                problems.row_layout(r, c, v, n)))):
+        for i, entries in enumerate(blurs):
+            idx, w = (a[:, i * n:(i + 1) * n] for a in layout)
+            ref_idx, ref_w = want(*entries, n)
+            s = len(ref_idx)
+            assert np.array_equal(idx[:s] - i * n, ref_idx)
+            assert np.array_equal(w[:s], ref_w)
+            assert not w[s:].any()
     rng = np.random.default_rng(seed)
     x_true = problems.phantom_image(d_img).ravel()
-    b = np.stack([problems.poisson_sample(rng, alpha * np.asarray(B @ x_true))
-                  .astype(float) / alpha for B in blurs])
+    b = np.stack([problems.poisson_sample(
+        rng, alpha * (_scipy_blur(d_img, blur_len, (i % 8) * math.pi / 8.0)
+                      @ x_true)).astype(float) / alpha for i in range(m)])
     assert np.array_equal(prob.b, b)
