@@ -196,9 +196,7 @@ def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
 # only into an array allocated in the same function or returned fresh by a
 # call made there, never into an array of a system: recorders, hooks and
 # finished cells keep systems.  Each ufunc gets the operands of the written-
-# out formula in the same order, so the bits are those of the formula.  The
-# results checked at once by ``require_interior`` or ``_finite`` may overflow
-# on a diverging cell, so their operations do not warn.
+# out formula in the same order, so the bits are those of the formula.
 
 
 def _primal_and_grads(prob, kernel, Z1, twin):
@@ -211,8 +209,7 @@ def _primal_and_grads(prob, kernel, Z1, twin):
         firsts, slot = np.unique(twin, return_inverse=True)
     X1 = kernel.grad_conj(Z1[firsts])
     kernel.domain.require_interior(X1, "updated primal iterate")
-    with np.errstate(over="ignore", invalid="ignore"):  # Y+ is checked
-        G1 = prob.grads_rowwise(X1)
+    G1 = prob.grads_rowwise(X1)
     return X1[slot], G1[slot], twin
 
 
@@ -229,12 +226,10 @@ def dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     over the shifted kernel):
     Z+ = W (Z - clip(Y)); X+ = grad h*(Z+); Y+ = W Y + grad f(X+) - grad f(X)."""
     if delta is None:  # s.clipped is then the all-False mask it started as
-        with np.errstate(over="ignore", invalid="ignore"):
-            S, was_clipped = eta * s.Y, s.clipped
+        S, was_clipped = eta * s.Y, s.clipped
     else:
         S, was_clipped = clip_rows(s.Y, eta, delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z1 = W @ np.subtract(s.Z, S, out=S)
+    Z1 = W @ np.subtract(s.Z, S, out=S)
     X1, G1, twin = _primal_and_grads(prob, kernel, Z1, s.twin)
     return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1), grads=G1,
                        t=s.t + 1, clipped=was_clipped, twin=twin)
@@ -245,8 +240,7 @@ def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
     Xmix = W @ s.X
     kernel.domain.require_interior(Xmix, "mixed primal iterate")
     Z1 = kernel._grad(Xmix)  # Xmix itself (Euclidean), which is this step's own
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z1 -= eta * direction
+    Z1 -= eta * direction
     return (Z1, *_primal_and_grads(prob, kernel, Z1, s.twin))
 
 
@@ -395,7 +389,11 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
                            cur.cell(q, copy=True))
 
     for t in range(head.max_iter):
-        new, raised = _step_each(step, system, args, eta, delta)
+        # a diverging cell overflows anywhere in its step; every output is
+        # checked before use (X by require_interior, Z and Y by _finite, the
+        # gradients through Y), so the cell ends with a status, not a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            new, raised = _step_each(step, system, args, eta, delta)
         keep = _finite(new)
         if raised or not keep.all():
             if emit_all:

@@ -353,7 +353,7 @@ def _cmd_run(args):
     if args.seed is not None:
         cfg.seeds = [args.seed]
     out = _resolve_out(args.out or cfg.output)
-    manifest = run_batch(cfg, out, threads=args.threads, max_iter=args.max_iter)
+    manifest = run_batch(cfg, out, max_iter=args.max_iter)
     print(f"wrote {len(manifest['csv_files'])} run files to {out}")
     for entry in manifest["runs"]:
         print(f"  {entry['run_id']}: status={entry['status']} "
@@ -365,7 +365,7 @@ def _cmd_tune(args):
     cfg = config.parse_config(args.config)
     if args.seed is not None:
         cfg.seeds = [args.seed]
-    table = tune(cfg, threads=args.threads, max_iter=args.max_iter)
+    table = tune(cfg, max_iter=args.max_iter)
     any_diverged_all = False
     for name, row in table.items():
         if row["status"] == "all-diverged":
@@ -424,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed list with one seed")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: cells run in one thread")
     common.add_argument("--max-iter", type=_iter_budget, default=None,
                         help="override every algorithm's iteration budget")
 

@@ -167,11 +167,9 @@ def _consensus(dev, solve, xi):
     inverse Hessian at xbar.  Each state's m*d products add as one
     contiguous row."""
     H = solve(dev)  # a fresh array: the products go in place
-    with np.errstate(over="ignore"):  # diverging runs may overflow to inf
-        H *= dev
-        sums = _state_sum(H)
-        total = sums[0] + xi * sums[1]
-    return total / dev.shape[-2]
+    H *= dev
+    sums = _state_sum(H)
+    return (sums[0] + xi * sums[1]) / dev.shape[-2]
 
 
 def _state_sum(A):
@@ -361,9 +359,9 @@ class Recorder:
     def _evaluate(self, states):
         """The record columns of ``states``, ``(system, row)`` pairs, as
         lists of floats; ``G`` pairs each state with the next."""
-        # a diverging state overflows here; its non-finite columns, not a
-        # warning, end the run
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a diverging state overflows here: a non-finite f_bar or
+        # stationarity, not a warning, ends its cell
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             kernel, L, n = self.kernel, self.L, len(states)
             if self._work is None or self._work.shape[1] < n:
                 # kept from chunk to chunk: fresh (K, m, d) arrays would be

@@ -510,7 +510,9 @@ class TVDeblur(Problem):
     """f_i(x) = KL(b_i, A_i x) + lam TV(x) on a d_img x d_img image, ``b``
     (m, d).  ``A`` is the :func:`row_layout` (s, m d) of the block diagonal
     of the m blur matrices, which acts on the agents' flattened points, and
-    ``AT`` is the layout of its transpose."""
+    ``AT`` is the layout of its transpose.  ``_values_at`` and
+    ``_grads_at`` take the forward product and the images of ``_forward``,
+    which ``_values_and_grads`` forms once for both."""
 
     A: tuple
     AT: tuple
@@ -530,14 +532,27 @@ class TVDeblur(Problem):
         return _gather(layout, flat).reshape(lead + self.b.shape)
 
     def _values(self, x):
-        tv = _tv_values(x.reshape(x.shape[:-1] + (self.d_img, self.d_img)))
-        return _kl_rows(self.b, self._blocks(self.A, x)) + self.lam * tv
+        return self._values_at(*self._forward(x))
 
     def _grads(self, X):
-        ax = np.maximum(self._blocks(self.A, X), _KL_FLOOR)
-        g = self._blocks(self.AT, 1.0 - self.b / ax)
-        images = X.reshape(X.shape[:-1] + (self.d_img, self.d_img))
-        return g + self.lam * tv_grad(images).reshape(X.shape)
+        return self._grads_at(*self._forward(X))
+
+    def _values_and_grads(self, x):
+        ax, images = self._forward(x)
+        return self._values_at(ax, images), self._grads_at(ax, images)
+
+    def _forward(self, X):
+        """The blurred points A X (..., m, d) and the images of X."""
+        return (self._blocks(self.A, X),
+                X.reshape(X.shape[:-1] + (self.d_img, self.d_img)))
+
+    def _values_at(self, ax, images):
+        return _kl_rows(self.b, ax) + self.lam * _tv_values(images)
+
+    def _grads_at(self, ax, images):
+        g = self._blocks(self.AT, 1.0 - self.b / np.maximum(ax, _KL_FLOOR))
+        tv = tv_grad(images).reshape(images.shape[:-2] + (self.d,))
+        return g + self.lam * tv
 
     def permuted(self, perm):
         perm = np.asarray(perm)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dualmix import algorithms, diagnostics, kernels, network, problems
+from dualmix import algorithms, cli, diagnostics, kernels, network, problems
 from dualmix.algorithms import AlgoConfig
 
 
@@ -472,12 +472,11 @@ def test_recorded_nonfinite_metric_ends_a_cell_alone():
     def hook(t, prev, cur):
         seen.append((t, prev.t, cur.t))
 
-    with np.errstate(all="ignore"):
-        batch = algorithms.run(prob, k, mix, cfgs, np.zeros(3), L=1.0,
-                               hooks=[hook])
-        batch_seen, seen = seen, []
-        alone = [algorithms.run(prob, k, mix, c, np.zeros(3), L=1.0,
-                                hooks=[hook]) for c in cfgs]
+    batch = algorithms.run(prob, k, mix, cfgs, np.zeros(3), L=1.0,
+                           hooks=[hook])
+    batch_seen, seen = seen, []
+    alone = [algorithms.run(prob, k, mix, c, np.zeros(3), L=1.0,
+                            hooks=[hook]) for c in cfgs]
     bad = alone[0]
     assert (bad.status, bad.diverged_at, bad.reason) == \
         ("diverged", 105, "non-finite metric")
@@ -566,10 +565,9 @@ def test_twins_survive_a_dropped_cell(monkeypatch):
     # rows 1 and 2 of the batch, so the later cells move up two rows
     prob, mix, k, cfgs, x0 = _twin_case(kernels.boltzmann_shannon(6),
                                         etas=(1.0, 0.01, 0.1))
-    with np.errstate(all="ignore"):  # the metrics overflow before the exit
-        alone, distinct = _runs_alone(prob, k, mix, cfgs, x0)
-        blocks = _counting_blocks(prob, monkeypatch)
-        results = algorithms.run(prob, k, mix, cfgs, x0, L=1.0)
+    alone, distinct = _runs_alone(prob, k, mix, cfgs, x0)
+    blocks = _counting_blocks(prob, monkeypatch)
+    results = algorithms.run(prob, k, mix, cfgs, x0, L=1.0)
     t = results[1].diverged_at
     assert 0 < t < 59
     assert [(r.status, r.diverged_at) for r in results] == \
@@ -725,42 +723,82 @@ def test_the_step_rules_are_their_formulas_bitwise(algorithm):
                     (kernel.name, t, f)
 
 
-def test_diverging_steps_raise_no_warning_from_the_step_rules():
-    # dmd, dgt and dda diverge on a quadratic at these steps; recorded or
-    # not, the cell ends with a status, and nothing warns on the way
-    prob = problems.quadratic_consensus(d=3, m=4, seed=0)
+# Each family's cells in (algorithm, eta) order, with eta 10 before 1e3, at
+# record_every 0 and then 1: "done", or how and at which step the cell
+# diverged ("domain" DomainViolation, "iterate" non-finite iterate, "metric"
+# non-finite metric)
+_DIVERGENCE_MATRIX = {
+    "quadratic-euclidean": (
+        lambda: problems.quadratic_consensus(d=3, m=4, seed=0),
+        kernels.euclidean, 0.0,
+        ("done", "done", "domain 154", "iterate 77",
+         "iterate 154", "iterate 77", "domain 173", "domain 81"),
+        ("done", "done", "metric 78", "metric 39",
+         "metric 78", "metric 39", "metric 87", "metric 41")),
+    "entropy-boltzmann_shannon": (
+        lambda: problems.entropy_consensus(d=3, m=4, seed=0),
+        kernels.boltzmann_shannon, 0.5,
+        ("done", "done", "domain 1", "domain 0",
+         "domain 1", "domain 0", "iterate 1", "domain 0"),
+        ("done", "done", "domain 1", "domain 0",
+         "domain 1", "domain 0", "iterate 1", "domain 0")),
+    "poisson-burg": (
+        lambda: problems.poisson_inverse(d=4, n=5, m=4, seed=0),
+        kernels.burg, 0.5,
+        ("done", "done", "done", "done",
+         "domain 17", "domain 5", "domain 1", "domain 1"),
+        ("done", "done", "done", "done",
+         "domain 17", "domain 5", "metric 1", "metric 1")),
+    "poisson-boltzmann_shannon": (
+        lambda: problems.poisson_inverse(d=4, n=5, m=4, seed=0),
+        kernels.boltzmann_shannon, 0.5,
+        ("done", "done", "domain 1", "domain 0",
+         "domain 1", "domain 0", "domain 1", "domain 0"),
+        ("done", "done", "domain 1", "domain 0",
+         "domain 1", "domain 0", "metric 1", "domain 0")),
+    "phase_retrieval-quartic": (
+        lambda: problems.phase_retrieval(d=3, n=6, m=4, noise_sd=0.0, seed=0),
+        kernels.quartic, 0.5,
+        ("done", "done", "domain 121", "iterate 68",
+         "domain 121", "iterate 68", "domain 134", "domain 71"),
+        ("done", "done", "metric 61", "metric 35",
+         "metric 61", "metric 35", "metric 68", "metric 36")),
+    "tv_deblur-burg": (
+        lambda: problems.tv_deblur(4, 4, blur_len=3), kernels.burg, 0.5,
+        ("done", "done", "done", "done",
+         "domain 215", "domain 153", "done", "domain 150"),
+        ("done", "done", "done", "done",
+         "domain 215", "domain 153", "done", "metric 150")),
+}
+
+
+@pytest.mark.parametrize("family", _DIVERGENCE_MATRIX)
+def test_diverging_steps_raise_no_warning_from_the_step_rules(family):
+    # every algorithm diverges somewhere at these steps; recorded or not,
+    # each cell ends with a status and a reason, and nothing warns on the
+    # way, from any file
+    make, kernel, x0, *want = _DIVERGENCE_MATRIX[family]
+    prob = make()
+    x0 = np.full(prob.d, x0)
     mix = network.metropolis_weights(network.ring_graph(4))
-    ends = {}
-    for record_every in (0, 1):
+    reasons = {"domain": "DomainViolation", "iterate": "non-finite iterate",
+               "metric": "non-finite metric"}
+    for record_every, cells in enumerate(want):
+        got = []
         for algorithm in algorithms.ALGORITHMS:
             for eta in (10.0, 1e3):
                 delta = 1.0 if algorithm == "dmgt" else math.inf
                 cfg = AlgoConfig(algorithm, eta=eta, max_iter=500, delta=delta)
+                k = cli.kernel_for_algorithm(algorithm, kernel(prob.d), x0)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    res = algorithms.run(prob, kernels.euclidean(3), mix, cfg,
-                                         np.zeros(3), L=1.0,
+                    res = algorithms.run(prob, k, mix, cfg, x0, L=1.0,
                                          record_every=record_every)
                 assert not [(w.filename, w.lineno) for w in caught
                             if issubclass(w.category, RuntimeWarning)], \
                     (record_every, algorithm, eta)
-                ends[record_every, algorithm, eta] = (
-                    res.status, res.diverged_at, res.reason.split(":")[0])
-    assert ends == {
-        (0, "dmgt", 10.0): ("done", None, ""),
-        (0, "dmgt", 1e3): ("done", None, ""),
-        (0, "dmd", 10.0): ("diverged", 154, "DomainViolation"),
-        (0, "dmd", 1e3): ("diverged", 77, "non-finite iterate"),
-        (0, "dgt", 10.0): ("diverged", 154, "non-finite iterate"),
-        (0, "dgt", 1e3): ("diverged", 77, "non-finite iterate"),
-        (0, "dda", 10.0): ("diverged", 173, "DomainViolation"),
-        (0, "dda", 1e3): ("diverged", 81, "DomainViolation"),
-        (1, "dmgt", 10.0): ("done", None, ""),
-        (1, "dmgt", 1e3): ("done", None, ""),
-        (1, "dmd", 10.0): ("diverged", 78, "non-finite metric"),
-        (1, "dmd", 1e3): ("diverged", 39, "non-finite metric"),
-        (1, "dgt", 10.0): ("diverged", 78, "non-finite metric"),
-        (1, "dgt", 1e3): ("diverged", 39, "non-finite metric"),
-        (1, "dda", 10.0): ("diverged", 87, "non-finite metric"),
-        (1, "dda", 1e3): ("diverged", 41, "non-finite metric"),
-    }
+                got.append((res.status, res.diverged_at,
+                            res.reason.split(":")[0]))
+        assert got == [("done", None, "") if c == "done" else
+                       ("diverged", int(c.split()[1]), reasons[c.split()[0]])
+                       for c in cells], record_every

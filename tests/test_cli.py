@@ -200,6 +200,18 @@ def test_negative_max_iter_flag_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_threads_flag_is_gone(command, tmp_path, capsys):
+    # cells run in one thread; cli.tune and cli.run_batch keep the keyword
+    cfgfile = _write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as ei:
+        cli.main([command, str(cfgfile), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # init kind -> its draw of x0, written out
 _INIT_DRAWS = {
     "random_positive": lambda rng, prob, scale:
@@ -488,22 +500,21 @@ init: {{kind: {init}, scale: 1.0}}
         return result, meta
 
     monkeypatch.setattr(cli, "execute_run", logged_run)
-    with np.errstate(all="ignore"):
-        cli.tune(cfg, max_iter=30)
-        seen = {r.reason.split(":")[0] for *_, r in cells if r.diverged}
-        assert reasons <= seen, seen
-        for spec, seed, eta, delta, got in cells:
-            alone, _ = execute_run(cfg, spec, seed, max_iter=30,
-                                   record_every=0, eta=eta, delta=delta)
-            cell = (spec["kind"], seed, eta, delta)
-            assert (got.status, got.diverged_at, got.reason, got.system.t) \
-                == (alone.status, alone.diverged_at, alone.reason,
-                    alone.system.t), cell
-            assert [r.csv_row() for r in got.records] \
-                == [r.csv_row() for r in alone.records], cell
-            for name in ("X", "Z", "Y", "grads"):
-                assert getattr(got.system, name).tobytes() \
-                    == getattr(alone.system, name).tobytes(), (cell, name)
+    cli.tune(cfg, max_iter=30)
+    seen = {r.reason.split(":")[0] for *_, r in cells if r.diverged}
+    assert reasons <= seen, seen
+    for spec, seed, eta, delta, got in cells:
+        alone, _ = execute_run(cfg, spec, seed, max_iter=30,
+                               record_every=0, eta=eta, delta=delta)
+        cell = (spec["kind"], seed, eta, delta)
+        assert (got.status, got.diverged_at, got.reason, got.system.t) \
+            == (alone.status, alone.diverged_at, alone.reason,
+                alone.system.t), cell
+        assert [r.csv_row() for r in got.records] \
+            == [r.csv_row() for r in alone.records], cell
+        for name in ("X", "Z", "Y", "grads"):
+            assert getattr(got.system, name).tobytes() \
+                == getattr(alone.system, name).tobytes(), (cell, name)
 
 
 def test_tune_select_by_rel_error(tmp_path):

@@ -430,6 +430,23 @@ def test_tv_deblur_gradients():
     assert worst <= 1e-5
 
 
+def test_tv_deblur_value_and_grad_blurs_forward_once(monkeypatch):
+    # one forward product serves the value and the gradient, then one
+    # transpose product
+    prob = problems.tv_deblur(d_img=4, m=3, blur_len=3, seed=0)
+    layouts, blocks = [], prob._blocks
+
+    def counted(layout, X):
+        layouts.append("A" if layout is prob.A else "AT")
+        return blocks(layout, X)
+
+    monkeypatch.setattr(prob, "_blocks", counted)
+    for x in (np.full(prob.d, 0.5), np.full((5, prob.d), 0.5)):
+        layouts.clear()
+        prob.value_and_grad(x)
+        assert layouts == ["A", "AT"]
+
+
 def test_blur_matrix_is_stochastic_nonnegative():
     layout = problems.row_layout(*problems.blur_entries(6, 4, 0.3), 36)
     idx, w = layout
