@@ -11,13 +11,17 @@ All methods run synchronous rounds over a fixed mixing matrix:
 Steps are pure: they consume one :class:`AgentSystem` and return the next.
 One engine, :func:`run`, steps a batch of cells that share a problem,
 kernel, network, initial point and algorithm and differ in ``eta`` and
-``delta``; a single run is a batch of one.  Cells whose dual iterates
-have the same bits share the inverse mirror map and the gradient: each
-distinct trajectory is stepped once.  The usual case is a dmgt grid over
-delta, whose cells with one eta follow one trajectory until their delta
-starts to clip.  A cell that leaves the attainable domain or produces
-non-finite state is frozen with status ``diverged`` rather than raising,
-since baseline nonconvergence is itself an experimental observable.
+``delta``; a single run is a batch of one.  The batch holds one row per
+distinct state, and each cell maps to its row.  A step forms each cell's
+coefficient (dmgt's clip factor, or eta) and keeps the cells of a state
+together while their coefficients have the same bits; every other part of
+the step (the clipped step, the mixing products, the inverse mirror map,
+the interior check, the gradient, the tracker and the finiteness check)
+then runs once per state.  The usual case is a dmgt grid over delta, whose
+cells with one eta follow one trajectory until their delta starts to
+clip.  A cell that leaves the attainable domain or produces non-finite
+state is frozen with status ``diverged`` rather than raising, since
+baseline nonconvergence is itself an experimental observable.
 """
 
 from __future__ import annotations
@@ -36,11 +40,13 @@ class AgentSystem:
     """Stacked per-agent state: rows of X are primal iterates, Z their dual
     images, Y the update directions (trackers for the GT methods).
 
-    The engine steps B cells at once: its systems carry a leading cell axis,
-    (B, m, d), and ``clipped`` is then a (B,) mask.  ``cell(b)`` is one
-    cell's (m, d) system.  ``twin`` (B,) gives each cell the first cell of
-    its group, whose Z has the same bits; it is None when every cell is
-    its own twin, and always for a single cell."""
+    The engine steps B cells at once, and cells in the same state share its
+    arrays: a batch's X, Z, Y and grads are (D, m, d), one row per distinct
+    state, and ``row`` (B,) is each cell's row.  ``clipped`` is a (B,) mask,
+    per cell, since the cells of one state can differ in it at the clip
+    boundary.  Rows are numbered in the order of their first cells, so
+    D = B exactly when each cell has a row of its own, its own index.
+    ``cell(b)`` is one cell's (m, d) system, whose ``row`` is None."""
 
     X: np.ndarray
     Z: np.ndarray
@@ -48,52 +54,44 @@ class AgentSystem:
     grads: np.ndarray  # per-agent local gradients at X, cached for GT
     t: int = 0
     clipped: bool = False
-    twin: np.ndarray = None
+    row: np.ndarray = None
 
     def cell(self, b, copy=False) -> "AgentSystem":
         """Cell b's system: views into the batch, or copies that do not
         keep the whole batch's arrays alive."""
-        X, Z, Y, grads = self.X[b], self.Z[b], self.Y[b], self.grads[b]
+        r = self.row[b]
+        X, Z, Y, grads = self.X[r], self.Z[r], self.Y[r], self.grads[r]
         if copy:
             X, Z, Y, grads = X.copy(), Z.copy(), Y.copy(), grads.copy()
         return AgentSystem(X, Z, Y, grads, self.t, bool(self.clipped[b]))
 
-    def cells(self, rows) -> "AgentSystem":
-        """The batch of the given rows (an index array in increasing order,
-        or a mask).  A kept cell whose twin is dropped takes the first kept
-        cell of its group as its twin."""
-        twin = None
-        if self.twin is not None:
-            _, first, group = np.unique(self.twin[rows], return_index=True,
-                                        return_inverse=True)
-            twin = _distinct_or_none(first[group])
+    def cells(self, keep) -> "AgentSystem":
+        """The batch of the cells ``keep`` (an index array in increasing
+        order, or a mask), holding only the rows they refer to."""
+        rows = self.row[keep]
+        row, first = _numbering(rows.tolist())
+        rows = rows[first]
         return AgentSystem(X=self.X[rows], Z=self.Z[rows], Y=self.Y[rows],
                            grads=self.grads[rows], t=self.t,
-                           clipped=self.clipped[rows], twin=twin)
+                           clipped=self.clipped[keep], row=row)
 
 
-def _distinct_or_none(twin):
-    """``twin``, or None when every cell is its own twin."""
-    return None if (twin == np.arange(len(twin))).all() else twin
+def _numbering(keys):
+    """Number the distinct ``keys`` in the order of their first appearance.
+    Returns each key's number (B,) and, for each number, the position of
+    the key's first appearance."""
+    number = {}
+    row = np.array([number.setdefault(k, len(number)) for k in keys],
+                   dtype=int)
+    return row, np.unique(row, return_index=True)[1]
 
 
-def _regroup(twin, Z):
-    """The twins of the cells of Z (B, m, d), given their twins before it
-    (None stays None).  A cell keeps its twin while their Z have the same
-    bits, compared as int64 patterns so that -0.0 and +0.0, or two NaN
-    payloads, never meet; only cells with a twin are compared.  The cells
-    that part from their twins are regrouped among themselves by their
-    bytes."""
-    if twin is None:
-        return None
-    rows = np.flatnonzero(twin != np.arange(len(twin)))
-    bits = Z.view(np.int64)
-    parted = rows[(bits[rows] != bits[twin[rows]]).any(axis=(-2, -1))]
-    if len(parted):
-        twin, first = twin.copy(), {}
-        for r in parted:
-            twin[r] = first.setdefault(Z[r].tobytes(), r)
-    return _distinct_or_none(twin)
+def _per_cell(s, A):
+    """``A`` (D, ...), one entry per row of ``s``, as one entry per cell:
+    ``A`` itself when each cell has its own row, or ``s`` is one cell."""
+    if s.row is None or len(s.row) == len(s.X):
+        return A
+    return A[s.row]
 
 
 @dataclass(frozen=True)
@@ -145,24 +143,35 @@ class RunResult:
         return self.status == "diverged"
 
 
-def clip_rows(V, eta, delta):
-    """Row-wise clipping of ``V`` (..., m, d); also reports, per leading
-    index, whether any row was actually clipped.  ``eta`` and ``delta``
-    broadcast against the row norms (..., m, 1).
+def _row_norms(V):
+    """The Euclidean norms of the rows of ``V`` (..., m, d), as (..., m, 1):
+    np.linalg.norm's own formula for a single axis, without its dispatch."""
+    norms = (V * V).sum(axis=-1, keepdims=True)
+    return np.sqrt(norms, out=norms)
+
+
+def _clip_factor(norms, eta, delta):
+    """The clip factor fmin(eta, delta / norm) of each row norm in
+    ``norms`` (..., m, 1), and per leading index whether any row was
+    actually clipped.
 
     An infinite ``delta`` clips nothing: a row whose norm overflows gives
     inf/inf = nan there, which ``fmin`` passes over to keep the factor eta.
     """
-    V = np.asarray(V, dtype=float)
-    # np.linalg.norm's own formula for a single axis, without its dispatch
-    out = V * V
-    norms = out.sum(axis=-1, keepdims=True)
-    np.sqrt(norms, out=norms)
     # delta / 0 counts as inf, so a zero (or nan) row keeps the factor eta
     ratios = np.divide(delta, norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
-    return (np.multiply(V, np.fmin(eta, ratios), out=out),
-            (eta * norms > delta).any(axis=(-2, -1)))
+    return np.fmin(eta, ratios), (eta * norms > delta).any(axis=(-2, -1))
+
+
+def clip_rows(V, eta, delta):
+    """Row-wise clipping of ``V`` (..., m, d), each row scaled by
+    ``_clip_factor``; also reports, per leading index, whether any row was
+    actually clipped.  ``eta`` and ``delta`` broadcast against the row
+    norms (..., m, 1)."""
+    V = np.asarray(V, dtype=float)
+    factor, clipped = _clip_factor(_row_norms(V), eta, delta)
+    return V * factor, clipped
 
 
 def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
@@ -185,39 +194,67 @@ def init_system(prob, kernel, x0, cfg: AlgoConfig) -> AgentSystem:
     return AgentSystem(X=X, Z=Z, Y=Y, grads=grads, t=0)
 
 
-# Every step maps a batch (B, m, d) to the next one.  ``eta`` and ``delta``
-# are (B, 1, 1) columns, one entry per cell (``delta`` is None for the kinds
-# that do not clip), and every operation acts on each cell on its own, so a
-# cell's bits do not depend on the batch it is in.  That also lets a cell
-# whose Z+ has the bits of its twin's take its twin's X+ and gradients.
+# Every step maps a batch to the next one.  ``eta`` and ``delta`` are
+# (B, 1, 1) columns, one entry per cell (``delta`` is None for the kinds
+# that do not clip), and every operation acts on each row on its own, so a
+# cell's bits do not depend on the batch it is in.  A step first forms each
+# cell's coefficient (``_states``); cells whose coefficients have the bits
+# of their row's first cell take the same step, so the rest of the step
+# runs once per row of the next batch.
 #
 # A step writes its large intermediate results in place, which saves the
-# allocator from mapping fresh pages for each (B, m, d) temporary.  It writes
+# allocator from mapping fresh pages for each (D, m, d) temporary.  It writes
 # only into an array allocated in the same function or returned fresh by a
 # call made there, never into an array of a system: recorders, hooks and
 # finished cells keep systems.  Each ufunc gets the operands of the written-
 # out formula in the same order, so the bits are those of the formula.
 
 
-def _primal_and_grads(prob, kernel, Z1, twin):
-    """X+ = grad h*(Z+), checked to be interior, the gradients at X+, and
-    the twins of Z+'s cells (``_regroup``).  Each distinct cell is mapped
-    once; a cell with a twin gets a copy of its twin's results."""
-    twin = _regroup(twin, Z1)
-    firsts = slot = slice(None)
-    if twin is not None:
-        firsts, slot = np.unique(twin, return_inverse=True)
-    X1 = kernel.grad_conj(Z1[firsts])
+def _states(s, eta, delta):
+    """Each cell's step coefficient and the rows of the next batch.
+
+    The coefficient is dmgt's clip factor of each tracker row, from row
+    norms formed once per row of ``s``, or ``eta`` for the kinds that do
+    not clip.  The cells of a row stay together while their coefficients
+    have the bits of the row's first cell's; the others get new rows,
+    keyed by their row and their coefficient's bits, compared as int64
+    patterns so that -0.0 and +0.0, or two NaN payloads, never meet.
+    Returns ``src``, the row of ``s`` that each next row steps from (None:
+    its own), the coefficient of each next row, each cell's next row and
+    each cell's clip flag."""
+    if delta is None:  # s.clipped is then the all-False mask it started as
+        coef, clipped = eta, s.clipped
+    else:
+        coef, clipped = _clip_factor(_per_cell(s, _row_norms(s.Y)), eta,
+                                     delta)
+    row = s.row
+    if row is None or len(row) == len(s.X):  # each cell has its own row
+        return None, coef, row, clipped
+    bits = coef.view(np.int64)
+    first = np.unique(row, return_index=True)[1]
+    if (bits == bits[first][row]).all():
+        return None, coef[first], row, clipped
+    row, first = _numbering(zip(row.tolist(), (b.tobytes() for b in bits)))
+    return s.row[first], coef[first], row, clipped
+
+
+def _take(A, src):
+    """The rows ``src`` of A, or A itself when ``src`` is None."""
+    return A if src is None else A[src]
+
+
+def _primal_and_grads(prob, kernel, Z1):
+    """X+ = grad h*(Z+), checked to be interior, and the gradients at X+."""
+    X1 = kernel.grad_conj(Z1)
     kernel.domain.require_interior(X1, "updated primal iterate")
-    G1 = prob.grads_rowwise(X1)
-    return X1[slot], G1[slot], twin
+    return X1, prob.grads_rowwise(X1)
 
 
-def _tracker(W, s, G1):
+def _tracker(W, s, G1, src):
     """Y+ = W Y + G+ - G."""
-    Y1 = W @ s.Y
+    Y1 = _take(W @ s.Y, src)
     Y1 += G1
-    Y1 -= s.grads
+    Y1 -= _take(s.grads, src)
     return Y1
 
 
@@ -225,39 +262,41 @@ def dual_mix_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Dual mixing with clipped tracker steps (dmgt; dda runs it unclipped,
     over the shifted kernel):
     Z+ = W (Z - clip(Y)); X+ = grad h*(Z+); Y+ = W Y + grad f(X+) - grad f(X)."""
-    if delta is None:  # s.clipped is then the all-False mask it started as
-        S, was_clipped = eta * s.Y, s.clipped
-    else:
-        S, was_clipped = clip_rows(s.Y, eta, delta)
-    Z1 = W @ np.subtract(s.Z, S, out=S)
-    X1, G1, twin = _primal_and_grads(prob, kernel, Z1, s.twin)
-    return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1), grads=G1,
-                       t=s.t + 1, clipped=was_clipped, twin=twin)
+    src, coef, row, clipped = _states(s, eta, delta)
+    S = np.multiply(_take(s.Y, src), coef)
+    Z1 = W @ np.subtract(_take(s.Z, src), S, out=S)
+    X1, G1 = _primal_and_grads(prob, kernel, Z1)
+    return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1, src), grads=G1,
+                       t=s.t + 1, clipped=clipped, row=row)
 
 
 def _mirror_step(s: AgentSystem, prob, kernel, W, eta, direction):
     """grad h(X+) = grad h(W X) - eta * direction."""
+    src, eta, row, clipped = _states(s, eta, None)  # never clipped
     Xmix = W @ s.X
     kernel.domain.require_interior(Xmix, "mixed primal iterate")
-    Z1 = kernel._grad(Xmix)  # Xmix itself (Euclidean), which is this step's own
-    Z1 -= eta * direction
-    return (Z1, *_primal_and_grads(prob, kernel, Z1, s.twin))
+    # Xmix itself (Euclidean), which is this step's own
+    Z1 = _take(kernel._grad(Xmix), src)
+    Z1 -= eta * _take(direction, src)
+    return (src, row, clipped, Z1, *_primal_and_grads(prob, kernel, Z1))
 
 
 def dmd_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with local gradients:
     grad h(X+) = grad h(W X) - eta grad f(X)."""
-    Z1, X1, G1, twin = _mirror_step(s, prob, kernel, W, eta, s.grads)
+    _, row, clipped, Z1, X1, G1 = _mirror_step(s, prob, kernel, W, eta,
+                                               s.grads)
     return AgentSystem(X=X1, Z=Z1, Y=G1, grads=G1, t=s.t + 1,
-                       clipped=s.clipped, twin=twin)  # never clipped
+                       clipped=clipped, row=row)
 
 
 def dgt_step(s: AgentSystem, prob, kernel, W, eta, delta) -> AgentSystem:
     """Mix-then-mirror with gradient tracking:
     Z+ = grad h(W X) - eta Y; Y+ = W Y + grad f(X+) - grad f(X)."""
-    Z1, X1, G1, twin = _mirror_step(s, prob, kernel, W, eta, s.Y)
-    return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1), grads=G1,
-                       t=s.t + 1, clipped=s.clipped, twin=twin)  # never clipped
+    src, row, clipped, Z1, X1, G1 = _mirror_step(s, prob, kernel, W, eta,
+                                                 s.Y)
+    return AgentSystem(X=X1, Z=Z1, Y=_tracker(W, s, G1, src), grads=G1,
+                       t=s.t + 1, clipped=clipped, row=row)
 
 
 _STEPS = {"dmgt": dual_mix_step, "dmd": dmd_step, "dgt": dgt_step,
@@ -275,34 +314,38 @@ def _finite(s: AgentSystem):
     entries.  Nor do the gradients G+: every step rule's Y+ is G+ or
     W Y + G+ - G, and in floating point either is non-finite wherever G+
     is."""
-    return (np.isfinite(s.Z) & np.isfinite(s.Y)).all(axis=(-2, -1))
+    return _per_cell(s, (np.isfinite(s.Z) & np.isfinite(s.Y)).all(
+        axis=(-2, -1)))
 
 
 def _step_each(step, s, args, eta, delta):
-    """Step the batch ``s``.  Returns the next batch and ``{row: reason}``
-    for the rows whose step raised a divergence error; those rows keep
+    """Step the batch ``s``.  Returns the next batch and ``{cell: reason}``
+    for the cells whose step raised a divergence error; those cells keep
     their state.  A batch that raises is redone one cell at a time, so
     each cell raises exactly what it raises alone, and the cells are then
-    regrouped with their twins.  Reasons are kept as text: a kept
-    exception's traceback would hold the batch's arrays in a reference
-    cycle."""
+    merged into rows by the key of ``_states``.  Reasons are kept as text:
+    a kept exception's traceback would hold the batch's arrays in a
+    reference cycle."""
     try:
         return step(s, *args, eta, delta), {}
     except DIVERGENCE:
         pass  # some cell raised: redo the step cell by cell to find which
     cells, raised = [], {}
-    for r in range(len(eta)):
-        cell = s.cells([r])
+    for b in range(len(eta)):
+        cell = s.cells([b])
         try:
-            cell = step(cell, *args, eta[[r]],
-                        None if delta is None else delta[[r]])
+            cell = step(cell, *args, eta[[b]],
+                        None if delta is None else delta[[b]])
         except DIVERGENCE as exc:
-            raised[r] = f"{type(exc).__name__}: {exc}"
+            raised[b] = f"{type(exc).__name__}: {exc}"
         cells.append(cell)
-    new = {f: np.concatenate([getattr(c, f) for c in cells])
-           for f in ("X", "Z", "Y", "grads", "clipped")}
-    return AgentSystem(t=s.t + 1, twin=_regroup(s.twin, new["Z"]),
-                       **new), raised
+    row = _states(s, eta, delta)[2]
+    first = np.unique(row, return_index=True)[1]
+    new = {f: np.concatenate([getattr(cells[b], f) for b in first])
+           for f in ("X", "Z", "Y", "grads")}
+    return AgentSystem(t=s.t + 1, row=row, **new,
+                       clipped=np.concatenate([c.clipped for c in cells])), \
+        raised
 
 
 def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
@@ -326,7 +369,7 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
     cell's systems for each of its accepted steps, in step order.  With
     ``record_every=0`` they run after each step.  With ``record_every=1``
     they run when the steps' states are evaluated, for each step up to the
-    state that ends the cell, the cells of a step in row order.
+    state that ends the cell, the cells of a step in batch order.
     Divergence (domain exit, failed inversion, non-finite state) freezes a
     cell with status ``diverged`` and takes it out of the batch.
     Everything is deterministic given the inputs; no randomness is
@@ -349,27 +392,26 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
         if head.algorithm in CLIPPED else None
     eta, delta = etas, deltas
     s0 = init_system(prob, kernel, x0, head)
-    # every cell starts from the one initial state: a twin of cell 0
-    system = AgentSystem(*(np.repeat(a[None], len(cfgs), axis=0)
-                           for a in (s0.X, s0.Z, s0.Y, s0.grads)),
+    # every cell starts from the one initial state, row 0
+    system = AgentSystem(*(a[None] for a in (s0.X, s0.Z, s0.Y, s0.grads)),
                          clipped=np.zeros(len(cfgs), dtype=bool),
-                         twin=_distinct_or_none(np.zeros(len(cfgs), int)))
-    live = np.arange(len(cfgs))  # the cell of each row of the batch
+                         row=np.zeros(len(cfgs), dtype=int))
+    live = np.arange(len(cfgs))  # the config of each cell of the batch
     ends = {}  # cell -> (status, diverged_at, reason, final system)
     for c, recorder in enumerate(recorders):
         recorder.observe(system, c)
     emit_all = record_every == 1
 
     def drop(*systems):
-        """``systems`` (batches whose rows are the live cells) without the
-        rows of the cells that have ended."""
+        """``systems`` (batches whose cells are the live ones) without the
+        cells that have ended."""
         nonlocal live, eta, delta
-        rows = np.array([c not in ends for c in live], dtype=bool)
-        if rows.all():
+        keep = np.array([c not in ends for c in live], dtype=bool)
+        if keep.all():
             return systems
-        live, eta = live[rows], etas[live[rows]]
+        live, eta = live[keep], etas[live[keep]]
         delta = None if deltas is None else deltas[live]
-        return tuple(s.cells(rows) for s in systems)
+        return tuple(s.cells(keep) for s in systems)
 
     def record():
         """Evaluate the live cells' buffered states, call the hooks on their
@@ -398,9 +440,9 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
         if raised or not keep.all():
             if emit_all:
                 record()  # a non-finite metric up to t ends a cell first
-            for r, reason in raised.items():
-                ends.setdefault(live[r], ("diverged", t, reason,
-                                          system.cell(r, copy=True)))
+            for q, reason in raised.items():
+                ends.setdefault(live[q], ("diverged", t, reason,
+                                          system.cell(q, copy=True)))
             for q in np.flatnonzero(~keep):
                 ends.setdefault(live[q], ("diverged", t + 1,
                                           "non-finite iterate",
@@ -421,8 +463,8 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
             break
     if emit_all:
         record()
-    for r, c in enumerate(live):
-        ends.setdefault(c, ("done", None, "", system.cell(r)))
+    for q, c in enumerate(live):
+        ends.setdefault(c, ("done", None, "", system.cell(q)))
     results = []
     for c, recorder in enumerate(recorders):
         status, diverged_at, reason, final = ends[c]

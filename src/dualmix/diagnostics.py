@@ -287,15 +287,15 @@ class Recorder:
         self.lambda_val = lam if math.isfinite(lam) else 1.0
         self._xi = xi_const(L, rho, self.lambda_val)
         self.records = []
-        self._buffer = []   # (system, row) of the states not evaluated yet
-        self._last = None   # (system, row) of the state recorded last
+        self._buffer = []   # (system, cell) of the states not evaluated yet
+        self._last = None   # (system, cell) of the state recorded last
         self._work = None   # X, Y and Z of a chunk, stacked (3, K, m, d)
 
-    def observe(self, system, row=None):
-        """Buffer a state: row ``row`` of the batch ``system``, or
-        ``system`` itself when ``row`` is None.  Systems are immutable, so
+    def observe(self, system, cell=None):
+        """Buffer a state: cell ``cell`` of the batch ``system``, or
+        ``system`` itself when ``cell`` is None.  Systems are immutable, so
         nothing is copied."""
-        self._buffer.append((system, row))
+        self._buffer.append((system, cell))
 
     @property
     def pending(self) -> int:
@@ -305,7 +305,7 @@ class Recorder:
         """Record the buffered states.
 
         Returns ``(states, cut)``: the states now recorded, preceded by the
-        one recorded last before them (if any), as ``(system, row)`` pairs,
+        one recorded last before them (if any), as ``(system, cell)`` pairs,
         and whether the last of them ends the record stream because its
         f_bar or stationarity is not finite (past t = 0).  The states
         buffered after it are dropped.  A chunk whose evaluation raises a
@@ -336,7 +336,7 @@ class Recorder:
         if self._last is not None:
             self.records[-1].G_proxy = G[0]
         for i in range(len(states) - len(new), len(states)):
-            system, row = states[i]
+            system, cell = states[i]
             cut = system.t > 0 and not (math.isfinite(f_bar[i])
                                         and math.isfinite(stat[i]))
             self.records.append(RunRecord(
@@ -347,8 +347,8 @@ class Recorder:
                 consensus_dual=cols["consensus_dual"][i],
                 E_t_proxy=cols["E"][i], M_t_proxy=cols["M"][i],
                 G_proxy=G[i] if i < len(G) and not cut else math.nan,
-                clipped=bool(system.clipped if row is None
-                             else system.clipped[row]),
+                clipped=bool(system.clipped if cell is None
+                             else system.clipped[cell]),
                 status="running"))
             if cut:
                 self._last = states[i]
@@ -357,7 +357,7 @@ class Recorder:
         return states, False
 
     def _evaluate(self, states):
-        """The record columns of ``states``, ``(system, row)`` pairs, as
+        """The record columns of ``states``, ``(system, cell)`` pairs, as
         lists of floats; ``G`` pairs each state with the next."""
         # a diverging state overflows here: a non-finite f_bar or
         # stationarity, not a warning, ends its cell
@@ -369,8 +369,9 @@ class Recorder:
                 self._work = np.empty((3, n) + states[0][0].Z.shape[-2:])
             work = self._work[:, :n]
             for f, out in zip("XYZ", work):
-                np.stack([getattr(s, f) if r is None else getattr(s, f)[r]
-                          for s, r in states], out=out)
+                np.stack([getattr(s, f) if c is None
+                          else getattr(s, f)[s.row[c]]
+                          for s, c in states], out=out)
             X, dev = work[0], work[1:]  # dev = [Y, Z], centred in place below
             Y, Z = dev
             m = Z.shape[-2]

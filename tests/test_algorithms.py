@@ -496,7 +496,7 @@ def test_recorded_nonfinite_metric_ends_a_cell_alone():
 
 
 # ---------------------------------------------------------------------------
-# Cells whose dual iterates coincide share the step's tail
+# Cells in one state share one row of the batch, and the whole step
 # ---------------------------------------------------------------------------
 
 
@@ -560,9 +560,66 @@ def test_twin_cells_share_the_gradient_and_equal_their_runs(monkeypatch):
     _assert_cells_equal(results, alone)
 
 
+def test_a_delta_grid_that_never_clips_keeps_one_row(monkeypatch):
+    # at one eta, cells whose deltas never clip have the coefficient eta
+    # at every step: the whole run steps one row
+    prob, mix, k, _, x0 = _twin_case(kernels.burg(6), etas=(0.01,))
+    cfgs = [AlgoConfig("dmgt", eta=0.01, delta=delta, max_iter=60)
+            for delta in (1e6, 1e7, 1e9)]
+    alone, distinct = _runs_alone(prob, k, mix, cfgs, x0)
+    blocks, mixed = _counting_blocks(prob, monkeypatch), []
+
+    class CountingW(np.ndarray):
+        def __matmul__(self, other):
+            mixed.append(len(other))
+            return np.asarray(self) @ other
+
+    counting = network.MixingMatrix(m=mix.m, W=mix.W.view(CountingW),
+                                    rho=mix.rho)
+    results = algorithms.run(prob, k, counting, cfgs, x0, L=1.0)
+    assert distinct == [1] * 60
+    assert blocks == [1] * 60
+    # each step mixes Z - clip(Y) and Y, one row each
+    assert mixed == [1] * 120
+    assert not any(r.clipped for res in results for r in res.records)
+    _assert_cells_equal(results, alone)
+
+
+def test_cells_of_one_state_keep_their_own_clip_flags(monkeypatch):
+    # at the clip boundary eta * |y| > delta holds while delta / |y| rounds
+    # to eta: the clipped cell takes the unclipped cell's step, in the same
+    # row, and reports the clip its run alone reports
+    g, eta = 46.786084977494525, 0.001
+    prob = problems.Entropy(name="lin",
+                            domain=kernels.boltzmann_shannon(1).domain,
+                            f_lower=-math.inf, c=np.zeros(1),
+                            a=np.full((1, 1), g))
+    mix = network.MixingMatrix(m=1, W=np.ones((1, 1)), rho=0.0)
+    k = kernels.boltzmann_shannon(1)
+    Y = prob.grads_rowwise(np.ones((1, 1)))  # the tracker, constant in t
+    delta = float(eta * np.sqrt((Y * Y).sum()))
+    for _ in range(4):  # walk down from eta |y| with clip_rows' own norm
+        S, clipped = algorithms.clip_rows(Y, eta, delta)
+        if clipped and S.tobytes() == (eta * Y).tobytes():
+            break
+        delta = float(np.nextafter(delta, 0))
+    else:
+        pytest.fail("no boundary delta")
+    cfgs = [AlgoConfig("dmgt", eta=eta, delta=d, max_iter=5)
+            for d in (delta, 1e9)]
+    alone, distinct = _runs_alone(prob, k, mix, cfgs, np.ones(1))
+    blocks = _counting_blocks(prob, monkeypatch)
+    results = algorithms.run(prob, k, mix, cfgs, np.ones(1), L=1.0)
+    assert distinct == [1] * 5 and blocks == [1] * 5
+    assert [[r.clipped for r in res.records] for res in results] == \
+        [[False] + [True] * 5, [False] * 6]
+    assert results[0].system.clipped and not results[1].system.clipped
+    _assert_cells_equal(results, alone)
+
+
 def test_twins_survive_a_dropped_cell(monkeypatch):
     # at eta = 1 the unclipped cells leave the domain mid-run; they are
-    # rows 1 and 2 of the batch, so the later cells move up two rows
+    # cells 1 and 2 of the batch, so the later cells move up two places
     prob, mix, k, cfgs, x0 = _twin_case(kernels.boltzmann_shannon(6),
                                         etas=(1.0, 0.01, 0.1))
     alone, distinct = _runs_alone(prob, k, mix, cfgs, x0)
@@ -583,17 +640,21 @@ def test_twins_survive_a_dropped_cell(monkeypatch):
 def test_twins_part_on_a_signed_zero_or_a_nan_payload(monkeypatch):
     prob = problems.poisson_inverse(d=3, n=4, m=2, seed=0)
     k = kernels.burg(3)
+    W = network.metropolis_weights(network.ring_graph(2)).W
     blocks = _counting_blocks(prob, monkeypatch)
-    Z = np.zeros((3, 2, 3))
-    Z[1, 1, 2] = -0.0  # the same value as cell 0's, with other bits
-    X, G, twin = algorithms._primal_and_grads(prob, k, Z, np.zeros(3, int))
-    # cell 2 keeps its twin, cell 1 parts from it
-    assert twin.tolist() == [0, 1, 0] and blocks == [2]
-    assert X[0].tobytes() == X[1].tobytes() == X[2].tobytes()
-    assert G[0].tobytes() == G[1].tobytes() == G[2].tobytes()
+    s = _batch_start(prob, k, np.full(3, 0.5), "dgt", 3)
+    eta = np.zeros((3, 1, 1))
+    eta[1] = -0.0  # the same value as cell 0's, with other bits
+    new = algorithms.dgt_step(s, prob, k, W, eta, None)
+    # cell 2 stays with cell 0, cell 1 parts from it
+    assert new.row.tolist() == [0, 1, 0] and blocks == [2]
+    assert new.X[0].tobytes() == new.X[1].tobytes()
+    assert new.grads[0].tobytes() == new.grads[1].tobytes()
     nans = np.full((2, 1, 1), np.nan)
     nans[1].view(np.int64)[...] += 1  # another NaN payload
-    assert algorithms._regroup(np.zeros(2, int), nans) is None
+    s = algorithms.AgentSystem(s.X, s.Z, s.Y, s.grads,
+                               clipped=np.zeros(2, bool), row=np.zeros(2, int))
+    assert algorithms._states(s, nans, None)[2].tolist() == [0, 1]
 
 
 def test_a_newton_inverted_kernel_steps_each_cell_as_alone():
@@ -632,17 +693,17 @@ def _step_cases():
 
 
 def _batch_start(prob, kernel, x0, algorithm, B):
-    """B cells at the initial state, all twins of cell 0."""
+    """B cells at the initial state, all in row 0."""
     s0 = algorithms.init_system(prob, kernel, x0, AlgoConfig(algorithm, 0.1))
     return algorithms.AgentSystem(
-        *(np.repeat(a[None], B, axis=0) for a in (s0.X, s0.Z, s0.Y, s0.grads)),
-        clipped=np.zeros(B, dtype=bool), twin=np.zeros(B, int))
+        *(a[None] for a in (s0.X, s0.Z, s0.Y, s0.grads)),
+        clipped=np.zeros(B, dtype=bool), row=np.zeros(B, int))
 
 
 @pytest.mark.parametrize("algorithm", algorithms.ALGORITHMS)
 def test_a_step_leaves_its_input_and_returns_unaliased_arrays(algorithm):
     W = network.metropolis_weights(network.ring_graph(3)).W
-    # cells 0 and 1 are twins: they take the same step
+    # cells 0 and 1 take the same step, in one row
     eta = np.array([0.01, 0.01, 0.02])[:, None, None]
     delta = np.array([1e-3, 1e-3, 1e6])[:, None, None] \
         if algorithm in algorithms.CLIPPED else None
@@ -651,7 +712,7 @@ def test_a_step_leaves_its_input_and_returns_unaliased_arrays(algorithm):
         s = _batch_start(prob, kernel, x0, algorithm, 3)
         for _ in range(2):
             s = step(s, prob, kernel, W, eta, delta)
-        assert s.twin.tolist() == [0, 0, 2], kernel.name
+        assert s.row.tolist() == [0, 0, 1] and len(s.X) == 2, kernel.name
         fields = ("X", "Z", "Y", "grads")
         before = [getattr(s, f).tobytes() for f in fields]
         new = step(s, prob, kernel, W, eta, delta)
@@ -712,13 +773,13 @@ def test_the_step_rules_are_their_formulas_bitwise(algorithm):
     burg_case, _, quartic_case = _step_cases()
     for prob, kernel, x0 in (burg_case, quartic_case):
         s = _batch_start(prob, kernel, x0, algorithm, 3)
-        ref = (s.X, s.Z, s.Y, s.grads)
+        ref = tuple(a[s.row] for a in (s.X, s.Z, s.Y, s.grads))
         for t in range(20):
             s = step(s, prob, kernel, W, eta, delta)
             ref = _written_out_step(algorithm, ref, prob, kernel, W, eta,
                                     delta)
             for f, want in zip(("X", "Z", "Y", "grads"), ref):
-                got = getattr(s, f)
+                got = getattr(s, f)[s.row]
                 assert (got.view(np.int64) == want.view(np.int64)).all(), \
                     (kernel.name, t, f)
 
