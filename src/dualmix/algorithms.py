@@ -321,31 +321,29 @@ def _finite(s: AgentSystem):
 def _step_each(step, s, args, eta, delta):
     """Step the batch ``s``.  Returns the next batch and ``{cell: reason}``
     for the cells whose step raised a divergence error; those cells keep
-    their state.  A batch that raises is redone one cell at a time, so
-    each cell raises exactly what it raises alone, and the cells are then
-    merged into rows by the key of ``_states``.  Reasons are kept as text:
-    a kept exception's traceback would hold the batch's arrays in a
-    reference cycle."""
+    their state.  A batch that raises is redone one state at a time: the
+    cells of a row of ``_states`` take bit-identical steps, so each row's
+    first cell steps alone and raises exactly what each of its cells
+    raises alone.  Reasons are kept as text: a kept exception's traceback
+    would hold the batch's arrays in a reference cycle."""
     try:
         return step(s, *args, eta, delta), {}
     except DIVERGENCE:
-        pass  # some cell raised: redo the step cell by cell to find which
-    cells, raised = [], {}
-    for b in range(len(eta)):
+        pass  # some state raised: redo the step state by state to find which
+    _, _, row, clipped = _states(s, eta, delta)
+    states, raised = [], {}
+    for r, b in enumerate(np.unique(row, return_index=True)[1]):
         cell = s.cells([b])
         try:
             cell = step(cell, *args, eta[[b]],
                         None if delta is None else delta[[b]])
         except DIVERGENCE as exc:
-            raised[b] = f"{type(exc).__name__}: {exc}"
-        cells.append(cell)
-    row = _states(s, eta, delta)[2]
-    first = np.unique(row, return_index=True)[1]
-    new = {f: np.concatenate([getattr(cells[b], f) for b in first])
+            raised.update(dict.fromkeys(np.flatnonzero(row == r).tolist(),
+                                        f"{type(exc).__name__}: {exc}"))
+        states.append(cell)
+    new = {f: np.concatenate([getattr(c, f) for c in states])
            for f in ("X", "Z", "Y", "grads")}
-    return AgentSystem(t=s.t + 1, row=row, **new,
-                       clipped=np.concatenate([c.clipped for c in cells])), \
-        raised
+    return AgentSystem(t=s.t + 1, row=row, clipped=clipped, **new), raised
 
 
 def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",

@@ -384,12 +384,11 @@ def _cmd_tune(args):
 
 
 def _cmd_certify(args):
-    spec = yaml.safe_load(args.kernel)
+    spec = config.load_yaml(args.kernel)
     if isinstance(spec, str):
         spec = {"kind": spec}
     kernel = kernels.kernel_from_spec(spec, args.dim)
-    deltas = [float(s) for s in args.deltas.split(",")]
-    report = hruc.certify(kernel, deltas, args.samples, args.seed,
+    report = hruc.certify(kernel, args.deltas, args.samples, args.seed,
                           floor=args.floor)
     print(report.summary())
     if args.out:
@@ -407,11 +406,33 @@ def _cmd_check(args):
     return 1 if failures else 0
 
 
-def _iter_budget(text) -> int:
-    if not text.isdecimal():
+def _integer(low):
+    """The argparse type of a decimal integer of at least ``low``, 0 or 1."""
+    word = "positive" if low else "nonnegative"
+
+    def parse(text) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be a {word} integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _nonnegative(text) -> float:
+    """The argparse type of a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+            f"must be a finite nonnegative number, got {text!r}")
+    return value
+
+
+def _nonnegatives(text) -> list:
+    """The argparse type of a comma-separated list of :func:`_nonnegative`."""
+    return [_nonnegative(s) for s in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,10 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_integer(0), default=None,
                         help="override the config seed list with one seed")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--max-iter", type=_iter_budget, default=None,
+    common.add_argument("--max-iter", type=_integer(0), default=None,
                         help="override every algorithm's iteration budget")
 
     pr = sub.add_parser("run", parents=[common],
@@ -442,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("certify", help="empirically certify a kernel modulus")
     pc.add_argument("--kernel", required=True,
                     help="YAML kernel spec, e.g. '{kind: power, mu: 1, r: 2}'")
-    pc.add_argument("--dim", type=int, default=5)
-    pc.add_argument("--deltas", default="0.01,0.1,1")
-    pc.add_argument("--samples", type=int, default=1000)
-    pc.add_argument("--seed", type=int, default=7)
-    pc.add_argument("--floor", type=float, default=0.1,
+    pc.add_argument("--dim", type=_integer(1), default=5)
+    pc.add_argument("--deltas", type=_nonnegatives, default="0.01,0.1,1")
+    pc.add_argument("--samples", type=_integer(1), default=1000)
+    pc.add_argument("--seed", type=_integer(0), default=7)
+    pc.add_argument("--floor", type=_nonnegative, default=0.1,
                     help="near-boundary offset of the interior sampler")
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=_cmd_certify)

@@ -76,8 +76,9 @@ def validate(raw: dict) -> ExperimentConfig:
         raise ValidationError("tuning.select_by",
                               f"must be one of {sorted(_SELECT_METRICS)}")
     if not isinstance(cfg.seeds, list) or not cfg.seeds or \
-            any(not _is_number(s, int) for s in cfg.seeds):
-        raise ValidationError("seeds", "must be a nonempty list of integers")
+            any(not _is_number(s, int) or s < 0 for s in cfg.seeds):
+        raise ValidationError("seeds", "must be a nonempty list of "
+                              "nonnegative integers")
     if cfg.init["kind"] not in _INIT_DRAWS:
         raise ValidationError("init.kind", f"must be one of {sorted(_INIT_DRAWS)}")
     if not _is_number(cfg.init["scale"]):
@@ -107,14 +108,20 @@ def _check_domain_compat(kdom, pdom):
                               f"fit the problem's {pdom.describe()}")
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def load_yaml(text: str):
+    """The YAML document ``text``; a YAML error is raised as a
+    :class:`ParseError` with its line and column."""
     try:
-        raw = yaml.safe_load(io.StringIO(text))
+        return yaml.safe_load(io.StringIO(text))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(str(exc),
                          line=None if mark is None else mark.line + 1,
                          column=None if mark is None else mark.column + 1)
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    raw = load_yaml(text)
     if not isinstance(raw, dict):
         raise ParseError("config root must be a mapping")
     return validate(raw)

@@ -456,19 +456,6 @@ def transposed_layout(layout):
     return row_layout(idx[slot, row], row, w[slot, row], w.shape[1])
 
 
-def _block_diagonal(layouts):
-    """The layout (s, m n) of the block diagonal of m layouts (s_i, n),
-    each one's indices shifted into its block and its rows padded to s
-    slots as :func:`row_layout` pads them."""
-    s, n = max(len(idx) for idx, _ in layouts), layouts[0][0].shape[1]
-    idx = np.tile(np.arange(len(layouts) * n), (s, 1))
-    w = np.zeros(idx.shape)
-    for i, (ix, wi) in enumerate(layouts):
-        idx[:len(ix), i * n:(i + 1) * n] = ix + i * n
-        w[:len(wi), i * n:(i + 1) * n] = wi
-    return idx, w
-
-
 def _gather(layout, V):
     """The product of a layout with each vector of V (..., n): slot by
     slot, from 0.0, as a CSR row product adds its columns (a sum over a
@@ -508,28 +495,33 @@ def tv_grad(X, eps=EPS_TV) -> np.ndarray:
 @dataclass(kw_only=True)
 class TVDeblur(Problem):
     """f_i(x) = KL(b_i, A_i x) + lam TV(x) on a d_img x d_img image, ``b``
-    (m, d).  ``A`` is the :func:`row_layout` (s, m d) of the block diagonal
-    of the m blur matrices, which acts on the agents' flattened points, and
-    ``AT`` is the layout of its transpose.  ``_values_at`` and
+    (m, d).  ``A`` holds one :func:`row_layout` (s_k, d) of a blur matrix
+    per blur angle, ``AT`` the layouts of their transposes, and ``angle``
+    (m,) is each agent's index into both.  ``_values_at`` and
     ``_grads_at`` take the forward product and the images of ``_forward``,
     which ``_values_and_grads`` forms once for both."""
 
-    A: tuple
-    AT: tuple
+    A: list
+    AT: list
+    angle: np.ndarray
     b: np.ndarray
     lam: float
     d_img: int = field(init=False)
+    _stacked = ("angle", "b")
 
     def __post_init__(self):
         self.m, self.d = self.b.shape
         self.d_img = math.isqrt(self.d)
 
-    def _blocks(self, layout, X):
-        """The layout's product with X (..., m, d), agent by agent; a
-        shared x (d,) or (..., 1, d) serves all."""
-        lead = X.shape[:-2]
-        flat = np.broadcast_to(X, lead + self.b.shape).reshape(lead + (-1,))
-        return _gather(layout, flat).reshape(lead + self.b.shape)
+    def _blocks(self, layouts, X):
+        """Each agent's layout times its row of X (..., m, d), angle by
+        angle; a shared x (d,) or (..., 1, d) serves all."""
+        X = np.broadcast_to(X, X.shape[:-2] + self.b.shape)
+        out = np.empty(X.shape)
+        for k, layout in enumerate(layouts):
+            agents = self.angle == k
+            out[..., agents, :] = _gather(layout, X[..., agents, :])
+        return out
 
     def _values(self, x):
         return self._values_at(*self._forward(x))
@@ -554,15 +546,6 @@ class TVDeblur(Problem):
         tv = tv_grad(images).reshape(images.shape[:-2] + (self.d,))
         return g + self.lam * tv
 
-    def permuted(self, perm):
-        perm = np.asarray(perm)
-        cols = (perm[:, None] * self.d + np.arange(self.d)).ravel()
-        # each index moves with its agent's block
-        shift = np.repeat((np.arange(self.m) - perm) * self.d, self.d)
-        return replace(self, b=self.b[perm], **{
-            k: (idx[:, cols] + shift, w[:, cols])
-            for k, (idx, w) in (("A", self.A), ("AT", self.AT))})
-
 
 def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Problem:
     """Poisson deblurring of a synthetic phantom with a smoothed TV penalty.
@@ -576,20 +559,17 @@ def tv_deblur(d_img, m, blur_len=5, alpha=10.0, lambda_tv=1e-4, seed=0) -> Probl
     rng = np.random.default_rng(seed)
     x_true = phantom_image(d_img).ravel()
     n = d_img * d_img
-    # agents i and i + 8 share an angle, so each distinct layout is built once
-    by_angle = [row_layout(*blur_entries(d_img, blur_len, k * math.pi / 8.0), n)
-                for k in range(min(m, 8))]
-    T_by_angle = [transposed_layout(layout) for layout in by_angle]
-    A = _block_diagonal([by_angle[i % 8] for i in range(m)])
-    AT = _block_diagonal([T_by_angle[i % 8] for i in range(m)])
-    lam_img = alpha * _gather(A, np.tile(x_true, m)).reshape(m, n)
-    b = np.stack([poisson_sample(rng, lam) for lam in lam_img])
+    A = [row_layout(*blur_entries(d_img, blur_len, k * math.pi / 8.0), n)
+         for k in range(min(m, 8))]
+    angle = np.arange(m) % 8
+    lam_img = [alpha * _gather(layout, x_true) for layout in A]
+    b = np.stack([poisson_sample(rng, lam_img[k]) for k in angle])
     return TVDeblur(
         name="tv_deblur", domain=domains.orthant(n), f_lower=0.0,
         x_true=x_true,
         meta={"alpha": alpha, "lambda_tv": lambda_tv, "blur_len": blur_len},
-        A=A, AT=AT, b=b.astype(float) / alpha,
-        lam=lambda_tv,
+        A=A, AT=[transposed_layout(layout) for layout in A], angle=angle,
+        b=b.astype(float) / alpha, lam=lambda_tv,
     )
 
 

@@ -631,9 +631,9 @@ def test_twins_survive_a_dropped_cell(monkeypatch):
         [("done", None)] + [("diverged", t)] * 2 + [("done", None)] * 6
     assert results[1].reason.startswith("DomainViolation")
     assert distinct == [4] * t + [3] * (60 - t)
-    # the failed step is redone cell by cell, and the two failing cells
-    # raise before their gradients
-    assert blocks == distinct[:t] + [1] * 7 + distinct[t + 1:]
+    # the failed step is redone state by state, one cell of each of its
+    # four states, and the failing state raises before its gradient
+    assert blocks == distinct[:t] + [1] * 3 + distinct[t + 1:]
     _assert_cells_equal(results, alone)
 
 

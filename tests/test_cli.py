@@ -143,6 +143,7 @@ _BAD_CONFIGS = {
         lambda raw: raw.update(tuning={"delta_grid": [0.1, True]}),
         "tuning.delta_grid"),
     "seeds [true]": (lambda raw: raw.update(seeds=[True]), "seeds"),
+    "seeds [0, -1]": (lambda raw: raw.update(seeds=[0, -1]), "seeds"),
     "init.scale false": (
         lambda raw: raw.update(init={"kind": "ones", "scale": False}),
         "init.scale"),
@@ -184,6 +185,46 @@ def test_config_errors_name_their_key_at_parse_time(case, tmp_path, capsys):
     cfgfile = _write(tmp_path, yaml.safe_dump(raw))
     assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+# case -> (arguments, with CFG for a config file, and what stderr says)
+_BAD_FLAGS = {
+    "run --seed -1": (["run", "CFG", "--seed", "-1"],
+                      "argument --seed: must be a nonnegative integer"),
+    "tune --seed -1": (["tune", "CFG", "--seed", "-1"],
+                       "argument --seed: must be a nonnegative integer"),
+    "certify --seed -1": (["--seed", "-1"],
+                          "argument --seed: must be a nonnegative integer"),
+    "certify --samples 0": (["--samples", "0"],
+                            "argument --samples: must be a positive integer"),
+    "certify --dim 0": (["--dim", "0"],
+                        "argument --dim: must be a positive integer"),
+    "certify --deltas abc": (["--deltas", "abc"], "argument --deltas: "),
+    "certify --deltas -0.1": (["--deltas", "-0.1"], "argument --deltas: "),
+    "certify --deltas 0.1,,1": (["--deltas", "0.1,,1"], "argument --deltas: "),
+    "certify --deltas inf": (["--deltas", "inf"], "argument --deltas: "),
+    "certify --floor nan": (["--floor", "nan"], "argument --floor: "),
+    "certify --kernel [1": (["--kernel", "[1"], "error: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FLAGS))
+def test_bad_flags_exit_2_before_any_work(case, tmp_path, capsys):
+    # exit code 1 is certify's verdict of a violation, so bad input is 2
+    args, said = _BAD_FLAGS[case]
+    if args[0] in ("run", "tune"):
+        args[1] = str(_write(tmp_path, MINIMAL))
+        args += ["--out", str(tmp_path / "o")]
+    else:
+        args = ["certify", "--kernel", "burg", "--samples", "5", *args]
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert said in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -131,8 +131,7 @@ def _local(prob, i, x):
     if prob.name == "poisson_inverse":
         return _kl_local(prob.A[i], prob.b[i], x)
     assert prob.name == "tv_deblur"
-    block = slice(i * prob.d, (i + 1) * prob.d)
-    value, g = _kl_local(_layout_csr(prob.A)[block, block], prob.b[i], x)
+    value, g = _kl_local(_layout_csr(prob.A[prob.angle[i]]), prob.b[i], x)
     image = x.reshape(prob.d_img, prob.d_img)
     return (value + prob.lam * problems.tv_value(image),
             g + prob.lam * problems.tv_grad(image).ravel())
@@ -407,10 +406,11 @@ def test_tv_gradient_matches_fd():
 
 def test_tv_deblur_perfect_fit():
     data = problems.tv_deblur(d_img=6, m=2, blur_len=3, lambda_tv=0.0, seed=0)
-    # agent 0's block: its columns of both layouts index only its own pixels
-    A, AT = (tuple(a[:, :data.d] for a in L) for L in (data.A, data.AT))
-    prob = problems.TVDeblur(name="tv_deblur", domain=data.domain, A=A,
-                             AT=AT, b=(_layout_csr(A) @ data.x_true)[None],
+    # agent 0 alone, with its angle's layouts
+    prob = problems.TVDeblur(name="tv_deblur", domain=data.domain,
+                             A=data.A[:1], AT=data.AT[:1],
+                             angle=np.zeros(1, dtype=int),
+                             b=(_layout_csr(data.A[0]) @ data.x_true)[None],
                              lam=0.0)
     assert prob.value(data.x_true) == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(prob.grad(data.x_true), 0.0, atol=1e-9)
@@ -544,6 +544,13 @@ def test_tv_deblur_gradients_are_the_scipy_products_bitwise():
     assert prob.grads_rowwise(X).tobytes() == (g + prob.lam * tv).tobytes()
 
 
+def test_tv_deblur_pads_each_angle_to_its_own_longest_row():
+    prob = problems.tv_deblur(8, 8, blur_len=5)
+    for layouts in (prob.A, prob.AT):
+        assert [len(idx) for idx, _ in layouts] == [5, 11, 13, 11,
+                                                     5, 11, 13, 11]
+
+
 def test_phantom_deterministic():
     a = problems.phantom_image(16)
     b = problems.phantom_image(16)
@@ -672,24 +679,23 @@ def test_spec_domain_is_the_built_problems_domain(kind):
 
 
 def test_tv_deblur_builds_each_angle_once_with_the_same_bits():
-    # agents i and i + 8 share a blur angle; sharing its stencil must leave
-    # A, AT and b exactly as one blur matrix per agent made them
+    # agents i and i + 8 share a blur angle; sharing its layouts must give
+    # each agent, and b, exactly what one blur matrix per agent made
     d_img, m, blur_len, alpha, seed = 6, 10, 3, 10.0, 4
     n = d_img * d_img
     prob = problems.tv_deblur(d_img, m, blur_len=blur_len, alpha=alpha,
                               seed=seed)
+    assert len(prob.A) == len(prob.AT) == 8
     blurs = [problems.blur_entries(d_img, blur_len, (i % 8) * math.pi / 8.0)
              for i in range(m)]
-    for layout, want in ((prob.A, problems.row_layout), (
+    for layouts, want in ((prob.A, problems.row_layout), (
             prob.AT, lambda r, c, v, n: problems.transposed_layout(
                 problems.row_layout(r, c, v, n)))):
         for i, entries in enumerate(blurs):
-            idx, w = (a[:, i * n:(i + 1) * n] for a in layout)
+            idx, w = layouts[prob.angle[i]]
             ref_idx, ref_w = want(*entries, n)
-            s = len(ref_idx)
-            assert np.array_equal(idx[:s] - i * n, ref_idx)
-            assert np.array_equal(w[:s], ref_w)
-            assert not w[s:].any()
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(w, ref_w)
     rng = np.random.default_rng(seed)
     x_true = problems.phantom_image(d_img).ravel()
     b = np.stack([problems.poisson_sample(
