@@ -8,6 +8,8 @@ only affects how interior base points are sampled.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainViolation
@@ -50,17 +52,29 @@ class Domain:
 
     def is_interior(self, x) -> bool:
         """Finite, of last dimension ``dim``, and more than BOUNDARY_GUARD
-        inside every finite bound; unbounded sides are not tested."""
+        inside every finite bound; unbounded sides are not tested.
+
+        Decided by reductions: NaN propagates through ``max`` and ``min``, and
+        rounding is monotone, so ``min(x) - lo`` is the least of ``x - lo``."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim or not np.isfinite(x).all():
+        if x.shape[-1] != self.dim:
+            return False
+        if self._lo_side is None and self._hi_side is None:
+            return bool(np.isfinite(x).all())
+        if not x.size:
+            return True
+        top, bottom = x.max(), x.min()
+        if not (math.isfinite(top) and math.isfinite(bottom)):
             return False
         if self._lo_side is not None:
             cols, lo = self._lo_side
-            if not (x[..., cols] - lo > BOUNDARY_GUARD).all():
+            gap = bottom - lo if cols is None else (x[..., cols] - lo).min()
+            if not gap > BOUNDARY_GUARD:
                 return False
         if self._hi_side is not None:
             cols, hi = self._hi_side
-            if not (hi - x[..., cols] > BOUNDARY_GUARD).all():
+            gap = hi - top if cols is None else (hi - x[..., cols]).min()
+            if not gap > BOUNDARY_GUARD:
                 return False
         return True
 
@@ -153,10 +167,14 @@ def safe_eps(domain, x, base=1e-6):
 
 
 def _finite_side(bound):
-    """``(cols, bound[cols])`` for the finite entries of ``bound``, where
-    ``cols`` is a full slice when every entry is finite; None when none is."""
+    """``(cols, bound[cols])`` for the finite entries of ``bound``: ``cols``
+    is None for one finite value shared by every entry, and a full slice
+    when every entry is finite; None when none is."""
     finite = np.isfinite(bound)
     if finite.all():
+        values = np.unique(bound)
+        if len(values) == 1:
+            return None, float(values[0])
         return slice(None), bound
     if not finite.any():
         return None

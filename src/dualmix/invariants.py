@@ -2,7 +2,8 @@
 
 Each check is a pure function returning (ok, detail).  They mirror the
 lemma-level claims the package is built on: oracle consistency, kernel
-identities, mixing contraction, clipping bounds, and tracking.
+identities, certified moduli, mixing contraction, clipping bounds, and
+tracking.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import zlib
 
 import numpy as np
 
-from . import algorithms, diagnostics, kernels, network, problems
+from . import algorithms, diagnostics, hruc, kernels, network, problems
 from .domains import safe_eps
 from .modulus import DistortionModulus
 
@@ -102,6 +103,18 @@ def _test_moduli(d=4):
             ok = False  # reached only if delta < 0 was accepted
     return ok, (f"zeta(0)=0 and monotone on a log grid, delta < 0 rejected; "
                 f"{len(ks)} kernels, every modulus class")
+
+
+def _test_certification(d=4, seed=7):
+    """HRUC consistent with the attached modulus, delta = 0 included, on the
+    table, Fermi-Dirac and the composite kernels."""
+    ks = [*kernels.table_catalogue(d).values(), kernels.fermi_dirac(d),
+          *_composite_kernels(d)]
+    deltas = [0.0, 0.01, 0.1, 1.0]
+    bad = [k.name for k in ks
+           if not hruc.certify(k, deltas, 200, seed=seed).consistent]
+    return not bad, (f"{len(ks)} kernels at delta in {deltas}, 200 samples; "
+                     f"violations: {bad or 'none'}")
 
 
 def _test_matrix_bound(n_cases=50, seed=11):
@@ -206,6 +219,7 @@ def _test_problem_gradients(seed=4):
 CHECKS = [
     ("kernel oracles (fd, inverse, three-point)", _test_kernels),
     ("distortion moduli (zero at 0, monotone)", _test_moduli),
+    ("HRUC certification", _test_certification),
     ("matrix square-root norm bound", _test_matrix_bound),
     ("mixing matrices and contraction", _test_mixing_and_contraction),
     ("clipping operator", _test_clip),

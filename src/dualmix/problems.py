@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _spec, domains
+from .diagnostics import _row_dot
 from .errors import SamplingExhausted
 
 
@@ -589,24 +590,21 @@ def estimate_rel_smoothness(prob: Problem, kernel, n_samples=100, seed=0,
     """
     rng = np.random.default_rng(seed)
     X = kernel.sample_interior(rng, n_samples)
-    ratio_max = 0.0
-    used = 0
-    for i in range(n_samples):
-        x = X[i]
-        if not prob.domain.is_interior(x):
-            continue
-        v = rng.standard_normal(prob.d)
-        v /= np.linalg.norm(v)
-        eps = domains.safe_eps(prob.domain, x, base=1e-5)
-        denom = float(kernel.hess_apply(x, v) @ v)
-        HV = (prob._grads(x + eps * v)
-              - prob._grads(x - eps * v)) / (2.0 * eps)
-        for hvp in HV:  # one dot per agent: a stacked HV @ v rounds differently
-            ratio_max = max(ratio_max, abs(float(hvp @ v)) / denom)
-        used += 1
-    if used == 0:
+    X = X[[prob.domain.is_interior(x) for x in X]]
+    if not len(X):
         raise SamplingExhausted("no interior sample lay in the problem domain")
-    return inflation * ratio_max
+    # every dot is a (1, d) @ (d, 1) product, with the bits of np.dot of two
+    # rows; a stacked HV @ v or a sum over an axis rounds differently
+    V = rng.standard_normal(X.shape)
+    V /= np.sqrt(_row_dot(V, V))[:, None]
+    eps = np.array([domains.safe_eps(prob.domain, x, base=1e-5) for x in X])
+    denom = _row_dot(kernel.hess_apply(X, V), V)
+    step = eps[:, None] * V
+    HV = (prob._grads((X + step)[:, None]) - prob._grads((X - step)[:, None])
+          ) / (2.0 * eps[:, None, None])
+    ratios = np.abs(_row_dot(HV, V[:, None])) / denom[:, None]
+    # fmax: a NaN ratio is never the maximum
+    return inflation * float(np.fmax.reduce(ratios, axis=None, initial=0.0))
 
 
 def psnr(X, X_ref, peak=255.0) -> float:

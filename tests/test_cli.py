@@ -155,6 +155,7 @@ _BAD_CONFIGS = {
     "graph.p true": (lambda raw: raw["graph"].update(p=True), "graph.p"),
     "graph.seed true": (lambda raw: raw["graph"].update(seed=True),
                         "graph.seed"),
+    "graph.seed -7": (lambda raw: raw["graph"].update(seed=-7), "graph"),
     "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
                         "graph.kind"),
     "init.kind uniform": (lambda raw: raw.update(init={"kind": "uniform"}),
@@ -594,14 +595,14 @@ def test_cli_run_and_certify(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "o" / "manifest.json").exists()
     rc = cli.main(["certify", "--kernel", "{kind: power, mu: 1.0, r: 2.0}",
-                   "--dim", "4", "--deltas", "0.1,1", "--samples", "50",
+                   "--dim", "4", "--deltas", "0,0.1,1", "--samples", "50",
                    "--seed", "7", "--out", str(tmp_path / "cert.csv")])
-    assert rc == 0
+    assert rc == 0  # delta = 0 included: its round-off gap is no violation
     rows = (tmp_path / "cert.csv").read_text().splitlines()
     assert rows[0] == "delta,worst_gap,analytic_zeta,n_samples"
-    assert len(rows) == 3
+    assert len(rows) == 4
     out = capsys.readouterr().out
-    assert "consistent" in out
+    assert "consistent" in out and "VIOLATION" not in out
 
 
 def test_cli_certify_exit_code_on_violation(tmp_path):
@@ -637,7 +638,7 @@ def test_check_invariants_is_independent_of_the_hash_seed():
             env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "7/7 checks passed"
+        assert proc.stdout.splitlines()[-1] == "8/8 checks passed"
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
 
@@ -681,7 +682,7 @@ def test_the_package_runs_where_scipy_cannot_be_imported(tmp_path):
         "{kind: tv_deblur, d_img: 4, m: 2, seed: 1}"))
     for args, last in ((["run", str(cfgfile), "--out", str(tmp_path / "o"),
                          "--max-iter", "10"], None),
-                       (["check-invariants"], "7/7 checks passed")):
+                       (["check-invariants"], "8/8 checks passed")):
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *args],
                               env=env, capture_output=True, text=True,
                               timeout=120)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import catalogue
-from dualmix import domains, hruc, kernels, problems
+from dualmix import domains, hruc, invariants, kernels, problems
 from dualmix.errors import SamplingExhausted
 from dualmix.modulus import separable_modulus
 
@@ -18,6 +18,41 @@ def test_gap_frozen_values():
     assert got == pytest.approx(1.0 - 1.0 / math.e, rel=1e-12)
     x = np.array([0.4, 1.3])
     assert hruc.relative_hessian_gap(kernels.burg(2), x, x) == 0.0
+
+
+# every table row, Fermi-Dirac and the composites: diagonal and dense
+# Hessians, closed-form and iterative inverses
+KERNELS = {**catalogue(5),
+           **{k.name: k for k in invariants._composite_kernels(4)}}
+
+
+def loop_gap(kernel, x, y):
+    """``relative_hessian_gap`` of one pair, as computed pair by pair."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = kernel.hess_diag(x)
+    if dx is not None:
+        dy = kernel.hess_diag(y)
+        return float(np.max(np.abs(dx / dy - 1.0)))
+    Hx = kernel.hess_matrix(x)
+    Hy = kernel.hess_matrix(y)
+    M = np.linalg.solve(Hy.T, Hx.T).T - np.eye(kernel.dim)
+    return float(np.linalg.norm(M, 2))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_stacked_gaps_are_the_pair_loop_bitwise(name):
+    k = KERNELS[name]
+    rng = np.random.default_rng(3)
+    X = k.sample_interior(rng, 60)
+    Y = k.grad_conj(k.grad(X) + 0.5 * rng.standard_normal(X.shape))
+    want = np.array([loop_gap(k, x, y) for x, y in zip(X, Y)])
+    assert np.array_equal(hruc.relative_hessian_gap(k, X, Y), want)
+    stacked = hruc.relative_hessian_gap(k, X.reshape(3, 20, -1),
+                                        Y.reshape(3, 20, -1))
+    assert np.array_equal(stacked, want.reshape(3, 20))
+    single = hruc.relative_hessian_gap(k, X[7], Y[7])
+    assert type(single) is float and single == want[7]
 
 
 def test_gap_dense_matches_diagonal_path():
@@ -95,6 +130,16 @@ def test_certify_affine_composition():
     assert report.consistent
     for g, d in zip(report.worst_gap, report.delta_grid):
         assert g <= kappa * base.zeta(d / 1.7) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_certify_zero_and_tiny_delta_are_consistent(name):
+    # at delta = 0 the pair is (x, grad_conj(grad(x))): its gap is the
+    # round-off of the inverse, below GAP_FLOOR, not a violation of zeta(0) = 0
+    report = hruc.certify(KERNELS[name], [0.0, 1e-12], 1000, seed=7)
+    assert report.consistent, report.summary()
+    assert max(report.worst_gap) <= hruc.GAP_FLOOR
+    assert "VIOLATION" not in report.summary()
 
 
 def test_hellinger_falsifies_unit_rate_modulus():

@@ -257,25 +257,32 @@ def test_permuted_stacked_problem_follows_permutation(family):
 
 def test_estimate_rel_smoothness_is_the_per_agent_loop_bitwise():
     # each agent's ratio takes its own 1-D dot hv_i @ v; a stacked HV @ v
-    # rounds differently, and the estimated L feeds the recorded E, M and G
-    prob = problems.poisson_inverse(d=40, n=10, m=8, seed=1)
-    k = kernels.burg(prob.d)
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        X = k.sample_interior(rng, 20)
-        ratio_max = 0.0
-        for x in X:
-            assert prob.domain.is_interior(x)
-            v = rng.standard_normal(prob.d)
-            v /= np.linalg.norm(v)
-            eps = safe_eps(prob.domain, x, base=1e-5)
-            denom = float(k.hess_apply(x, v) @ v)
-            for i in range(prob.m):
-                hvp = (_local(prob, i, x + eps * v)[1]
-                      - _local(prob, i, x - eps * v)[1]) / (2.0 * eps)
-                ratio_max = max(ratio_max, abs(float(hvp @ v)) / denom)
-        assert problems.estimate_rel_smoothness(
-            prob, k, n_samples=20, seed=seed) == 1.2 * ratio_max
+    # rounds differently, and the estimated L feeds the recorded E, M and G.
+    # The quartic kernel's hess_apply is radial, not a diagonal product.
+    cases = [
+        (problems.poisson_inverse(d=40, n=10, m=8, seed=1), kernels.burg),
+        (problems.phase_retrieval(d=12, n=10, m=9, noise_sd=0.1, seed=2),
+         kernels.quartic),
+        (problems.tv_deblur(d_img=5, m=3, seed=1), kernels.burg),
+    ]
+    for prob, kernel in cases:
+        k = kernel(prob.d)
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            X = k.sample_interior(rng, 20)
+            ratio_max = 0.0
+            for x in X:
+                assert prob.domain.is_interior(x)
+                v = rng.standard_normal(prob.d)
+                v /= np.linalg.norm(v)
+                eps = safe_eps(prob.domain, x, base=1e-5)
+                denom = float(k.hess_apply(x, v) @ v)
+                for i in range(prob.m):
+                    hvp = (_local(prob, i, x + eps * v)[1]
+                           - _local(prob, i, x - eps * v)[1]) / (2.0 * eps)
+                    ratio_max = max(ratio_max, abs(float(hvp @ v)) / denom)
+            assert problems.estimate_rel_smoothness(
+                prob, k, n_samples=20, seed=seed) == 1.2 * ratio_max
 
 
 # ---------------------------------------------------------------------------
