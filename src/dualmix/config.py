@@ -54,11 +54,7 @@ def validate(raw: dict) -> ExperimentConfig:
     problem_domain = problems.spec_domain(cfg.problem)
     kernel = kernels.kernel_from_spec(cfg.kernel, problem_domain.dim)
     _check_domain_compat(kernel.domain, problem_domain)
-    m = cfg.problem["m"]  # every family requires it
-    if _is_number(m, int):  # the graph's values, checked by building it
-        network.graph_from_spec(cfg.graph, m)
-    else:  # a bad m is reported when the problem is built
-        _spec.check(network.GRAPHS, cfg.graph, "graph")
+    network.check_graph_spec(cfg.graph)
 
     if not isinstance(cfg.algorithms, list) or not cfg.algorithms:
         raise ValidationError("algorithms", "need a nonempty list")

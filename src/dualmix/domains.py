@@ -8,8 +8,6 @@ only affects how interior base points are sampled.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainViolation
@@ -52,29 +50,17 @@ class Domain:
 
     def is_interior(self, x) -> bool:
         """Finite, of last dimension ``dim``, and more than BOUNDARY_GUARD
-        inside every finite bound; unbounded sides are not tested.
-
-        Decided by reductions: NaN propagates through ``max`` and ``min``, and
-        rounding is monotone, so ``min(x) - lo`` is the least of ``x - lo``."""
+        inside every finite bound; unbounded sides are not tested."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            return False
-        if self._lo_side is None and self._hi_side is None:
-            return bool(np.isfinite(x).all())
-        if not x.size:
-            return True
-        top, bottom = x.max(), x.min()
-        if not (math.isfinite(top) and math.isfinite(bottom)):
+        if x.shape[-1] != self.dim or not np.isfinite(x).all():
             return False
         if self._lo_side is not None:
             cols, lo = self._lo_side
-            gap = bottom - lo if cols is None else (x[..., cols] - lo).min()
-            if not gap > BOUNDARY_GUARD:
+            if not (x[..., cols] - lo > BOUNDARY_GUARD).all():
                 return False
         if self._hi_side is not None:
             cols, hi = self._hi_side
-            gap = hi - top if cols is None else (hi - x[..., cols]).min()
-            if not gap > BOUNDARY_GUARD:
+            if not (hi - x[..., cols] > BOUNDARY_GUARD).all():
                 return False
         return True
 
@@ -167,14 +153,10 @@ def safe_eps(domain, x, base=1e-6):
 
 
 def _finite_side(bound):
-    """``(cols, bound[cols])`` for the finite entries of ``bound``: ``cols``
-    is None for one finite value shared by every entry, and a full slice
-    when every entry is finite; None when none is."""
+    """``(cols, bound[cols])`` for the finite entries of ``bound``, where
+    ``cols`` is a full slice when every entry is finite; None when none is."""
     finite = np.isfinite(bound)
     if finite.all():
-        values = np.unique(bound)
-        if len(values) == 1:
-            return None, float(values[0])
         return slice(None), bound
     if not finite.any():
         return None

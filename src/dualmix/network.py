@@ -58,13 +58,20 @@ def ring_graph(m: int) -> Graph:
                            for i in range(m)))
 
 
+def _erdos_renyi_values(p: float = 0.3, seed: int = 0) -> None:
+    """The checks of erdos_renyi's spec values, which need no draw."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+    if int(seed) < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
     """Connected Erdos-Renyi draw; resamples with fresh substreams until
     connected (at most MAX_GRAPH_RETRIES attempts, retry count recorded)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _erdos_renyi_values(p, seed)
     iu, ju = np.triu_indices(m, k=1)
     for attempt in range(MAX_GRAPH_RETRIES):
         rng = np.random.default_rng([int(seed), attempt])
@@ -77,16 +84,24 @@ def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
         f"no connected graph in {MAX_GRAPH_RETRIES} attempts (m={m}, p={p})")
 
 
-# kind: (constructor, allowed keys); the constructor takes the agent count first
+# kind: (constructor, allowed keys, value check); the constructor takes the
+# agent count first, the value check only the spec's keys, so a config is
+# checked without drawing its graph
 GRAPHS = {
-    "erdos_renyi": (erdos_renyi, {"p", "seed"}),
-    "complete": (complete_graph, set()),
-    "ring": (ring_graph, set()),
+    "erdos_renyi": (erdos_renyi, {"p", "seed"}, _erdos_renyi_values),
+    "complete": (complete_graph, set(), lambda: None),
+    "ring": (ring_graph, set(), lambda: None),
 }
 
 
 def graph_from_spec(spec: dict, m: int) -> Graph:
     return _spec.build(GRAPHS, spec, "graph", m)
+
+
+def check_graph_spec(spec: dict) -> None:
+    """Check a graph spec's keys and values without drawing the graph."""
+    (_, _, check), kwargs = _spec.check(GRAPHS, spec, "graph")
+    _spec.call(check, "graph", **kwargs)
 
 
 @dataclass

@@ -593,12 +593,13 @@ def estimate_rel_smoothness(prob: Problem, kernel, n_samples=100, seed=0,
     X = X[[prob.domain.is_interior(x) for x in X]]
     if not len(X):
         raise SamplingExhausted("no interior sample lay in the problem domain")
-    # every dot is a (1, d) @ (d, 1) product, with the bits of np.dot of two
-    # rows; a stacked HV @ v or a sum over an axis rounds differently
+    # every dot has np.dot's bits: a (1, d) @ (d, 1) product per row, and the
+    # kernel curvature one sample at a time, since a stacked HV @ v, an axis
+    # sum or a dense hess_apply on stacked rows rounds differently
     V = rng.standard_normal(X.shape)
     V /= np.sqrt(_row_dot(V, V))[:, None]
     eps = np.array([domains.safe_eps(prob.domain, x, base=1e-5) for x in X])
-    denom = _row_dot(kernel.hess_apply(X, V), V)
+    denom = np.array([kernel.hess_apply(x, v) @ v for x, v in zip(X, V)])
     step = eps[:, None] * V
     HV = (prob._grads((X + step)[:, None]) - prob._grads((X - step)[:, None])
           ) / (2.0 * eps[:, None, None])

@@ -156,6 +156,7 @@ _BAD_CONFIGS = {
     "graph.seed true": (lambda raw: raw["graph"].update(seed=True),
                         "graph.seed"),
     "graph.seed -7": (lambda raw: raw["graph"].update(seed=-7), "graph"),
+    "graph.p 0": (lambda raw: raw["graph"].update(p=0), "graph"),
     "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
                         "graph.kind"),
     "init.kind uniform": (lambda raw: raw.update(init={"kind": "uniform"}),

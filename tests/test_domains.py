@@ -77,48 +77,6 @@ def test_is_interior_matches_where_predicate(case):
     assert got == where_is_interior(dom, x)
 
 
-def elementwise_is_interior(dom, x):
-    """``Domain.is_interior`` as it was before the reductions: one
-    elementwise comparison per finite side, after a finiteness pass."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != dom.dim or not np.isfinite(x).all():
-        return False
-    lo, hi = np.isfinite(dom.lo), np.isfinite(dom.hi)
-    return bool((x[..., lo] - dom.lo[lo] > BOUNDARY_GUARD).all()
-                and (dom.hi[hi] - x[..., hi] > BOUNDARY_GUARD).all())
-
-
-# uniform finite bounds away from 0, beside the table's domains
-REDUCED = dict(DOMAINS, lifted=domains.Domain(3, lo=2.5),
-               ceiling=domains.Domain(3, hi=-7.0).shift(np.full(3, 0.5)))
-
-
-@st.composite
-def stacked_point(draw):
-    dom = REDUCED[draw(st.sampled_from(sorted(REDUCED)))]
-    width = dom.dim + draw(st.sampled_from([0, 0, 0, 1]))
-    lead = draw(st.sampled_from([(), (0,), (2, 0), (3,), (2, 3)]))
-    x = np.empty(lead + (width,))
-    for idx in np.ndindex(x.shape):
-        j = idx[-1] % dom.dim
-        x[idx] = draw(st.one_of(
-            st.just(_safe(dom, j)),
-            st.sampled_from(_edges(dom, j) + [1.7e308, -1.7e308]),
-            st.floats(allow_nan=True, allow_infinity=True)))
-    return dom, x
-
-
-@settings(max_examples=600, deadline=None)
-@given(stacked_point())
-def test_is_interior_reductions_match_elementwise_formula(case):
-    # empty stacks, leading axes and uniform bounds take the reductions'
-    # own branches
-    dom, x = case
-    got = dom.is_interior(x)
-    assert isinstance(got, bool)
-    assert got == elementwise_is_interior(dom, x)
-
-
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 @pytest.mark.parametrize("rows", [None, 3])
 def test_is_interior_single_entry_at_every_edge(name, rows):

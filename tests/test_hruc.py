@@ -142,6 +142,19 @@ def test_certify_zero_and_tiny_delta_are_consistent(name):
     assert "VIOLATION" not in report.summary()
 
 
+@pytest.mark.parametrize("kernel, to_box", [
+    (kernels.fermi_dirac(1), lambda t: 0.5 + 0.5 * t),
+    (kernels.hellinger(1), lambda t: t),
+])
+def test_gap_floor_covers_delta_zero_up_to_the_samplers_margin(kernel, to_box):
+    # the box sampler squashes normals by tanh with a 1e-7 margin; nearer a
+    # bound the inverse's residual (Fermi-Dirac) and round-off (Hellinger)
+    # grow, and the farthest draws are where delta = 0 gaps peak
+    X = to_box(np.tanh(np.linspace(-12.0, 12.0, 4801)) * (1 - 1e-7))[:, None]
+    gaps = hruc.relative_hessian_gap(kernel, X, kernel.grad_conj(kernel.grad(X)))
+    assert gaps.max() <= hruc.GAP_FLOOR
+
+
 def test_hellinger_falsifies_unit_rate_modulus():
     # The correct Hellinger modulus grows at rate 3/2 in the dual distance;
     # certifying against exp(delta)-1 finds counterexamples, while the

@@ -113,6 +113,11 @@ def _layout_csr(layout):
                                    shape=(w.shape[1], w.shape[1]))
 
 
+def _spd(d, seed=0):
+    B = np.random.default_rng(seed).standard_normal((d, d))
+    return B @ B.T / d + np.eye(d)
+
+
 def _local(prob, i, x):
     """f_i(x) and grad f_i(x), written out for agent i from its family's
     formula and its slice of the stacked data."""
@@ -264,6 +269,10 @@ def test_estimate_rel_smoothness_is_the_per_agent_loop_bitwise():
         (problems.phase_retrieval(d=12, n=10, m=9, noise_sd=0.1, seed=2),
          kernels.quartic),
         (problems.tv_deblur(d_img=5, m=3, seed=1), kernels.burg),
+        # a dense preconditioner, whose hess_apply on stacked rows is a
+        # matrix product that rounds unlike the product with one row
+        (problems.phase_retrieval(d=24, n=10, m=9, noise_sd=0.1, seed=2),
+         lambda d: kernels.euclidean(d, A=_spd(d))),
     ]
     for prob, kernel in cases:
         k = kernel(prob.d)
