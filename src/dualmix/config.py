@@ -17,7 +17,9 @@ import yaml
 from . import _spec, algorithms, kernels, network, problems
 from .errors import ParseError, ValidationError
 
-_ALGO_KEYS = {"kind", "eta", "delta", "max_iter", "y0"}
+# an algorithms entry's keys: ``kind``, which AlgoConfig calls ``algorithm``,
+# and AlgoConfig's other parameters
+_ALGO_KEYS = ["kind"] + [f.name for f in fields(algorithms.AlgoConfig)][1:]
 _SELECT_METRICS = {"stationarity", "f_bar", "rel_error"}
 
 DEFAULT_TUNING = {
@@ -42,8 +44,7 @@ class ExperimentConfig:
 
 
 def validate(raw: dict) -> ExperimentConfig:
-    _spec.check_keys(raw, [f.name for f in fields(ExperimentConfig)], "config",
-                     ctor=ExperimentConfig)
+    _spec.check_keys(raw, ExperimentConfig, "config")
     cfg = ExperimentConfig(**{k: copy.deepcopy(v) for k, v in raw.items()
                               if k not in ("tuning", "init")})
     for name, defaults in (("tuning", DEFAULT_TUNING), ("init", DEFAULT_INIT)):
@@ -76,8 +77,9 @@ def validate(raw: dict) -> ExperimentConfig:
         raise ValidationError("tuning.select_by",
                               f"must be one of {sorted(_SELECT_METRICS)}")
     if not isinstance(cfg.seeds, list) or not cfg.seeds or \
-            any(not _is_number(s, int) or s < 0 for s in cfg.seeds):
-        raise ValidationError("seeds", "must be a nonempty list of "
+            any(not _is_number(s, int) or s < 0 for s in cfg.seeds) or \
+            len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ValidationError("seeds", "must be a nonempty list of distinct "
                               "nonnegative integers")
     if cfg.init["kind"] not in _INIT_DRAWS:
         raise ValidationError("init.kind", f"must be one of {sorted(_INIT_DRAWS)}")

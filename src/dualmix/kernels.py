@@ -835,6 +835,16 @@ def combine(h1: Kernel, h2: Kernel, mode: str, kappa_h=None, kappa_g=None) -> Ke
 # Catalogue
 # ---------------------------------------------------------------------------
 
+# the catalogue kernels whose factory is their class, under their kind's name
+boltzmann_shannon = BoltzmannShannon
+burg = Burg
+power = PowerKernel
+tsallis = Tsallis
+exponential_entropy = ExponentialEntropy
+norm_exponential = NormExponential
+harmonic = Harmonic
+hellinger = Hellinger
+
 
 def euclidean(dim, A=None) -> Kernel:
     """|x|^2 / 2, or x^T A x / 2 = |L^T x|^2 / 2 with A = L L^T positive
@@ -853,43 +863,11 @@ def euclidean(dim, A=None) -> Kernel:
     return k
 
 
-def boltzmann_shannon(dim) -> BoltzmannShannon:
-    return BoltzmannShannon(dim)
-
-
-def burg(dim, mu=1.0) -> Burg:
-    return Burg(dim, mu=mu)
-
-
-def power(dim, mu=1.0, r=2.0) -> PowerKernel:
-    return PowerKernel(dim, mu=mu, r=r)
-
-
 def quartic(dim) -> PowerKernel:
     """|x|^4/4 + |x|^2/2: the power kernel at mu=1, r=2."""
     k = PowerKernel(dim, mu=1.0, r=2.0)
     k.name = "quartic"
     return k
-
-
-def tsallis(dim, mu=1.0, q=0.5) -> Tsallis:
-    return Tsallis(dim, mu=mu, q=q)
-
-
-def exponential_entropy(dim, mu=1.0) -> ExponentialEntropy:
-    return ExponentialEntropy(dim, mu=mu)
-
-
-def norm_exponential(dim) -> NormExponential:
-    return NormExponential(dim)
-
-
-def harmonic(dim, mu=1.0, p=1.0) -> Harmonic:
-    return Harmonic(dim, mu=mu, p=p)
-
-
-def hellinger(dim) -> Hellinger:
-    return Hellinger(dim)
 
 
 def fermi_dirac(dim) -> Kernel:
@@ -950,20 +928,20 @@ def _shifted_spec(dim, base, shift) -> Kernel:
     return shifted(_spec.build(KERNELS, base, "kernel.base", dim), shift)
 
 
-# kind: (constructor, allowed keys); the constructor takes the dimension first
+# kind: constructor, which takes the dimension first and the spec's keys
 KERNELS = {
-    "euclidean": (euclidean, {"A"}),
-    "boltzmann_shannon": (boltzmann_shannon, set()),
-    "burg": (burg, {"mu"}),
-    "power": (power, {"mu", "r"}),
-    "quartic": (quartic, set()),
-    "tsallis": (tsallis, {"mu", "q"}),
-    "exponential": (exponential_entropy, {"mu"}),
-    "norm_exponential": (norm_exponential, set()),
-    "harmonic": (harmonic, {"mu", "p"}),
-    "hellinger": (hellinger, set()),
-    "fermi_dirac": (fermi_dirac, set()),
-    "shifted": (_shifted_spec, {"base", "shift"}),
+    "euclidean": euclidean,
+    "boltzmann_shannon": boltzmann_shannon,
+    "burg": burg,
+    "power": power,
+    "quartic": quartic,
+    "tsallis": tsallis,
+    "exponential": exponential_entropy,
+    "norm_exponential": norm_exponential,
+    "harmonic": harmonic,
+    "hellinger": hellinger,
+    "fermi_dirac": fermi_dirac,
+    "shifted": _shifted_spec,
 }
 
 

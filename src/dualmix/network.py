@@ -84,13 +84,13 @@ def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
         f"no connected graph in {MAX_GRAPH_RETRIES} attempts (m={m}, p={p})")
 
 
-# kind: (constructor, allowed keys, value check); the constructor takes the
-# agent count first, the value check only the spec's keys, so a config is
+# kind: (constructor, value check); the constructor takes the agent count
+# and then the spec's keys, the value check only the keys, so a config is
 # checked without drawing its graph
 GRAPHS = {
-    "erdos_renyi": (erdos_renyi, {"p", "seed"}, _erdos_renyi_values),
-    "complete": (complete_graph, set(), lambda: None),
-    "ring": (ring_graph, set(), lambda: None),
+    "erdos_renyi": (erdos_renyi, _erdos_renyi_values),
+    "complete": (complete_graph, lambda: None),
+    "ring": (ring_graph, lambda: None),
 }
 
 
@@ -100,7 +100,7 @@ def graph_from_spec(spec: dict, m: int) -> Graph:
 
 def check_graph_spec(spec: dict) -> None:
     """Check a graph spec's keys and values without drawing the graph."""
-    (_, _, check), kwargs = _spec.check(GRAPHS, spec, "graph")
+    (_, check), kwargs = _spec.check(GRAPHS, spec, "graph", lead=1)
     _spec.call(check, "graph", **kwargs)
 
 

@@ -625,20 +625,15 @@ def psnr(X, X_ref, peak=255.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-# kind: (constructor, allowed keys, domain); the domain is read from the
-# spec's keys, so a config is checked without generating its data
+# kind: (constructor, domain); the spec's keys are the constructor's
+# parameters, and the domain is read from them, so a config is checked
+# without generating its data
 PROBLEMS = {
-    "quadratic": (quadratic_consensus, {"d", "m", "seed", "cond"},
-                  lambda d, **_: domains.reals(d)),
-    "entropy": (entropy_consensus, {"d", "m", "seed"},
-                lambda d, **_: domains.orthant(d)),
-    "phase_retrieval": (phase_retrieval, {"d", "n", "m", "noise_sd", "seed"},
-                        lambda d, **_: domains.reals(d)),
-    "poisson": (poisson_inverse, {"d", "n", "m", "seed"},
-                lambda d, **_: domains.orthant(d)),
-    "tv_deblur": (tv_deblur, {"d_img", "m", "blur_len", "alpha", "lambda_tv",
-                              "seed"},
-                  lambda d_img, **_: domains.orthant(d_img * d_img)),
+    "quadratic": (quadratic_consensus, lambda d, **_: domains.reals(d)),
+    "entropy": (entropy_consensus, lambda d, **_: domains.orthant(d)),
+    "phase_retrieval": (phase_retrieval, lambda d, **_: domains.reals(d)),
+    "poisson": (poisson_inverse, lambda d, **_: domains.orthant(d)),
+    "tv_deblur": (tv_deblur, lambda d_img, **_: domains.orthant(d_img * d_img)),
 }
 
 
@@ -648,5 +643,5 @@ def problem_from_spec(spec: dict) -> Problem:
 
 def spec_domain(spec: dict) -> domains.Domain:
     """Domain of the problem a spec describes, without generating its data."""
-    (_, _, domain), kwargs = _spec.check(PROBLEMS, spec, "problem")
+    (_, domain), kwargs = _spec.check(PROBLEMS, spec, "problem")
     return _spec.call(domain, "problem", **kwargs)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dualmix import algorithms, cli, config, diagnostics, kernels
+from dualmix import algorithms, cli, config, diagnostics, kernels, problems
 from dualmix.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -47,6 +48,30 @@ def test_parse_roundtrip_lossless(tmp_path):
     echo = config.serialize(cfg)
     cfg2 = config.parse_config_text(echo)
     assert config.serialize(cfg2) == echo
+
+
+def _readme_config_block():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_example_parses_and_lists_every_kind():
+    block = _readme_config_block()
+    config.parse_config_text(block)
+    # a top-level key's indented comment lines hold its "kinds:" list, one
+    # kind per "|"-separated or line-leading item
+    listed = {}
+    for key, comment in re.findall(r"^(\w+):.*\n((?:[ \t]+#.*\n)*)", block,
+                                   re.M):
+        if "kinds:" in comment:
+            text = comment.replace("#", " ").split("kinds:", 1)[1]
+            listed[key] = {re.match(r"\s*(\w+)", piece).group(1)
+                           for piece in re.split(r"[|\n]", text)
+                           if piece.strip()}
+    assert listed["problem"] == set(problems.PROBLEMS)
+    assert listed["kernel"] == set(kernels.KERNELS)
 
 
 def test_unknown_keys_are_fatal():
@@ -144,6 +169,8 @@ _BAD_CONFIGS = {
         "tuning.delta_grid"),
     "seeds [true]": (lambda raw: raw.update(seeds=[True]), "seeds"),
     "seeds [0, -1]": (lambda raw: raw.update(seeds=[0, -1]), "seeds"),
+    # a repeated seed would assemble one replica twice
+    "seeds [1, 1]": (lambda raw: raw.update(seeds=[1, 1]), "seeds"),
     "init.scale false": (
         lambda raw: raw.update(init={"kind": "ones", "scale": False}),
         "init.scale"),
@@ -173,6 +200,18 @@ _BAD_CONFIGS = {
         lambda raw: raw.update(kernel={"kind": "shifted",
                                        "base": {"kind": "burg"}}),
         "kernel.shift"),
+    # unknown keys: each spec's keys are its constructor's parameters
+    "problem.k": (lambda raw: raw["problem"].update(k=3), "problem.k"),
+    "kernel.nu": (lambda raw: raw["kernel"].update(nu=1.0), "kernel.nu"),
+    "kernel.base.nu": (_shifted_burg([0.0] * 12, nu=1.0), "kernel.base.nu"),
+    "graph.q": (lambda raw: raw["graph"].update(q=0.5), "graph.q"),
+    "algorithms[0].lr": (lambda raw: raw["algorithms"][0].update(lr=0.1),
+                         "algorithms[0].lr"),
+    "tuning.grid": (lambda raw: raw.update(tuning={"grid": [1.0]}),
+                    "tuning.grid"),
+    "init.shape": (lambda raw: raw.update(init={"kind": "ones", "shape": 2}),
+                   "init.shape"),
+    "config.foo": (lambda raw: raw.update(foo=1), "config.foo"),
 }
 
 
