@@ -63,7 +63,7 @@ def call(fn, where, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(where, str(exc)) from exc
 
 

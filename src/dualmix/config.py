@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import io
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -55,7 +56,10 @@ def validate(raw: dict) -> ExperimentConfig:
     problem_domain = problems.spec_domain(cfg.problem)
     kernel = kernels.kernel_from_spec(cfg.kernel, problem_domain.dim)
     _check_domain_compat(kernel.domain, problem_domain)
-    network.check_graph_spec(cfg.graph)
+    m = cfg.problem["m"]  # every problem family takes the agent count m
+    if not _is_number(m, int) or m < 1:
+        raise ValidationError("problem.m", "must be a positive integer")
+    network.graph_from_spec(cfg.graph, m)
 
     if not isinstance(cfg.algorithms, list) or not cfg.algorithms:
         raise ValidationError("algorithms", "need a nonempty list")
@@ -70,7 +74,7 @@ def validate(raw: dict) -> ExperimentConfig:
         values = cfg.tuning[grid]
         if not isinstance(values, list) or not values:
             raise ValidationError(f"tuning.{grid}", "must be a nonempty list")
-        if any(not _is_number(v) or v <= 0 for v in values):
+        if any(not _is_number(v) or not v > 0 for v in values):
             raise ValidationError(f"tuning.{grid}",
                                   "entries must be positive numbers")
     if cfg.tuning["select_by"] not in _SELECT_METRICS:
@@ -83,12 +87,12 @@ def validate(raw: dict) -> ExperimentConfig:
                               "nonnegative integers")
     if cfg.init["kind"] not in _INIT_DRAWS:
         raise ValidationError("init.kind", f"must be one of {sorted(_INIT_DRAWS)}")
-    if not _is_number(cfg.init["scale"]):
-        raise ValidationError("init.scale", "must be a number")
+    if not _is_finite(cfg.init["scale"]):
+        raise ValidationError("init.scale", "must be a finite number")
     if not isinstance(cfg.output, str):
         raise ValidationError("output", "must be a path")
     if cfg.L is not None:
-        if not _is_number(cfg.L) or cfg.L <= 0:
+        if not _is_finite(cfg.L) or cfg.L <= 0:
             raise ValidationError("L", "must be a positive number")
         cfg.L = float(cfg.L)
     return cfg
@@ -98,6 +102,12 @@ def _is_number(value, kinds=(int, float)):
     """``value`` is one of ``kinds`` and not a bool, which YAML's true and
     false parse to and Python counts as an int."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """``value`` is a number that converts to a finite float: not NaN, not
+    infinite, and no integer too large for a float."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 def _check_domain_compat(kdom, pdom):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diagnostics import _row_dot
 from .errors import DomainViolation
 
 # Points closer than this to a finite boundary are rejected: gradient blow-up
@@ -145,11 +146,20 @@ class Domain:
 def safe_eps(domain, x, base=1e-6):
     """Central-difference step for unit directions at ``x``: ``base * (1 +
     |x|)``, capped at a quarter of the gap to the nearest finite bound so
-    that x +- eps*v stays strictly inside; ``base`` if that is not positive."""
-    lo_gap = np.min(np.where(np.isfinite(domain.lo), x - domain.lo, np.inf))
-    hi_gap = np.min(np.where(np.isfinite(domain.hi), domain.hi - x, np.inf))
-    eps = min(base * (1.0 + float(np.linalg.norm(x))), 0.25 * min(lo_gap, hi_gap))
-    return eps if np.isfinite(eps) and eps > 0 else base
+    that x +- eps*v stays strictly inside; ``base`` if that is not positive.
+
+    A point gives a float; rows ``x`` (..., d) give one step per row, each
+    with the bits of the step at that row alone."""
+    x = np.asarray(x, dtype=float)
+    lo_gap = np.min(np.where(np.isfinite(domain.lo), x - domain.lo, np.inf),
+                    axis=-1)
+    hi_gap = np.min(np.where(np.isfinite(domain.hi), domain.hi - x, np.inf),
+                    axis=-1)
+    # |x| as np.linalg.norm forms it: the square root of np.dot(x, x)
+    eps = np.minimum(base * (1.0 + np.sqrt(_row_dot(x, x))),
+                     0.25 * np.minimum(lo_gap, hi_gap))
+    eps = np.where(np.isfinite(eps) & (eps > 0), eps, base)
+    return eps if eps.ndim else float(eps)
 
 
 def _finite_side(bound):

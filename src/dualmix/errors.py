@@ -45,8 +45,10 @@ class Disconnected(DualmixError):
     """The communication graph is not connected."""
 
 
-class DisconnectedAfterRetries(Disconnected):
-    """Random graph generation never produced a connected graph."""
+class DisconnectedAfterRetries(Disconnected, ValueError):
+    """Random graph generation never produced a connected graph.  Also a
+    ValueError: its arguments (m, p) gave no connected draw within the retry
+    budget, so a config reports it like any other rejected value."""
 
 
 class ParseError(DualmixError):

@@ -139,8 +139,10 @@ def _test_mixing_and_contraction(n_cases=50, seed=5):
     for c in range(n_cases):
         m = int(rng.integers(2, 17))
         d = int(rng.integers(1, 9))
-        g = network.erdos_renyi(m, 0.5, seed=int(rng.integers(0, 10**6)))
-        mix = network.metropolis_weights(g)
+        spec = ({"kind": "erdos_renyi", "p": 0.5,
+                 "seed": int(rng.integers(0, 10**6))},
+                {"kind": "ring"}, {"kind": "complete"})[c % 3]
+        mix = network.metropolis_weights(network.graph_from_spec(spec, m))
         mix.validate()
         Q = rng.standard_normal((d, d))
         H = Q @ Q.T + 0.3 * np.eye(d)
@@ -153,7 +155,8 @@ def _test_mixing_and_contraction(n_cases=50, seed=5):
         V = rng.standard_normal((m, d))
         U = rng.standard_normal((m, d))
         ok = ok and network.contraction_check(mix, H, H_plus, V, U)
-    return ok, f"{n_cases} random contraction instances"
+    return ok, (f"{n_cases} random contraction instances on erdos_renyi, "
+                "ring and complete graphs")
 
 
 def _test_clip(seed=2):

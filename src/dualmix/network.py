@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,38 +10,33 @@ from . import _spec
 from .errors import Disconnected, DisconnectedAfterRetries, PreconditionViolated
 
 MAX_GRAPH_RETRIES = 1000
+# MixingMatrix.validate's tolerances on symmetry and on the unit row and
+# column sums (and the most negative weight)
+SYM_TOL = 1e-14
+STOCH_TOL = 1e-12
 
 
 @dataclass
 class Graph:
-    """Undirected simple graph on vertices 0..m-1."""
+    """Undirected simple graph on vertices 0..m-1; ``A`` is its adjacency
+    matrix, built once from ``edges``."""
 
     m: int
     edges: list  # sorted (i, j) pairs with i < j
     retries: int = 0  # regenerations needed to reach connectivity
+    A: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.m, self.m))
-        for i, j in self.edges:
-            A[i, j] = A[j, i] = 1.0
-        return A
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
+    def __post_init__(self):
+        self.A = np.zeros((self.m, self.m))
+        i, j = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        self.A[i, j] = self.A[j, i] = 1.0
 
     def is_connected(self) -> bool:
-        if self.m == 1:
-            return True
-        A = self.adjacency()
         seen = np.zeros(self.m, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(A[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
+        frontier = np.arange(self.m) == 0
+        while frontier.any():
+            seen |= frontier
+            frontier = self.A[frontier].any(axis=0) & ~seen
         return bool(seen.all())
 
 
@@ -52,18 +47,8 @@ def complete_graph(m: int) -> Graph:
 def ring_graph(m: int) -> Graph:
     if m < 2:
         raise ValueError("ring needs m >= 2")
-    if m == 2:
-        return Graph(2, [(0, 1)])
-    return Graph(m, sorted((i, (i + 1) % m) if i < (i + 1) % m else ((i + 1) % m, i)
-                           for i in range(m)))
-
-
-def _erdos_renyi_values(p: float = 0.3, seed: int = 0) -> None:
-    """The checks of erdos_renyi's spec values, which need no draw."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if int(seed) < 0:
-        raise ValueError("seed must be nonnegative")
+    # at m == 2 the closing edge (0, 1) is the first one
+    return Graph(m, sorted({(i, i + 1) for i in range(m - 1)} | {(0, m - 1)}))
 
 
 def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
@@ -71,12 +56,15 @@ def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
     connected (at most MAX_GRAPH_RETRIES attempts, retry count recorded)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    _erdos_renyi_values(p, seed)
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+    if int(seed) < 0:
+        raise ValueError("seed must be nonnegative")
     iu, ju = np.triu_indices(m, k=1)
     for attempt in range(MAX_GRAPH_RETRIES):
         rng = np.random.default_rng([int(seed), attempt])
         mask = rng.random(len(iu)) < p
-        g = Graph(m, [(int(i), int(j)) for i, j in zip(iu[mask], ju[mask])],
+        g = Graph(m, list(zip(iu[mask].tolist(), ju[mask].tolist())),
                   retries=attempt)
         if g.is_connected():
             return g
@@ -84,24 +72,16 @@ def erdos_renyi(m: int, p: float = 0.3, seed: int = 0) -> Graph:
         f"no connected graph in {MAX_GRAPH_RETRIES} attempts (m={m}, p={p})")
 
 
-# kind: (constructor, value check); the constructor takes the agent count
-# and then the spec's keys, the value check only the keys, so a config is
-# checked without drawing its graph
+# kind: constructor, which takes the agent count and then the spec's keys
 GRAPHS = {
-    "erdos_renyi": (erdos_renyi, _erdos_renyi_values),
-    "complete": (complete_graph, lambda: None),
-    "ring": (ring_graph, lambda: None),
+    "erdos_renyi": erdos_renyi,
+    "complete": complete_graph,
+    "ring": ring_graph,
 }
 
 
 def graph_from_spec(spec: dict, m: int) -> Graph:
     return _spec.build(GRAPHS, spec, "graph", m)
-
-
-def check_graph_spec(spec: dict) -> None:
-    """Check a graph spec's keys and values without drawing the graph."""
-    (_, check), kwargs = _spec.check(GRAPHS, spec, "graph", lead=1)
-    _spec.call(check, "graph", **kwargs)
 
 
 @dataclass
@@ -113,16 +93,16 @@ class MixingMatrix:
     rho: float
     graph: Graph = None
 
-    def validate(self, sym_tol=1e-14, stoch_tol=1e-12):
+    def validate(self):
         W = self.W
-        if np.max(np.abs(W - W.T)) > sym_tol:
+        if np.max(np.abs(W - W.T)) > SYM_TOL:
             raise ValueError("mixing matrix is not symmetric")
         ones = np.ones(self.m)
-        if np.max(np.abs(W @ ones - ones)) > stoch_tol:
+        if np.max(np.abs(W @ ones - ones)) > STOCH_TOL:
             raise ValueError("row sums differ from 1")
-        if np.max(np.abs(ones @ W - ones)) > stoch_tol:
+        if np.max(np.abs(ones @ W - ones)) > STOCH_TOL:
             raise ValueError("column sums differ from 1")
-        if np.min(W) < -stoch_tol:
+        if np.min(W) < -STOCH_TOL:
             raise ValueError("negative mixing weight")
         if not self.rho < 1.0:
             raise ValueError(f"spectral gap rho={self.rho} is not < 1")
@@ -141,14 +121,11 @@ def metropolis_weights(graph: Graph) -> MixingMatrix:
     diagonal fills the remaining mass.  Connected graphs give rho < 1."""
     if not graph.is_connected():
         raise Disconnected("metropolis weights require a connected graph")
-    m = graph.m
-    deg = graph.degrees()
-    W = np.zeros((m, m))
-    for i, j in graph.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = W[j, i] = w
+    deg = graph.A.sum(axis=1)
+    W = graph.A / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return MixingMatrix(m=m, W=W, rho=spectral_gap(W), graph=graph).validate()
+    return MixingMatrix(m=graph.m, W=W, rho=spectral_gap(W),
+                        graph=graph).validate()
 
 
 def _sqrtm_spd(H: np.ndarray) -> np.ndarray:

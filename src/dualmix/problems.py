@@ -598,7 +598,7 @@ def estimate_rel_smoothness(prob: Problem, kernel, n_samples=100, seed=0,
     # sum or a dense hess_apply on stacked rows rounds differently
     V = rng.standard_normal(X.shape)
     V /= np.sqrt(_row_dot(V, V))[:, None]
-    eps = np.array([domains.safe_eps(prob.domain, x, base=1e-5) for x in X])
+    eps = domains.safe_eps(prob.domain, X, base=1e-5)
     denom = np.array([kernel.hess_apply(x, v) @ v for x, v in zip(X, V)])
     step = eps[:, None] * V
     HV = (prob._grads((X + step)[:, None]) - prob._grads((X - step)[:, None])

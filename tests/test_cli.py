@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from dualmix import algorithms, cli, config, diagnostics, kernels, problems
+from dualmix import _spec, algorithms, cli, config, diagnostics, kernels, \
+    network, problems
 from dualmix.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -72,6 +74,49 @@ def test_readme_config_example_parses_and_lists_every_kind():
                            if piece.strip()}
     assert listed["problem"] == set(problems.PROBLEMS)
     assert listed["kernel"] == set(kernels.KERNELS)
+
+
+def _listed_keys(entry):
+    """``(kind, required keys, optional keys)`` of one README ``# kinds:``
+    entry: ``kind(req,..[,opt,..])``, ``kind[opt,..]`` or
+    ``kind{key: .., ..}``, whose keys are all required."""
+    kind, keys = re.match(r"\s*(\w+)(\{.*\}|\(.*?\)|\[.*?\])?",
+                          entry).groups()
+    keys = keys or ""
+    if keys.startswith("{"):
+        return kind, re.findall(r"(\w+):", keys), []
+    required, _, optional = keys.strip("()").partition("[")
+    return kind, [k for k in required.split(",") if k], \
+        [k for k in optional.rstrip("]").split(",") if k]
+
+
+def test_readme_kinds_list_their_constructor_parameters():
+    # a kind's keys are its constructor's parameters after the leading
+    # arguments the builder passes itself (none for problems)
+    block = _readme_config_block()
+    registries = {"problem": (problems.PROBLEMS, 0),
+                  "kernel": (kernels.KERNELS, 1),
+                  "graph": (network.GRAPHS, 1)}
+    seen = set()
+    for key, comment in re.findall(r"^(\w+):.*\n((?:[ \t]+#.*\n)*)", block,
+                                   re.M):
+        if key not in registries:
+            continue
+        registry, lead = registries[key]
+        text = comment.replace("#", " ").split("kinds:", 1)[1]
+        for piece in re.split(r"[|\n]", text):
+            if not piece.strip():
+                continue
+            kind, required, optional = _listed_keys(piece)
+            params = list(inspect.signature(_spec._constructor(
+                registry[kind])).parameters.values())[lead:]
+            assert required == [p.name for p in params
+                                if p.default is p.empty], kind
+            assert optional == [p.name for p in params
+                                if p.default is not p.empty], kind
+            seen.add((key, kind))
+    assert seen == {(key, kind) for key, (registry, _) in registries.items()
+                    for kind in registry}
 
 
 def test_unknown_keys_are_fatal():
@@ -186,6 +231,31 @@ _BAD_CONFIGS = {
     "graph.p 0": (lambda raw: raw["graph"].update(p=0), "graph"),
     "graph.kind star": (lambda raw: raw["graph"].update(kind="star"),
                         "graph.kind"),
+    # the graph is drawn at the problem's m when the config is parsed
+    "ring on problem.m 1": (
+        lambda raw: (raw["problem"].update(m=1),
+                     raw.update(graph={"kind": "ring"})), "graph"),
+    "erdos_renyi on problem.m 1": (
+        lambda raw: raw["problem"].update(m=1), "graph"),
+    "graph.p 0.01 never connects": (
+        lambda raw: raw["graph"].update(p=0.01), "graph"),
+    "problem.m 0": (lambda raw: raw["problem"].update(m=0), "problem.m"),
+    "problem.m 2.5": (lambda raw: raw["problem"].update(m=2.5), "problem.m"),
+    # non-finite numbers
+    "tuning.eta_grid [nan]": (
+        lambda raw: raw.update(tuning={"eta_grid": [math.nan]}),
+        "tuning.eta_grid"),
+    "tuning.delta_grid [nan]": (
+        lambda raw: raw.update(tuning={"delta_grid": [1.0, math.nan]}),
+        "tuning.delta_grid"),
+    "algorithms[1].max_iter inf": (
+        lambda raw: raw["algorithms"][1].update(max_iter=math.inf),
+        "algorithms[1]"),
+    "L nan": (lambda raw: raw.update(L=math.nan), "L"),
+    "L inf": (lambda raw: raw.update(L=math.inf), "L"),
+    "init.scale inf": (
+        lambda raw: raw.update(init={"kind": "ones", "scale": math.inf}),
+        "init.scale"),
     "init.kind uniform": (lambda raw: raw.update(init={"kind": "uniform"}),
                           "init.kind"),
     "shifted euclidean on poisson": (

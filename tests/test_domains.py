@@ -97,3 +97,30 @@ def test_is_interior_single_entry_at_every_edge(name, rows):
     if name != "reals":
         # one ulp inside the guard edge passes, the edge itself does not
         assert outcomes == {True, False}
+
+
+def _safe_eps_at(dom, x, base):
+    """safe_eps at one point, with |x| from np.linalg.norm."""
+    lo_gap = np.min(np.where(np.isfinite(dom.lo), x - dom.lo, np.inf))
+    hi_gap = np.min(np.where(np.isfinite(dom.hi), dom.hi - x, np.inf))
+    eps = min(base * (1.0 + float(np.linalg.norm(x))),
+              0.25 * min(lo_gap, hi_gap))
+    return eps if np.isfinite(eps) and eps > 0 else base
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS) + ["orthant 200"])
+def test_safe_eps_rows_match_the_point_formula_bitwise(name):
+    # estimate_rel_smoothness takes one step per sample row
+    dom = domains.orthant(200) if name == "orthant 200" else DOMAINS[name]
+    safe = np.array([_safe(dom, j) for j in range(dom.dim)])
+    rng = np.random.default_rng(5)
+    for scale in 10.0 ** np.arange(-8, 9, 2):
+        # the wider draws leave the bounded columns: the step falls to base
+        X = safe + scale * rng.standard_normal((2, 15, dom.dim))
+        for base in (1e-5, 1e-6):
+            want = np.array([[_safe_eps_at(dom, x, base) for x in rows]
+                             for rows in X])
+            got = domains.safe_eps(dom, X, base=base)
+            assert got.tobytes() == want.tobytes()
+            got = domains.safe_eps(dom, X[0, 0], base=base)
+            assert type(got) is float and got == want[0, 0]

@@ -26,6 +26,70 @@ def test_metropolis_single_edge():
     assert mix.rho == pytest.approx(0.0, abs=1e-14)
 
 
+def _per_edge_metropolis(graph):
+    """The Metropolis weights written out edge by edge: the degrees from an
+    adjacency filled per edge, W_ij = 1/(1 + max(deg_i, deg_j)) per edge,
+    and the diagonal filling each row's remaining mass."""
+    A = np.zeros((graph.m, graph.m))
+    for i, j in graph.edges:
+        A[i, j] = A[j, i] = 1.0
+    deg = A.sum(axis=1)
+    W = np.zeros((graph.m, graph.m))
+    for i, j in graph.edges:
+        W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return W, network.spectral_gap(W)
+
+
+def _graph_grid():
+    for m in range(1, 25):
+        yield network.complete_graph(m)
+    for m in range(2, 25):
+        yield network.ring_graph(m)
+        for p in (0.1, 0.3, 0.5, 0.9, 1.0):
+            for seed in (0, 3):
+                try:
+                    yield network.erdos_renyi(m, p, seed=seed)
+                except Disconnected:  # p too small to connect m vertices
+                    pass
+
+
+def test_metropolis_weights_match_the_per_edge_formula_bitwise():
+    # W's bits reach every output through the mixing products and rho
+    count = 0
+    for g in _graph_grid():
+        mix = network.metropolis_weights(g)
+        W, rho = _per_edge_metropolis(g)
+        assert mix.W.tobytes() == W.tobytes(), (g.m, g.edges)
+        assert mix.rho == rho
+        count += 1
+    assert count > 250
+
+
+# (m, p, seed) -> (retries, edges) of the connected draw
+_ERDOS_RENYI_DRAWS = {
+    (6, 0.25, 3): (0, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)]),
+    (5, 0.3, 0): (2, [(0, 1), (0, 4), (1, 2), (1, 4), (3, 4)]),
+    (4, 0.6, 7): (1, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    (10, 0.1, 2): (237, [(0, 4), (1, 6), (2, 6), (3, 5), (3, 7), (4, 9),
+                         (5, 7), (5, 9), (6, 8), (6, 9), (8, 9)]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_ERDOS_RENYI_DRAWS))
+def test_erdos_renyi_draws_are_pinned(key):
+    m, p, seed = key
+    g = network.erdos_renyi(m, p, seed=seed)
+    assert (g.retries, g.edges) == _ERDOS_RENYI_DRAWS[key]
+    assert all(type(i) is int and type(j) is int for i, j in g.edges)
+
+
+def test_ring_edges():
+    assert network.ring_graph(2).edges == [(0, 1)]
+    assert network.ring_graph(5).edges == [(0, 1), (0, 4), (1, 2), (2, 3),
+                                           (3, 4)]
+
+
 def test_metropolis_requires_connected():
     with pytest.raises(Disconnected):
         network.metropolis_weights(network.Graph(3, [(0, 1)]))
