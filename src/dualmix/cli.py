@@ -108,7 +108,8 @@ def assemble(cfg, seed) -> Assembly:
 
 def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
                 eta=None, delta=None, run_id=None, assembly=None):
-    """Execute one (algorithm, seed) cell; returns (result, meta).
+    """Execute one (algorithm, seed) cell; returns (result, meta), where
+    ``meta`` is the cell's entry in a batch manifest's ``runs``.
 
     ``assembly`` is the seed's :class:`Assembly`, built here when it is not
     given.  The call for a cell among the configs in ``assembly.batch``
@@ -135,7 +136,9 @@ def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
     meta = {"rho": assembly.mix.rho, "L": assembly.L, "eta": acfg.eta,
             "delta": acfg.delta,
             "graph_retries": getattr(assembly.mix.graph, "retries", 0),
-            "seed": seed, "run_id": rid, "algorithm": acfg.algorithm}
+            "seed": seed, "run_id": rid, "algorithm": acfg.algorithm,
+            "status": result.status, "diverged_at": result.diverged_at,
+            "reason": result.reason}
     return result, meta
 
 
@@ -247,9 +250,10 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
     sorted order after all cells complete.  They are written into a staging
     directory beside ``out_dir`` and then moved into it one by one with
     ``os.replace``, the manifest last as the commit marker.  On failure only
-    the staging directory is removed, so a previous batch in ``out_dir``
-    stays as it was.  Seeds go one after another, each assembled once, and
-    cells one at a time; ``threads`` is accepted and ignored.
+    the staging directory is removed: a failure before the moves leaves a
+    previous batch in ``out_dir`` as it was, one during them can leave new
+    files beside its manifest.  Seeds go one after another, each assembled
+    once, and cells one at a time; ``threads`` is accepted and ignored.
     """
     out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -289,18 +293,10 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
                 config.serialize(cfg).encode()).hexdigest(),
             "seeds": cfg.seeds,
             "f_star": None if math.isnan(f_star) else f_star,
-            "runs": [
-                {k: results[cell][1][k]
-                 for k in ("run_id", "algorithm", "seed", "eta", "delta",
-                           "rho", "L", "graph_retries")}
-                | {"status": results[cell][0].status,
-                   "diverged_at": results[cell][0].diverged_at,
-                   "reason": results[cell][0].reason}
-                for cell in sorted(results)
-            ],
+            "runs": [results[cell][1] for cell in sorted(results)],
             "csv_files": csv_files,
         }
-        for entry in manifest["runs"]:
+        for entry in manifest["runs"]:  # JSON has no infinity
             if entry["delta"] is not None and math.isinf(entry["delta"]):
                 entry["delta"] = "inf"
         write("manifest.json",
@@ -315,23 +311,16 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
 
 
 def _plot_data(results, metric) -> str:
-    ids = [meta["run_id"] for _, meta in
-           (results[c] for c in sorted(results))]
-    series = {}
-    tmax = 0
-    for cell in sorted(results):
-        result, meta = results[cell]
-        vals = {r.t: getattr(r, metric) for r in result.records}
-        series[meta["run_id"]] = vals
-        tmax = max(tmax, max(vals) if vals else 0)
-    lines = ["t," + ",".join(ids)]
-    for t in range(tmax + 1):
-        row = [str(t)]
-        for rid in ids:
-            v = series[rid].get(t)
-            row.append("" if v is None or not math.isfinite(v)
-                       else f"{v:.17g}")
-        lines.append(",".join(row))
+    """``metric`` pivoted to one column per run, in cell order, and one row
+    per t up to the last recorded; a missing or non-finite value is empty."""
+    cells = sorted(results)
+    series = [{r.t: getattr(r, metric) for r in results[c][0].records}
+              for c in cells]
+    lines = ["t," + ",".join(results[c][1]["run_id"] for c in cells)]
+    for t in range(max((max(s) for s in series if s), default=0) + 1):
+        vals = (s.get(t, math.nan) for s in series)
+        lines.append(",".join([str(t)] + [f"{v:.17g}" if math.isfinite(v)
+                                          else "" for v in vals]))
     return "\n".join(lines) + "\n"
 
 

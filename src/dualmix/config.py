@@ -74,9 +74,11 @@ def validate(raw: dict) -> ExperimentConfig:
         values = cfg.tuning[grid]
         if not isinstance(values, list) or not values:
             raise ValidationError(f"tuning.{grid}", "must be a nonempty list")
-        if any(not _is_number(v) or not v > 0 for v in values):
-            raise ValidationError(f"tuning.{grid}",
-                                  "entries must be positive numbers")
+        # .inf is an entry; an integer too large for a float is not
+        if any(not _is_number(v) or not v > 0
+               or not (isinstance(v, float) or _is_finite(v)) for v in values):
+            raise ValidationError(f"tuning.{grid}", "entries must be "
+                                  "positive numbers within float range")
     if cfg.tuning["select_by"] not in _SELECT_METRICS:
         raise ValidationError("tuning.select_by",
                               f"must be one of {sorted(_SELECT_METRICS)}")

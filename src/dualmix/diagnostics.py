@@ -10,7 +10,8 @@ interpolation, which is what the 1.1 assertion slack accounts for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,39 +22,38 @@ BND_TOL = 1e-12
 # batch of perfbench's poisson-run workload
 CHUNK = 32
 
-CSV_COLUMNS = [
-    "run_id", "algorithm", "kernel", "t", "f_bar", "stationarity", "rel_error",
-    "consensus_primal", "consensus_dual", "E_t_proxy", "M_t_proxy", "G_proxy",
-    "clipped", "status",
-]
 
-
-@dataclass
+@dataclass(kw_only=True)
 class RunRecord:
+    """One row of a run's CSV: the fields are its columns, in order."""
+
     run_id: str
     algorithm: str
     kernel: str
     t: int
     f_bar: float
     stationarity: float
+    rel_error: float = math.nan
     consensus_primal: float
     consensus_dual: float
     E_t_proxy: float
     M_t_proxy: float
     G_proxy: float = math.nan
-    rel_error: float = math.nan
     clipped: bool = False
     status: str = "running"
 
     def csv_row(self) -> str:
         """One CSV line: integers and flags as digits, floats with 17
         significant digits (they round-trip), and no line terminator."""
-        return (f"{self.run_id},{self.algorithm},{self.kernel},{self.t:d},"
-                f"{self.f_bar:.17g},{self.stationarity:.17g},"
-                f"{self.rel_error:.17g},{self.consensus_primal:.17g},"
-                f"{self.consensus_dual:.17g},{self.E_t_proxy:.17g},"
-                f"{self.M_t_proxy:.17g},{self.G_proxy:.17g},"
-                f"{self.clipped:d},{self.status}")
+        return _CSV_ROW % _column_values(self)
+
+
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
+# a record's values in column order (vars() would keep a dict per record)
+_column_values = operator.attrgetter(*CSV_COLUMNS)
+# each column's conversion, by its field's declared type
+_FORMATS = {"str": "%s", "int": "%d", "bool": "%d", "float": "%.17g"}
+_CSV_ROW = ",".join(_FORMATS[f.type] for f in fields(RunRecord))
 
 
 def records_to_csv(records) -> str:
@@ -332,24 +332,20 @@ class Recorder:
         the G of the record before them."""
         states = new if self._last is None else [self._last] + new
         cols = self._evaluate(states)
-        f_bar, stat, G = cols["f_bar"], cols["stationarity"], cols["G"]
+        G = cols.pop("G_proxy")
         if self._last is not None:
             self.records[-1].G_proxy = G[0]
         for i in range(len(states) - len(new), len(states)):
             system, cell = states[i]
-            cut = system.t > 0 and not (math.isfinite(f_bar[i])
-                                        and math.isfinite(stat[i]))
+            row = {k: v[i] for k, v in cols.items()}
+            cut = system.t > 0 and not (math.isfinite(row["f_bar"])
+                                        and math.isfinite(row["stationarity"]))
             self.records.append(RunRecord(
                 run_id=self.run_id, algorithm=self.algorithm,
-                kernel=self.kernel.name, t=system.t, f_bar=f_bar[i],
-                stationarity=stat[i],
-                consensus_primal=cols["consensus_primal"][i],
-                consensus_dual=cols["consensus_dual"][i],
-                E_t_proxy=cols["E"][i], M_t_proxy=cols["M"][i],
+                kernel=self.kernel.name, t=system.t,
                 G_proxy=G[i] if i < len(G) and not cut else math.nan,
                 clipped=bool(system.clipped if cell is None
-                             else system.clipped[cell]),
-                status="running"))
+                             else system.clipped[cell]), **row))
             if cut:
                 self._last = states[i]
                 return states[:i + 1], True
@@ -358,7 +354,8 @@ class Recorder:
 
     def _evaluate(self, states):
         """The record columns of ``states``, ``(system, cell)`` pairs, as
-        lists of floats; ``G`` pairs each state with the next."""
+        lists of floats named by their :class:`RunRecord` fields;
+        ``G_proxy`` pairs each state with the next."""
         # a diverging state overflows here: a non-finite f_bar or
         # stationarity, not a warning, ends its cell
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -394,8 +391,8 @@ class Recorder:
             stat = np.sqrt(_row_dot(r, r))
             X -= X.mean(axis=-2, keepdims=True)
             cols = {
-                "f_bar": f_bar, "stationarity": stat, "G": G, "E": E,
-                "M": f_bar + E / (8.0 * L),
+                "f_bar": f_bar, "stationarity": stat, "G_proxy": G,
+                "E_t_proxy": E, "M_t_proxy": f_bar + E / (8.0 * L),
                 "consensus_primal": _state_sum(np.square(X, out=X)) / m,
                 "consensus_dual": _state_sum(np.square(Z, out=Z)) / m,
             }

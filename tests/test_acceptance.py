@@ -433,6 +433,26 @@ def _algo_yaml(entries):
     return "\n".join(f"  - {e}" for e in entries)
 
 
+def _tune_keeping_dda_cells(cfg):
+    """``cli.tune(cfg)``, and the result of each dda cell the tune steps, by
+    (eta, seed).  Each equals its standalone run bit for bit, as
+    tests/test_cli.py::test_tune_batch_cells_equal_their_standalone_runs
+    pins, so no cell is stepped again."""
+    execute_run = cli.execute_run
+    cells = {}
+
+    def kept(c, spec, seed, **kwargs):
+        result, meta = execute_run(c, spec, seed, **kwargs)
+        if spec["kind"] == "dda":
+            cells[kwargs["eta"], seed] = result
+        return result, meta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "execute_run", kept)
+        table = cli.tune(cfg)
+    return table, cells
+
+
 @pytest.fixture(scope="module")
 def poisson_experiment(tmp_path_factory):
     """Tune every algorithm on the desk-scale Poisson instance, then run the
@@ -448,16 +468,12 @@ def poisson_experiment(tmp_path_factory):
         ]),
         init="random_positive", scale=1.0)
     cfg = config.parse_config_text(text)
-    table = cli.tune(cfg)
+    table, dda_cells = _tune_keeping_dda_cells(cfg)
 
     # divergence bookkeeping for the dda grid under random initialization
-    dda_events = 0
-    for eta in cfg.tuning["eta_grid"]:
-        for seed in cfg.seeds:
-            result, _ = cli.execute_run(cfg, {"kind": "dda",
-                                              "max_iter": 5000},
-                                        seed, record_every=0, eta=eta)
-            dda_events += result.status == "diverged"
+    assert len(dda_cells) == len(cfg.tuning["eta_grid"]) * len(cfg.seeds)
+    dda_events = sum(result.status == "diverged"
+                     for result in dda_cells.values())
 
     tuned_algos = []
     for key in ("dmgt#0", "dmd#1", "dgt#2", "dda#3"):
@@ -472,18 +488,13 @@ def poisson_experiment(tmp_path_factory):
     out = out_root / "batch"
     manifest = cli.run_batch(batch_cfg, out)
 
-    # favorable initialization variant for dda
+    # favorable initialization variant for dda: the winner's cells
     fav_cfg = config.parse_config_text(_POISSON_CFG.format(
         algos=_algo_yaml(["{kind: dda, max_iter: 5000}"]),
         init="truth_perturbed", scale=0.1))
-    fav_table = cli.tune(fav_cfg)
+    fav_table, fav_cells = _tune_keeping_dda_cells(fav_cfg)
     fav_row = fav_table["dda#0"]
-    fav_runs = []
-    for seed in fav_cfg.seeds:
-        result, _ = cli.execute_run(fav_cfg, {"kind": "dda",
-                                              "max_iter": 5000},
-                                    seed, record_every=0, eta=fav_row["eta"])
-        fav_runs.append(result)
+    fav_runs = [fav_cells[fav_row["eta"], seed] for seed in fav_cfg.seeds]
 
     return {
         "cfg": cfg, "table": table, "batch_cfg": batch_cfg, "out": out,

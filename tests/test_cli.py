@@ -119,6 +119,30 @@ def test_readme_kinds_list_their_constructor_parameters():
                     for kind in registry}
 
 
+def _readme_schema_blocks(section):
+    """The names listed in each unlabelled code block of the README section
+    titled ``section``, comma-separated."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    text = readme.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return [[name.strip() for name in block.split(",")]
+            for block in re.findall(r"^```\n(.*?)^```", text, re.M | re.S)]
+
+
+def test_readme_csv_and_manifest_schemas_match_the_code(tmp_path):
+    # the columns are RunRecord's fields in order; the manifest's keys and
+    # its run entries' keys are those run_batch writes
+    [columns] = _readme_schema_blocks("CSV schema")
+    assert columns == diagnostics.CSV_COLUMNS
+    top, entry = _readme_schema_blocks("Manifest schema")
+    cli.run_batch(config.parse_config_text(MINIMAL), tmp_path, max_iter=2)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(top) == sorted(manifest)
+    assert len(manifest["runs"]) == 2
+    for run in manifest["runs"]:
+        assert sorted(entry) == sorted(run)
+
+
 def test_unknown_keys_are_fatal():
     raw = yaml.safe_load(MINIMAL)
     raw["problem"]["banana"] = 1
@@ -248,6 +272,13 @@ _BAD_CONFIGS = {
     "tuning.delta_grid [nan]": (
         lambda raw: raw.update(tuning={"delta_grid": [1.0, math.nan]}),
         "tuning.delta_grid"),
+    # a grid entry must convert to a float: .inf does, 10**400 does not
+    "tuning.eta_grid [10**400]": (
+        lambda raw: raw.update(tuning={"eta_grid": [0.1, 10**400]}),
+        "tuning.eta_grid"),
+    "tuning.delta_grid [10**400]": (
+        lambda raw: raw.update(tuning={"delta_grid": [10**400]}),
+        "tuning.delta_grid"),
     "algorithms[1].max_iter inf": (
         lambda raw: raw["algorithms"][1].update(max_iter=math.inf),
         "algorithms[1]"),
@@ -282,6 +313,11 @@ _BAD_CONFIGS = {
     "init.shape": (lambda raw: raw.update(init={"kind": "ones", "shape": 2}),
                    "init.shape"),
     "config.foo": (lambda raw: raw.update(foo=1), "config.foo"),
+    "algorithms []": (lambda raw: raw.update(algorithms=[]), "algorithms"),
+    "tuning.select_by G_proxy": (
+        lambda raw: raw.update(tuning={"select_by": "G_proxy"}),
+        "tuning.select_by"),
+    "output 3": (lambda raw: raw.update(output=3), "output"),
 }
 
 
@@ -296,6 +332,35 @@ def test_config_errors_name_their_key_at_parse_time(case, tmp_path, capsys):
     cfgfile = _write(tmp_path, yaml.safe_dump(raw))
     assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_tune_grid_takes_an_infinite_entry():
+    raw = yaml.safe_load(MINIMAL)
+    raw["tuning"] = {"delta_grid": [1.0, math.inf]}
+    assert config.validate(raw).tuning["delta_grid"] == [1.0, math.inf]
+
+
+def test_a_yaml_root_that_is_not_a_mapping_exits_2(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "- {kind: poisson}\n")
+    assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config root must be a mapping")
+    assert not (tmp_path / "o").exists()
+
+
+def test_truth_perturbed_init_needs_a_ground_truth(tmp_path, capsys):
+    # entropy has no ground truth, which only its generated data can show
+    cfgfile = _write(tmp_path, """
+problem: {kind: entropy, d: 4, m: 3}
+kernel: {kind: boltzmann_shannon}
+graph: {kind: complete}
+algorithms: [{kind: dmd, max_iter: 5}]
+init: {kind: truth_perturbed}
+""")
+    assert cli.main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err \
+        == "error: init.kind: problem has no ground truth\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -693,6 +758,47 @@ def test_tune_select_by_rel_error(tmp_path):
     assert cli.main(["tune", str(cfgfile), "--max-iter", "10", "--strict"]) == 0
 
 
+def test_tune_reports_an_algorithm_whose_every_cell_diverged(tmp_path,
+                                                             capsys):
+    cfgfile = _write(tmp_path, """
+problem: {kind: quadratic, d: 4, m: 3, seed: 1}
+kernel: {kind: euclidean}
+graph: {kind: complete}
+algorithms: [{kind: dmd, max_iter: 20}]
+tuning: {eta_grid: [1.0e+200, 1.0e+300]}
+seeds: [1, 2]
+""")
+    best = tmp_path / "best.json"
+    assert cli.main(["tune", str(cfgfile), "--out", str(best)]) == 0
+    assert capsys.readouterr().out == "dmd#0: every grid cell diverged\n"
+    assert json.loads(best.read_text()) == {"dmd#0": {
+        "kind": "dmd", "status": "all-diverged", "eta": None, "delta": None,
+        "metric": None}}
+    assert cli.main(["tune", str(cfgfile), "--strict"]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_the_seed_flag_replaces_the_seed_list(command, tmp_path,
+                                              monkeypatch):
+    cfgfile = _write(tmp_path, MINIMAL + "seeds: [1, 2]\n")
+    execute_run = cli.execute_run
+    seeds = set()
+
+    def logged_run(c, spec, seed, **kwargs):
+        seeds.add(seed)
+        return execute_run(c, spec, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "execute_run", logged_run)
+    out = tmp_path / "o"
+    assert cli.main([command, str(cfgfile), "--seed", "5", "--max-iter", "3",
+                     "--out", str(out)]) == 0
+    assert seeds == {5}
+    if command == "run":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == [5]
+        assert [r["seed"] for r in manifest["runs"]] == [5, 5]
+
+
 # ---------------------------------------------------------------------------
 # Command line entry points
 # ---------------------------------------------------------------------------
@@ -713,6 +819,12 @@ def test_cli_run_and_certify(tmp_path, capsys):
     assert len(rows) == 4
     out = capsys.readouterr().out
     assert "consistent" in out and "VIOLATION" not in out
+
+
+def test_certify_takes_a_bare_kind_string(capsys):
+    assert cli.main(["certify", "--kernel", "burg", "--dim", "3",
+                     "--samples", "20"]) == 0
+    assert capsys.readouterr().out.startswith("kernel: burg(mu=1) ")
 
 
 def test_cli_certify_exit_code_on_violation(tmp_path):
