@@ -138,10 +138,6 @@ class RunResult:
     diverged_at: int = None
     reason: str = ""
 
-    @property
-    def diverged(self):
-        return self.status == "diverged"
-
 
 def _row_norms(V):
     """The Euclidean norms of the rows of ``V`` (..., m, d), as (..., m, 1):
@@ -306,6 +302,9 @@ ALGORITHMS = tuple(_STEPS)
 CLIPPED = ("dmgt",)
 # the kinds that run over the kernel shifted so that x0 minimizes it
 SHIFTED = ("dda",)
+# the largest clipping radius compliant_parameters returns: a kernel whose
+# modulus stays within its target everywhere (zeta = 0) gets this one
+DELTA_CAP = 1e9
 
 
 def _finite(s: AgentSystem):
@@ -486,18 +485,21 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
     return results[0] if isinstance(cfg, AlgoConfig) else results
 
 
-def compliant_parameters(kernel, L, rho, m, delta_cap=1e9):
+def compliant_parameters(kernel, L, rho, m):
     """Step size and clipping radius satisfying the convergence hypotheses.
 
     delta is the largest radius with zeta(2 delta) <= (1 - rho)/2 (found by
-    bisection on the monotone modulus, capped at ``delta_cap``); eta is
+    bisection on the monotone modulus, capped at ``DELTA_CAP``); eta is
     (1 - rho)^2 / (25 L lambda^2) with lambda = 1 + zeta(sqrt(20 m) delta /
     (1 - rho)).
     """
     target = (1.0 - rho) / 2.0
-    delta = 0.5 * kernel.modulus.largest_delta(target, cap=2.0 * delta_cap)
+    delta = 0.5 * kernel.modulus.largest_delta(target, cap=2.0 * DELTA_CAP)
     lam = diagnostics.lambda_of(kernel, m, rho, delta)
     if not math.isfinite(lam):
-        raise ValueError("lambda diverged; reduce delta_cap")
+        raise ValueError(
+            f"{kernel.name}: lambda = 1 + zeta(sqrt(20 m) delta / (1 - rho)) "
+            f"is not finite at the compliant delta = {delta:g} (m = {m:g}, "
+            f"rho = {rho:g})")
     eta = (1.0 - rho) ** 2 / (25.0 * L * lam * lam)
     return eta, delta, lam

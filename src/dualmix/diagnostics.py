@@ -1,4 +1,6 @@
-"""Run metrics: stationarity, consensus/descent potentials, optimality measure.
+"""Run records: the CSV row, and the recorder that evaluates its metrics
+(stationarity, consensus/descent potentials, optimality measure) in one
+pass per chunk of states.
 
 The analysis potentials are evaluated in the proxy local norm taken at the
 averaged dual iterate (the theta = 0 choice of the interpolation point).
@@ -62,19 +64,8 @@ def records_to_csv(records) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise metrics
+# Metric formulas
 # ---------------------------------------------------------------------------
-
-
-def stationarity(prob, x) -> float:
-    """Distance from grad f(x) to the negative normal cone of the feasible set.
-
-    Interior points reduce to the plain gradient norm; at an active bound the
-    coordinate contributes only the infeasible part of the gradient (the
-    componentwise projection residual).
-    """
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(_normal_residual(prob.domain, x, prob.grad(x))))
 
 
 def _normal_residual(dom, x, g):
@@ -106,12 +97,6 @@ def local_stationarity(prob, kernel, x) -> float:
     return math.sqrt(float(g @ kernel.hess_solve(x, g)))
 
 
-def dual_average(system, kernel):
-    """zbar and xbar = grad h*(zbar) for the current state."""
-    zbar = system.Z.mean(axis=0)
-    return zbar, kernel.grad_conj(zbar)
-
-
 def xi_const(L, rho, lambda_val) -> float:
     return 32.0 * L * L * lambda_val * lambda_val / (1.0 - rho) ** 2
 
@@ -121,44 +106,6 @@ def lambda_of(kernel, m, rho, delta) -> float:
     if not math.isfinite(delta):
         return 1.0 if kernel.zeta(1.0) == 0.0 else math.inf
     return 1.0 + kernel.zeta(math.sqrt(20.0 * m) / (1.0 - rho) * delta)
-
-
-def consensus_potential(system, kernel, L, rho, lambda_val) -> float:
-    """E_t: tracker disagreement plus xi-weighted dual disagreement, both in
-    the inverse-Hessian norm at the averaged dual iterate."""
-    zbar, xbar = dual_average(system, kernel)
-    return float(_consensus(_deviations(system, zbar), kernel.hess_solver(xbar),
-                            xi_const(L, rho, lambda_val)))
-
-
-def descent_potential(system, prob, kernel, L, rho, lambda_val) -> float:
-    """M_t = f(xbar) + E_t / (8 L)."""
-    xbar = dual_average(system, kernel)[1]
-    E = consensus_potential(system, kernel, L, rho, lambda_val)
-    return float(prob.value(xbar)) + E / (8.0 * L)
-
-
-def optimality_measure(system, system_next, kernel, L, eta, rho,
-                       lambda_val) -> float:
-    """G at iteration t from the (t, t+1) state pair.
-
-    Combines the dual residual |zbar' - zbar|^2 in the proxy norm, the
-    Bregman residual of the averaged primal iterates, and the consensus
-    potential, with the weights of the convergence analysis.
-    """
-    zbar, xbar = dual_average(system, kernel)
-    solve = kernel.hess_solver(xbar)
-    E = _consensus(_deviations(system, zbar), solve,
-                   xi_const(L, rho, lambda_val))
-    zbar_next, xbar_next = dual_average(system_next, kernel)
-    dz = zbar_next - zbar
-    return float(_optimality(float(dz @ solve(dz)),
-                             kernel.bregman(xbar, xbar_next), E, L, eta, rho))
-
-
-def _deviations(system, zbar):
-    """[Y - ybar, Z - zbar] of one state, (2, m, d)."""
-    return np.stack([system.Y - system.Y.mean(axis=0), system.Z - zbar])
 
 
 def _consensus(dev, solve, xi):
@@ -198,19 +145,6 @@ def _optimality(dual_sq, breg, E, L, eta, rho):
     return (dual_sq / (12.0 * eta * eta)
             + (L / eta) * breg
             + (1.0 - rho) / (32.0 * L * eta) * E)
-
-
-def case1_optimality(system, L, eta, rho) -> float:
-    """Specialized optimality measure for the identity-quadratic kernel:
-    (1/12 + L eta / 2) |ybar|^2 plus the weighted plain consensus errors."""
-    m = system.X.shape[0]
-    ybar = system.Y.mean(axis=0)
-    xbar = system.X.mean(axis=0)
-    xi = xi_const(L, rho, 1.0)
-    cons = float(np.sum((system.Y - ybar) ** 2)
-                 + xi * np.sum((system.X - xbar) ** 2)) / m
-    return ((1.0 / 12.0 + L * eta / 2.0) * float(ybar @ ybar)
-            + (1.0 - rho) / (32.0 * L * eta) * cons)
 
 
 def theorem_bound_check(records, f0, f_lower, eta, T, euclidean=True):

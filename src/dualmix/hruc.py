@@ -142,25 +142,3 @@ def certify(kernel: Kernel, delta_grid, n_samples: int, seed: int,
         violations=violations,
         notes=notes,
     )
-
-
-def dual_lipschitz_residual(kernel: Kernel, f_grad, f_L: float, z, x, y) -> float:
-    """Residual of the dual-space Lipschitz bound; nonpositive when it holds.
-
-    Computes |grad f(y) - grad f(x)|_{H*} - L (1 + zeta(delta)) |grad h(y)
-    - grad h(x)|_{H*} with H* the inverse kernel Hessian at the reference
-    covector z and delta the larger of the two dual distances to z.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gx, gy = kernel.grad(x), kernel.grad(y)
-    delta = max(float(np.linalg.norm(gx - z)), float(np.linalg.norm(gy - z)))
-    xz = kernel.grad_conj(z)
-
-    def dual_norm(u):
-        return float(np.sqrt(np.dot(u, kernel.hess_solve(xz, u))))
-
-    lhs = dual_norm(np.asarray(f_grad(y), dtype=float) - np.asarray(f_grad(x), dtype=float))
-    rhs = f_L * (1.0 + kernel.zeta(delta)) * dual_norm(gy - gx)
-    return lhs - rhs

@@ -148,10 +148,6 @@ class Kernel:
         return float(self._value(u) - self._value(v)
                      - np.dot(self._grad(v), u - v))
 
-    def dual_dist(self, x, y) -> float:
-        """rho_h(x, y) = |grad h(x) - grad h(y)|, the dual-space distance."""
-        return float(np.linalg.norm(self.grad(x) - self.grad(y)))
-
     def zeta(self, delta) -> float:
         return float(self.modulus(delta))
 

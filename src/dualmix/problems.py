@@ -467,13 +467,9 @@ def _gather(layout, V):
     return terms.sum(axis=-2)
 
 
-def tv_value(X, eps=EPS_TV) -> float:
-    """Smoothed isotropic TV with replicate boundary differences."""
-    return float(_tv_values(X, eps))
-
-
 def _tv_values(X, eps=EPS_TV):
-    """:func:`tv_value` of each image in the last two axes."""
+    """Smoothed isotropic TV, with replicate boundary differences, of each
+    image in the last two axes."""
     dv = np.diff(X, axis=-2, append=X[..., -1:, :])
     dh = np.diff(X, axis=-1, append=X[..., :, -1:])
     s = np.sqrt(dv * dv + dh * dh + eps * eps)
@@ -481,7 +477,7 @@ def _tv_values(X, eps=EPS_TV):
 
 
 def tv_grad(X, eps=EPS_TV) -> np.ndarray:
-    """Gradient of :func:`tv_value` of each image in the last two axes."""
+    """Gradient of :func:`_tv_values` of each image in the last two axes."""
     dv = np.diff(X, axis=-2, append=X[..., -1:, :])
     dh = np.diff(X, axis=-1, append=X[..., :, -1:])
     s = np.sqrt(dv * dv + dh * dh + eps * eps)
@@ -606,18 +602,6 @@ def estimate_rel_smoothness(prob: Problem, kernel, n_samples=100, seed=0,
     ratios = np.abs(_row_dot(HV, V[:, None])) / denom[:, None]
     # fmax: a NaN ratio is never the maximum
     return inflation * float(np.fmax.reduce(ratios, axis=None, initial=0.0))
-
-
-def psnr(X, X_ref, peak=255.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical images give +inf."""
-    X = np.asarray(X, dtype=float)
-    X_ref = np.asarray(X_ref, dtype=float)
-    if X.shape != X_ref.shape:
-        raise ValueError("shape mismatch")
-    mse = float(np.mean((X - X_ref) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import catalogue, fd_gradient, safe_eps
+import oracles
 from dualmix import (
     algorithms,
     cli,
@@ -349,7 +350,7 @@ def test_c09_dual_lipschitz_residuals():
         z = rng.standard_normal(d)
         x = z + 0.5 * rng.standard_normal(d)
         y = z + 0.5 * rng.standard_normal(d)
-        worst = max(worst, hruc.dual_lipschitz_residual(
+        worst = max(worst, oracles.dual_lipschitz_residual(
             k, lambda v: Q @ v, L, z, x, y))
 
     prob = problems.poisson_inverse(d=12, n=10, m=3, seed=5)
@@ -362,7 +363,7 @@ def test_c09_dual_lipschitz_residuals():
         u2 = rng.standard_normal(12)
         u1 *= 0.5 * rng.random() / np.linalg.norm(u1)
         u2 *= 0.5 * rng.random() / np.linalg.norm(u2)
-        worst = max(worst, hruc.dual_lipschitz_residual(
+        worst = max(worst, oracles.dual_lipschitz_residual(
             kb, prob.grad, Lb, z, kb.grad_conj(z + u1), kb.grad_conj(z + u2)))
     _report(9, worst <= 1e-9,
             f"500 admissible triples per pair, worst residual {worst:.2e}")
@@ -543,8 +544,8 @@ def test_c11a_tuned_dmgt_three_orders(poisson_experiment):
         x0 = config.initial_point(batch_cfg, prob, kernel, seed)
         system0 = algorithms.init_system(
             prob, kernel, x0, AlgoConfig(algorithm="dmgt", eta=spec["eta"]))
-        _, xbar0 = diagnostics.dual_average(system0, kernel)
-        _, xbarT = diagnostics.dual_average(result.system, kernel)
+        _, xbar0 = oracles.dual_average(system0, kernel)
+        _, xbarT = oracles.dual_average(result.system, kernel)
         local_ratios.append(diagnostics.local_stationarity(prob, kernel, xbar0)
                             / diagnostics.local_stationarity(prob, kernel,
                                                              xbarT))

@@ -426,6 +426,27 @@ def test_compliant_parameters_satisfy_hypotheses():
     assert lam_euc == 1.0
 
 
+def test_compliant_parameters_name_what_diverged():
+    # an exponential modulus at 1e30 agents: lambda overflows to inf
+    with pytest.raises(ValueError, match=r"^boltzmann_shannon: lambda = 1 "
+                       r"\+ zeta\(sqrt\(20 m\) delta / \(1 - rho\)\) is not "
+                       r"finite at the compliant delta = 0\.11\d+ "
+                       r"\(m = 1e\+30, rho = 0\.5\)$"):
+        algorithms.compliant_parameters(kernels.boltzmann_shannon(3), 1.0,
+                                        0.5, 10**30)
+
+
+def test_run_rejects_a_batch_whose_cells_differ():
+    prob, mix, k, L = _quad_setup()
+    head = AlgoConfig("dmgt", eta=0.1, max_iter=5)
+    for other in (AlgoConfig("dmd", eta=0.1, max_iter=5),
+                  AlgoConfig("dmgt", eta=0.1, max_iter=6),
+                  AlgoConfig("dmgt", eta=0.1, max_iter=5, y0="zero")):
+        with pytest.raises(ValueError,
+                           match="share algorithm, max_iter and y0"):
+            algorithms.run(prob, k, mix, [head, other], np.zeros(prob.d), L=L)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AlgoConfig("sgd", eta=0.1)

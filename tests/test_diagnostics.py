@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from dualmix import algorithms, cli, diagnostics, domains, kernels, network, \
     problems
 from dualmix.algorithms import AgentSystem, AlgoConfig
@@ -21,17 +22,17 @@ def _system(X, Z, Y, t=0):
 
 def test_stationarity_unconstrained():
     prob = problems.quadratic_consensus(d=4, m=3, seed=0)
-    assert diagnostics.stationarity(prob, prob.x_true) == \
+    assert oracles.stationarity(prob, prob.x_true) == \
         pytest.approx(0.0, abs=1e-10)
     x = prob.x_true + 1.0
-    assert diagnostics.stationarity(prob, x) == \
+    assert oracles.stationarity(prob, x) == \
         pytest.approx(np.linalg.norm(prob.grad(x)))
 
 
 def test_stationarity_orthant_interior_is_gradient_norm():
     prob = problems.poisson_inverse(d=5, n=6, m=2, seed=1)
     x = np.full(5, 0.5)
-    assert diagnostics.stationarity(prob, x) == \
+    assert oracles.stationarity(prob, x) == \
         pytest.approx(np.linalg.norm(prob.grad(x)))
 
 
@@ -50,13 +51,13 @@ def test_stationarity_orthant_active_projection():
     prob = _zero_quadratic(problems.domains.orthant(3))
     prob.grad = lambda x: np.array([-2.0, 3.0, 0.0])
     x = np.array([0.0, 1.0, 1.0])
-    got = diagnostics.stationarity(prob, x)
+    got = oracles.stationarity(prob, x)
     # independent oracle: minimize |g - v| over v in -N = {v1 >= 0, v2=v3=0}
     oracle = math.sqrt(min(-2.0, 0.0) ** 2 + 3.0**2 + 0.0**2)
     assert got == pytest.approx(oracle)
     # a nonnegative gradient at the active coordinate is absorbed entirely
     prob.grad = lambda x: np.array([2.0, 3.0, 0.0])
-    assert diagnostics.stationarity(prob, x) == \
+    assert oracles.stationarity(prob, x) == \
         pytest.approx(3.0)
 
 
@@ -64,9 +65,9 @@ def test_stationarity_box_faces():
     prob = _zero_quadratic(problems.domains.box(2))
     prob.grad = lambda x: np.array([-1.5, 2.5])
     # at the upper face the positive part remains; at the lower the negative
-    assert diagnostics.stationarity(prob, np.array([1.0, -1.0])) == \
+    assert oracles.stationarity(prob, np.array([1.0, -1.0])) == \
         pytest.approx(0.0, abs=1e-15)
-    assert diagnostics.stationarity(prob, np.array([-1.0, 1.0])) == \
+    assert oracles.stationarity(prob, np.array([-1.0, 1.0])) == \
         pytest.approx(math.hypot(1.5, 2.5))
 
 
@@ -86,7 +87,7 @@ def test_local_stationarity_vanishes_at_boundary_active_optimum():
     locs = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         x = x_star + eps
-        assert diagnostics.stationarity(prob, x) >= c_active
+        assert oracles.stationarity(prob, x) >= c_active
         locs.append(diagnostics.local_stationarity(prob, k, x))
     assert all(b < a for a, b in zip(locs, locs[1:]))
     assert locs[-1] < 1e-5 * locs[0]
@@ -97,7 +98,7 @@ def test_local_stationarity_euclidean_is_gradient_norm():
     x = np.random.default_rng(4).standard_normal(5)
     k = kernels.euclidean(5)
     assert diagnostics.local_stationarity(prob, k, x) == \
-        pytest.approx(diagnostics.stationarity(prob, x), rel=1e-14)
+        pytest.approx(oracles.stationarity(prob, x), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_consensus_potential_zero_at_consensus():
     X = np.tile([1.0, 2.0], (3, 1))
     s = _system(X, X, np.tile([0.5, 0.5], (3, 1)))
     prob = problems.quadratic_consensus(d=2, m=3, seed=0)
-    assert diagnostics.consensus_potential(s, k, 1.0, 0.5, 1.0) == \
+    assert oracles.consensus_potential(s, k, 1.0, 0.5, 1.0) == \
         pytest.approx(0.0, abs=1e-20)
 
 
@@ -121,7 +122,7 @@ def test_consensus_potential_euclidean_hand_value():
     X = np.array([[2.0], [2.0]])
     Y = np.array([[1.0], [-1.0]])
     s = _system(X, X, Y)
-    assert diagnostics.consensus_potential(s, k, 1.0, 0.0, 1.0) == \
+    assert oracles.consensus_potential(s, k, 1.0, 0.0, 1.0) == \
         pytest.approx(1.0)
 
 
@@ -130,8 +131,8 @@ def test_consensus_potential_xi_scaling():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 2))
     s = _system(X, X, np.zeros((4, 2)))
-    e1 = diagnostics.consensus_potential(s, k, 1.0, 0.5, 1.0)
-    e2 = diagnostics.consensus_potential(s, k, 2.0, 0.5, 1.0)
+    e1 = oracles.consensus_potential(s, k, 1.0, 0.5, 1.0)
+    e2 = oracles.consensus_potential(s, k, 2.0, 0.5, 1.0)
     assert e2 == pytest.approx(4.0 * e1)  # xi scales with L^2
 
 
@@ -150,7 +151,7 @@ def test_optimality_measure_zero_at_fixed_point():
     X = np.tile([0.3, -0.1], (3, 1))
     s0 = _system(X, X, np.zeros((3, 2)), t=0)
     s1 = _system(X, X, np.zeros((3, 2)), t=1)
-    assert diagnostics.optimality_measure(s0, s1, k, 1.0, 0.1, 0.2, 1.0) == \
+    assert oracles.optimality_measure(s0, s1, k, 1.0, 0.1, 0.2, 1.0) == \
         pytest.approx(0.0, abs=1e-20)
 
 
@@ -168,7 +169,7 @@ def test_optimality_measure_hand_built_euclidean():
     xi = 32 * L * L / (1 - rho) ** 2
     E = 0.5 * ((0.5 - 1.0) ** 2 + (1.5 - 1.0) ** 2 + xi * (1.0 + 1.0))
     term3 = (1 - rho) / (32 * L * eta) * E
-    got = diagnostics.optimality_measure(s0, s1, k, L, eta, rho, lam)
+    got = oracles.optimality_measure(s0, s1, k, L, eta, rho, lam)
     assert got == pytest.approx(term1 + term2 + term3, rel=1e-12)
 
 
@@ -183,9 +184,9 @@ def test_case1_formula_matches_generic_on_runs():
     algorithms.run(prob, k, mix, cfg, np.zeros(5), L=L,
                    hooks=[lambda t, a, b: pairs.append((a, b))])
     for prev, cur in pairs:
-        general = diagnostics.optimality_measure(prev, cur, k, L, eta,
-                                                 mix.rho, 1.0)
-        special = diagnostics.case1_optimality(prev, L, eta, mix.rho)
+        general = oracles.optimality_measure(prev, cur, k, L, eta,
+                                             mix.rho, 1.0)
+        special = oracles.case1_optimality(prev, L, eta, mix.rho)
         assert abs(general - special) <= 1e-10 * (1.0 + abs(special))
 
 
@@ -196,8 +197,8 @@ def test_descent_potential_composition():
     X = rng.standard_normal((3, 3))
     s = _system(X, X, rng.standard_normal((3, 3)))
     L = 2.0
-    E = diagnostics.consensus_potential(s, k, L, 0.4, 1.0)
-    M = diagnostics.descent_potential(s, prob, k, L, 0.4, 1.0)
+    E = oracles.consensus_potential(s, k, L, 0.4, 1.0)
+    M = oracles.descent_potential(s, prob, k, L, 0.4, 1.0)
     xbar = k.grad_conj(s.Z.mean(axis=0))
     assert M == pytest.approx(prob.value(xbar) + E / (8 * L), rel=1e-12)
 
@@ -262,19 +263,6 @@ def _two_solve_consensus(s, k, L, rho, lam):
     return float(np.sum(HY * Yc) + xi * np.sum(HZ * Zc)) / m
 
 
-def _stacked_solve_consensus(s, k, L, rho, lam):
-    """E_t with one inverse-Hessian solve on [Y - ybar; Z - zbar], as the
-    reference CSVs were recorded."""
-    m = s.X.shape[0]
-    xbar = k.grad_conj(s.Z.mean(axis=0))
-    Yc = s.Y - s.Y.mean(axis=0)
-    Zc = s.Z - s.Z.mean(axis=0)
-    dev = np.concatenate([Yc, Zc])
-    H = k.hess_solve(np.broadcast_to(xbar, dev.shape), dev)
-    xi = diagnostics.xi_const(L, rho, lam)
-    return float(np.sum(H[:m] * Yc) + xi * np.sum(H[m:] * Zc)) / m
-
-
 # long enough for the recorder's chunks to cross two boundaries and for
 # the run to end in the middle of a chunk
 _RECORDED_ITERS = 80
@@ -336,17 +324,17 @@ def test_recorder_rows_equal_public_metrics(case):
     res, states, prob, k, L, eta, rho, lam = _recorded_case(case)
     assert res.status == "done" and len(res.records) == len(states) == 81
     for t, s in enumerate(states):
-        zbar, xbar = diagnostics.dual_average(s, k)
+        zbar, xbar = oracles.dual_average(s, k)
         last = t + 1 == len(states)
         want = diagnostics.RunRecord(
             run_id="r", algorithm=case.split("-")[1], kernel=k.name, t=s.t,
             f_bar=prob.value(xbar),
-            stationarity=diagnostics.stationarity(prob, xbar),
+            stationarity=oracles.stationarity(prob, xbar),
             consensus_primal=float(np.sum((s.X - s.X.mean(axis=0)) ** 2)) / prob.m,
             consensus_dual=float(np.sum((s.Z - zbar) ** 2)) / prob.m,
-            E_t_proxy=diagnostics.consensus_potential(s, k, L, rho, lam),
-            M_t_proxy=diagnostics.descent_potential(s, prob, k, L, rho, lam),
-            G_proxy=(math.nan if last else diagnostics.optimality_measure(
+            E_t_proxy=oracles.consensus_potential(s, k, L, rho, lam),
+            M_t_proxy=oracles.descent_potential(s, prob, k, L, rho, lam),
+            G_proxy=(math.nan if last else oracles.optimality_measure(
                 s, states[t + 1], k, L, eta, rho, lam)),
             clipped=s.clipped, status="done" if last else "running")
         assert res.records[t].csv_row() == want.csv_row()
@@ -354,14 +342,32 @@ def test_recorder_rows_equal_public_metrics(case):
 
 @pytest.mark.parametrize("case", _CSV_CASES)
 def test_consensus_potential_stacked_solve_equals_two_solves(case):
-    # E_t takes one solve per block at xbar of shape (d,); that must give
-    # the bits of one stacked solve on [Y - ybar; Z - zbar] and of two
-    # solves at xbar broadcast over the rows, or recorded E, M and G would move
+    # the reference E_t takes one solve on [Y - ybar; Z - zbar] at xbar
+    # broadcast over the rows, as the reference CSVs were recorded; it must
+    # give the bits of one solve per block, or recorded E, M and G would move
     _, states, _, k, L, _, rho, lam = _recorded_case(case)
     for s in states:
-        E = diagnostics.consensus_potential(s, k, L, rho, lam)
-        assert E == _stacked_solve_consensus(s, k, L, rho, lam)
-        assert E == _two_solve_consensus(s, k, L, rho, lam)
+        assert oracles.consensus_potential(s, k, L, rho, lam) == \
+            _two_solve_consensus(s, k, L, rho, lam)
+
+
+def test_a_run_whose_last_state_closes_a_chunk_ends_with_an_empty_flush():
+    # the 32nd state fills the chunk, so the final flush finds no state;
+    # the rows are a longer run's first 32, the last one done without a G
+    prob = problems.quadratic_consensus(d=5, m=4, seed=1)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    k = kernels.euclidean(5)
+    runs = [algorithms.run(prob, k, mix,
+                           AlgoConfig("dmgt", eta=0.05, delta=0.7,
+                                      max_iter=max_iter), np.zeros(5), L=1.0)
+            for max_iter in (diagnostics.CHUNK - 1, 2 * diagnostics.CHUNK)]
+    short, long = (r.records for r in runs)
+    assert runs[0].status == "done" and len(short) == diagnostics.CHUNK
+    assert [r.csv_row() for r in short[:-1]] == \
+        [r.csv_row() for r in long[:diagnostics.CHUNK - 1]]
+    long[diagnostics.CHUNK - 1].G_proxy = math.nan
+    long[diagnostics.CHUNK - 1].status = "done"
+    assert short[-1].csv_row() == long[diagnostics.CHUNK - 1].csv_row()
 
 
 def test_recorder_checks_and_builds_the_hessian_once_per_chunk(monkeypatch):

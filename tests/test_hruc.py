@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import catalogue
+import oracles
 from dualmix import domains, hruc, invariants, kernels, problems
 from dualmix.errors import SamplingExhausted
 from dualmix.modulus import separable_modulus
@@ -74,7 +75,7 @@ def test_gap_asymmetry_one_sided():
     gxy = hruc.relative_hessian_gap(k, x, y)
     gyx = hruc.relative_hessian_gap(k, y, x)
     assert gxy != pytest.approx(gyx)
-    delta = k.dual_dist(x, y)
+    delta = float(np.linalg.norm(k.grad(x) - k.grad(y)))
     assert max(gxy, gyx) <= k.zeta(delta) * (1 + 1e-12)
 
 
@@ -183,7 +184,7 @@ def test_dual_lipschitz_euclidean_quadratic():
         z = rng.standard_normal(d)
         x = z + 0.5 * rng.standard_normal(d)
         y = z + 0.5 * rng.standard_normal(d)
-        assert hruc.dual_lipschitz_residual(k, grad, L, z, x, y) <= 1e-9
+        assert oracles.dual_lipschitz_residual(k, grad, L, z, x, y) <= 1e-9
 
 
 def test_dual_lipschitz_trivial_cases():
@@ -191,8 +192,8 @@ def test_dual_lipschitz_trivial_cases():
     rng = np.random.default_rng(2)
     x = k.sample_interior(rng, 1)[0]
     z = k.grad(x)
-    assert hruc.dual_lipschitz_residual(k, lambda v: np.log(v), 1.0,
-                                        z, x, x) <= 0.0
+    assert oracles.dual_lipschitz_residual(k, lambda v: np.log(v), 1.0,
+                                           z, x, x) <= 0.0
 
 
 def test_dual_lipschitz_burg_poisson():
@@ -216,7 +217,8 @@ def test_dual_lipschitz_burg_poisson():
         u2 *= 0.5 * rng.random() / np.linalg.norm(u2)
         x = k.grad_conj(z + u1)
         y = k.grad_conj(z + u2)
-        worst = max(worst, hruc.dual_lipschitz_residual(k, prob.grad, L, z, x, y))
+        worst = max(worst,
+                    oracles.dual_lipschitz_residual(k, prob.grad, L, z, x, y))
     assert worst <= 1e-9
 
 

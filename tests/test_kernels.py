@@ -28,7 +28,6 @@ def test_euclidean_values():
                                [1.0, 2.0])
     assert k.bregman(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == \
         pytest.approx(0.5)
-    assert k.dual_dist(x, np.zeros(2)) == pytest.approx(5.0)
     assert k.zeta(12.3) == 0.0
 
 
@@ -45,8 +44,6 @@ def test_boltzmann_shannon_values():
     # generalized KL divergence: sum u log(u/v) - u + v
     got = k.bregman(np.array([1.0, 1.0]), np.array([math.e, math.e]))
     assert got == pytest.approx(2.0 * (math.e - 2.0), rel=1e-12)
-    assert k.dual_dist(np.array([math.e, 1.0]),
-                       np.array([1.0, 1.0])) == pytest.approx(1.0)
     assert k.zeta(1.0) == pytest.approx(math.e - 1.0)
 
 
@@ -170,15 +167,6 @@ def test_bregman_basics(any_kernel):
         assert d >= -1e-12
         if not np.allclose(u, v):
             assert d > 0.0
-
-
-def test_dual_dist_metric_properties(any_kernel):
-    k = any_kernel
-    rng = np.random.default_rng(3)
-    x, y, z = k.sample_interior(rng, 3)
-    assert k.dual_dist(x, x) == 0.0
-    assert k.dual_dist(x, y) == pytest.approx(k.dual_dist(y, x))
-    assert k.dual_dist(x, z) <= k.dual_dist(x, y) + k.dual_dist(y, z) + 1e-12
 
 
 def test_domain_violations():
