@@ -345,7 +345,7 @@ def _step_each(step, s, args, eta, delta):
     return AgentSystem(t=s.t + 1, row=row, clipped=clipped, **new), raised
 
 
-def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
+def run(prob, kernel, mixing, cfg, x0, L, run_id="run",
         record_every=1, hooks=()):
     """Execute ``max_iter`` synchronous rounds of the chosen step rule.
 
@@ -380,8 +380,8 @@ def run(prob, kernel, mixing, cfg, x0, L=None, run_id="run",
            != (head.algorithm, head.max_iter, head.y0) for c in cfgs):
         raise ValueError("the cells of a batch share algorithm, max_iter and y0")
     recorders = [diagnostics.Recorder(
-        prob, kernel, mixing.rho, 1.0 if L is None else L,
-        c.eta, c.delta, run_id=run_id, algorithm=c.algorithm) for c in cfgs]
+        prob, kernel, mixing.rho, L, c.eta, c.delta, run_id=run_id,
+        algorithm=c.algorithm) for c in cfgs]
     step = _STEPS[head.algorithm]
     args = (prob, kernel, mixing.W)
     etas = np.array([c.eta for c in cfgs])[:, None, None]

@@ -389,7 +389,7 @@ def _cmd_certify(args):
 
 
 def _cmd_check(args):
-    failures = invariants.run_all(verbose=True)
+    failures = invariants.run_all()
     print(f"{len(invariants.CHECKS) - failures}/{len(invariants.CHECKS)} "
           f"checks passed")
     return 1 if failures else 0

@@ -30,28 +30,41 @@ def fd_gradient(fun, x, eps):
     return g
 
 
-def _composite_kernels(d=4):
-    """The combinator calculus beyond the table: a shift, diagonal and dense
-    affine maps, a concatenation, and separable and dense sums."""
+def _composite_kernels(d):
+    """One instance of each closure form beyond the table, at any d >= 3: a
+    shift, diagonal and dense affine maps (a dense Euclidean preconditioner
+    among them), a concatenation, and separable, dense and cross-monotone
+    sums."""
     burg_bs = kernels.concat([kernels.burg(2), kernels.boltzmann_shannon(d - 2)])
     A = np.eye(d) + 0.4 * np.tri(d, k=-1) - 0.3 * np.tri(d, k=-1).T
+    B = np.random.default_rng(3).standard_normal((d, d))
     return [
         kernels.shifted(kernels.burg(d), np.full(d, 0.3)),
         kernels.affine_compose(kernels.boltzmann_shannon(d), c=1.7,
-                               A=np.array([2.5, 1.0, 3.0, 0.5]), b=np.ones(d)),
+                               A=np.resize([2.5, 1.0, 3.0, 0.5], d),
+                               b=np.ones(d)),
+        kernels.affine_compose(kernels.burg(d), c=2.0,
+                               A=np.linspace(0.5, 2.0, d)),
         kernels.affine_compose(kernels.power(d), c=1.5, A=A, b=np.full(d, 0.2)),
+        kernels.euclidean(d, A=B @ B.T + d * np.eye(d)),
         kernels.concat([kernels.burg(2), kernels.quartic(d - 2)]),
         kernels.combine(burg_bs, kernels.euclidean(d), "quadratic-shift"),
         kernels.combine(kernels.power(d), kernels.euclidean(d), "quadratic-shift"),
+        kernels.combine(kernels.burg(d), kernels.power(d), "cross-monotone",
+                        kappa_h=2.0, kappa_g=3.0),
     ]
 
 
+def all_kernels(d):
+    """The catalogue and the composite kernels at dimension d, keyed by
+    name: the kernels every all-kernels check runs over."""
+    return {**kernels.catalogue(d),
+            **{k.name: k for k in _composite_kernels(d)}}
+
+
 def _test_kernels(d=4, n_pts=20, seed=3):
-    cat = kernels.table_catalogue(d)
-    cat["fermi_dirac"] = kernels.fermi_dirac(d)
-    cat.update((k.name, k) for k in _composite_kernels(d))
     worst_g, worst_h, worst_inv, worst_tp = 0.0, 0.0, 0.0, 0.0
-    for k in cat.values():
+    for k in all_kernels(d).values():
         rng = np.random.default_rng([seed, zlib.crc32(k.name.encode())])
         X = k.sample_interior(rng, n_pts + 2)
         for i in range(n_pts):
@@ -83,13 +96,9 @@ def _test_kernels(d=4, n_pts=20, seed=3):
 
 
 def _test_moduli(d=4):
-    """zeta(0) = 0 and monotone, and delta < 0 rejected, for the table, the
-    composite kernels, Fermi-Dirac and a cross-monotone sum, whose moduli
-    cover every modulus class."""
-    ks = [*kernels.table_catalogue(d).values(), *_composite_kernels(d),
-          kernels.fermi_dirac(d),
-          kernels.combine(kernels.burg(d), kernels.power(d), "cross-monotone",
-                          kappa_h=2.0, kappa_g=3.0)]
+    """zeta(0) = 0 and monotone, and delta < 0 rejected, for every kernel,
+    whose moduli cover every modulus class."""
+    ks = all_kernels(d).values()
     grid = np.logspace(-4, 1, 30)
     ok = {type(k.modulus) for k in ks} == {
         c for c in DistortionModulus.__subclasses__()
@@ -106,10 +115,9 @@ def _test_moduli(d=4):
 
 
 def _test_certification(d=4, seed=7):
-    """HRUC consistent with the attached modulus, delta = 0 included, on the
-    table, Fermi-Dirac and the composite kernels."""
-    ks = [*kernels.table_catalogue(d).values(), kernels.fermi_dirac(d),
-          *_composite_kernels(d)]
+    """HRUC consistent with the attached modulus, delta = 0 included, for
+    every kernel."""
+    ks = all_kernels(d).values()
     deltas = [0.0, 0.01, 0.1, 1.0]
     bad = [k.name for k in ks
            if not hruc.certify(k, deltas, 200, seed=seed).consistent]
@@ -231,8 +239,9 @@ CHECKS = [
 ]
 
 
-def run_all(verbose=True):
-    """Run every check; returns the number of failures."""
+def run_all():
+    """Run every check, printing one line each; returns the number of
+    failures."""
     failures = 0
     for name, fn in CHECKS:
         try:
@@ -240,6 +249,5 @@ def run_all(verbose=True):
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         failures += 0 if ok else 1
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return failures

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import _spec, domains
-from ._scalar import TOL_INV, solve_increasing
+from ._scalar import MAX_ITER, TOL_INV, solve_increasing
 from .errors import (
     ModeMismatch,
     NoConvergence,
@@ -180,7 +180,7 @@ class Kernel:
         except NoConvergence as exc:
             raise NotInImage(f"{self.name}: dual vector not attained ({exc})") from exc
 
-    def _newton_conj(self, z, x0, tol=TOL_INV, max_iter=100):
+    def _newton_conj(self, z, x0):
         """Damped Newton solve of ``grad(x) = z`` from ``x0``, point by
         point: each point (a vector along the last axis) stops at its own
         tolerance and halves its own step, so its inverse depends on that
@@ -188,16 +188,16 @@ class Kernel:
         z = np.asarray(z, dtype=float)
         x = np.array(x0, dtype=float).reshape(-1, self.dim)
         zs = z.reshape(-1, self.dim)
-        bound = tol * (1.0 + np.linalg.norm(zs, axis=-1))
+        bound = TOL_INV * (1.0 + np.linalg.norm(zs, axis=-1))
         live = np.arange(len(zs))  # the points not yet within tolerance
-        for it in range(max_iter + 1):
+        for it in range(MAX_ITER + 1):
             r = zs[live] - self.grad(x[live])
             nr = np.linalg.norm(r, axis=-1)
             far = nr > bound[live]
             live, r, nr = live[far], r[far], nr[far]
             if not len(live):
                 return x.reshape(z.shape)
-            if it == max_iter:
+            if it == MAX_ITER:
                 raise NoConvergence("inverse mirror map stalled",
                                     residual=float(nr.max()))
             xl = x[live]
@@ -604,14 +604,14 @@ class AffineKernel(Kernel):
         if self.b.shape != (base.dim,):
             raise ValueError("b has wrong shape")
         A = np.ones(base.dim) if A is None else np.asarray(A, dtype=float)
+        if A.shape not in ((base.dim,), (base.dim, base.dim)):
+            raise ValueError("A has wrong shape")
         if A.ndim == 1:
-            if A.shape != (base.dim,) or np.any(A == 0):
+            if np.any(A == 0):
                 raise SingularMatrix("diagonal scaling must be nonzero")
             kappa = float(np.max(np.abs(A)) / np.min(np.abs(A)))
             dom = base.domain.shift(-self.b).scale(A)
         else:
-            if A.shape != (base.dim, base.dim):
-                raise ValueError("A has wrong shape")
             sv = np.linalg.svd(A, compute_uv=False)
             if sv[-1] <= max(1e-12 * sv[0], 1e-300):
                 raise SingularMatrix("A is numerically singular")
@@ -876,39 +876,40 @@ def fermi_dirac(dim) -> Kernel:
     return k
 
 
-def lipschitz_hessian(dim, mu=1.0, r=1.0) -> Kernel:
+def lipschitz_hessian(dim) -> Kernel:
     """A strongly convex kernel with Lipschitz Hessian: the power kernel at
-    exponent r, certified with exp(rho*delta/mu^2)-1 where rho = 3r+|r(r-2)|."""
-    rho_lip = 3.0 * r + abs(r * (r - 2.0))
-    k = power(dim, mu=mu, r=r).with_modulus(
-        ExpLinearModulus(rho_lip / mu**2), name=f"lipschitz_hessian(mu={mu:g},r={r:g})")
-    return k
+    mu = r = 1, certified with exp(rho*delta/mu^2)-1 where
+    rho = 3r+|r(r-2)| = 4."""
+    return power(dim, mu=1.0, r=1.0).with_modulus(
+        ExpLinearModulus(4.0), name="lipschitz_hessian(mu=1,r=1)")
 
 
-def self_concordant_instance(dim, M=1.0, mu=1.0) -> Kernel:
-    """Representative of the self-concordant class: norm exponential (M=mu=1)."""
-    if (M, mu) != (1.0, 1.0):
-        raise ValueError("only the M=mu=1 representative is instantiated")
+def self_concordant_instance(dim) -> Kernel:
+    """Representative of the self-concordant class: norm exponential, with
+    M = mu = 1."""
     return norm_exponential(dim).with_modulus(
-        self_concordant_modulus(M, mu), name="self_concordant")
+        self_concordant_modulus(1.0, 1.0), name="self_concordant")
 
 
-def table_catalogue(dim, mu=1.0, rs=(0.5, 1.0, 2.0), q=0.5, p=1.0, M=1.0):
-    """The full kernel table at the given parameters, keyed by row name."""
+def catalogue(dim):
+    """Every kernel of the table, the power kernel at r = 0.5, 1 and 2, and
+    Fermi-Dirac, keyed by row name: the kernels each all-kernels check runs
+    over, beside the composites of ``invariants``."""
     rows = {
         "euclidean": euclidean(dim),
         "boltzmann_shannon": boltzmann_shannon(dim),
-        "lipschitz_hessian": lipschitz_hessian(dim, mu=mu, r=1.0),
-        "tsallis": tsallis(dim, mu=mu, q=q),
-        "burg": burg(dim, mu=mu),
-        "exponential": exponential_entropy(dim, mu=mu),
+        "lipschitz_hessian": lipschitz_hessian(dim),
+        "tsallis": tsallis(dim),
+        "burg": burg(dim),
+        "exponential": exponential_entropy(dim),
         "norm_exponential": norm_exponential(dim),
-        "harmonic": harmonic(dim, mu=mu, p=p),
+        "harmonic": harmonic(dim),
         "hellinger": hellinger(dim),
-        "self_concordant": self_concordant_instance(dim, M=M, mu=1.0),
+        "self_concordant": self_concordant_instance(dim),
+        "fermi_dirac": fermi_dirac(dim),
     }
-    for r in rs:
-        rows[f"power_r{r:g}"] = power(dim, mu=mu, r=r)
+    for r in (0.5, 1.0, 2.0):
+        rows[f"power_r{r:g}"] = power(dim, r=r)
     return rows
 
 

@@ -136,11 +136,11 @@ def _sqrtm_spd(H: np.ndarray) -> np.ndarray:
 
 
 def contraction_check(mix: MixingMatrix, H: np.ndarray, H_plus: np.ndarray,
-                      V: np.ndarray, U: np.ndarray, slack: float = 1e-10) -> bool:
+                      V: np.ndarray, U: np.ndarray) -> bool:
     """Check the weighted-norm consensus contraction for V+ = W V + U.
 
     Hypothesis: |(H+)^(1/2) H^(-1/2)|^2 <= 1 + (1-rho)/2 for SPD H, H+.
-    Conclusion (checked within relative ``slack``):
+    Conclusion (checked within a relative slack of 1e-10):
     sum_i |v_i^+ - vbar^+|^2_{H+} <= rho sum_i |v_i - vbar|^2_H
                                      + 3/(1-rho) sum_i |u_i|^2_H.
     """
@@ -161,4 +161,4 @@ def contraction_check(mix: MixingMatrix, H: np.ndarray, H_plus: np.ndarray,
 
     lhs = disagreement(V_plus, H_plus)
     rhs = rho * disagreement(V, H) + 3.0 / (1.0 - rho) * float(np.sum((U @ H) * U))
-    return lhs <= rhs + slack * (1.0 + abs(rhs))
+    return lhs <= rhs + 1e-10 * (1.0 + abs(rhs))

@@ -467,20 +467,20 @@ def _gather(layout, V):
     return terms.sum(axis=-2)
 
 
-def _tv_values(X, eps=EPS_TV):
+def _tv_values(X):
     """Smoothed isotropic TV, with replicate boundary differences, of each
     image in the last two axes."""
     dv = np.diff(X, axis=-2, append=X[..., -1:, :])
     dh = np.diff(X, axis=-1, append=X[..., :, -1:])
-    s = np.sqrt(dv * dv + dh * dh + eps * eps)
+    s = np.sqrt(dv * dv + dh * dh + EPS_TV * EPS_TV)
     return s.reshape(s.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def tv_grad(X, eps=EPS_TV) -> np.ndarray:
+def tv_grad(X) -> np.ndarray:
     """Gradient of :func:`_tv_values` of each image in the last two axes."""
     dv = np.diff(X, axis=-2, append=X[..., -1:, :])
     dh = np.diff(X, axis=-1, append=X[..., :, -1:])
-    s = np.sqrt(dv * dv + dh * dh + eps * eps)
+    s = np.sqrt(dv * dv + dh * dh + EPS_TV * EPS_TV)
     gv = dv / s
     gh = dh / s
     g = -gv - gh

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import catalogue, fd_gradient, safe_eps
+from conftest import fd_gradient, logged_cells, safe_eps
 import oracles
 from dualmix import (
     algorithms,
@@ -39,8 +39,7 @@ def _report(num, ok, detail=""):
 def test_c01_hruc_catalogue_certification():
     t0 = time.time()
     failures = []
-    for name, k in kernels.table_catalogue(5, mu=1.0, rs=(0.5, 1.0, 2.0),
-                                           q=0.5, p=1.0, M=1.0).items():
+    for name, k in kernels.catalogue(5).items():
         report = hruc.certify(k, [0.01, 0.1, 1.0], 1000, seed=7)
         if not report.consistent:
             failures.append((name, report.violations[0][2:]))
@@ -291,8 +290,7 @@ def test_c07_contraction_and_matrix_bound():
         H_plus = Hs @ (np.eye(d) + E) @ Hs
         ok = network.contraction_check(mix, H, H_plus,
                                        3 * rng.standard_normal((m, d)),
-                                       rng.standard_normal((m, d)),
-                                       slack=1e-10)
+                                       rng.standard_normal((m, d)))
         bad += 0 if ok else 1
     for _ in range(200):
         d = int(rng.integers(2, 9))
@@ -320,7 +318,7 @@ def test_c07_contraction_and_matrix_bound():
 
 def test_c08_three_point_identity_all_kernels():
     worst = 0.0
-    for name, k in catalogue(5).items():
+    for name, k in kernels.catalogue(5).items():
         rng = np.random.default_rng(8)
         X = k.sample_interior(rng, 300)
         for i in range(100):
@@ -397,7 +395,7 @@ def test_c10_gradient_oracles():
                 worst_tv = max(worst_tv, err)
             else:
                 worst_smooth = max(worst_smooth, err)
-    for name, k in catalogue(5).items():
+    for name, k in kernels.catalogue(5).items():
         rng = np.random.default_rng(11)
         X = k.sample_interior(rng, 100)
         for i in range(100):
@@ -439,19 +437,11 @@ def _tune_keeping_dda_cells(cfg):
     (eta, seed).  Each equals its standalone run bit for bit, as
     tests/test_cli.py::test_tune_batch_cells_equal_their_standalone_runs
     pins, so no cell is stepped again."""
-    execute_run = cli.execute_run
-    cells = {}
-
-    def kept(c, spec, seed, **kwargs):
-        result, meta = execute_run(c, spec, seed, **kwargs)
-        if spec["kind"] == "dda":
-            cells[kwargs["eta"], seed] = result
-        return result, meta
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "execute_run", kept)
+    with logged_cells() as calls:
         table = cli.tune(cfg)
-    return table, cells
+    return table, {(kwargs["eta"], seed): result
+                   for spec, seed, kwargs, result in calls
+                   if spec["kind"] == "dda"}
 
 
 @pytest.fixture(scope="module")

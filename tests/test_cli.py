@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import logged_cells
 from dualmix import _spec, algorithms, cli, config, diagnostics, \
     invariants, kernels, network, problems
 from dualmix.errors import ParseError, ValidationError
@@ -626,32 +627,26 @@ def test_tune_and_run_batch_assemble_each_seed_once(tmp_path, monkeypatch):
     build_problem = cli.build_problem
     monkeypatch.setattr(cli, "build_problem",
                         lambda c, seed: built.append(seed) or build_problem(c, seed))
-    execute_run = cli.execute_run
-    scores = {}
+    with logged_cells() as calls:
+        table = cli.tune(cfg, max_iter=15)
+        assert built == cfg.seeds
+        scores = {(spec["kind"], seed, kwargs["eta"], kwargs["delta"]):
+                  cli._final_metric(result, "stationarity")
+                  for spec, seed, kwargs, result in calls}
+        assert len(scores) == (4 + 2) * len(cfg.seeds)
 
-    def logged_run(c, spec, seed, **kwargs):
-        result, meta = execute_run(c, spec, seed, **kwargs)
+        built.clear()
+        cli.run_batch(cfg, tmp_path / "out", max_iter=5)
+        assert built == cfg.seeds
+    for _, _, kwargs, _ in calls:
         assert kwargs["assembly"] is not None
-        if kwargs.get("eta") is not None:  # a tune cell
-            scores[spec["kind"], seed, kwargs["eta"], kwargs["delta"]] = \
-                cli._final_metric(result, "stationarity")
-        return result, meta
-
-    monkeypatch.setattr(cli, "execute_run", logged_run)
-    table = cli.tune(cfg, max_iter=15)
-    assert built == cfg.seeds
-    assert len(scores) == (4 + 2) * len(cfg.seeds)
-
-    built.clear()
-    cli.run_batch(cfg, tmp_path / "out", max_iter=5)
-    assert built == cfg.seeds
 
     # every tune score equals a fresh run of its cell that builds its own seed
     monkeypatch.setattr(cli, "build_problem", build_problem)
     for (kind, seed, eta, delta), score in scores.items():
         spec = next(s for s in cfg.algorithms if s["kind"] == kind)
-        result, _ = execute_run(cfg, spec, seed, max_iter=15, record_every=0,
-                                eta=eta, delta=delta)
+        result, _ = cli.execute_run(cfg, spec, seed, max_iter=15,
+                                    record_every=0, eta=eta, delta=delta)
         assert cli._final_metric(result, "stationarity") == score
     for name, row in table.items():
         vals = [scores[row["kind"], s, row["eta"], row["delta"]]
@@ -696,7 +691,7 @@ _BATCH_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
-def test_tune_batch_cells_equal_their_standalone_runs(case, monkeypatch):
+def test_tune_batch_cells_equal_their_standalone_runs(case):
     # tune steps each (seed, algorithm) grid as one batch; every cell must end
     # exactly where its own run ends, diverging cells included
     problem, kernel, init, etas, reasons = _BATCH_CASES[case]
@@ -709,22 +704,15 @@ tuning: {{eta_grid: {etas}, delta_grid: [0.1, 1.0e+3]}}
 seeds: [1, 2]
 init: {{kind: {init}, scale: 1.0}}
 """)
-    execute_run = cli.execute_run
-    cells = []
-
-    def logged_run(c, spec, seed, **kwargs):
-        result, meta = execute_run(c, spec, seed, **kwargs)
-        cells.append((spec, seed, kwargs["eta"], kwargs["delta"], result))
-        return result, meta
-
-    monkeypatch.setattr(cli, "execute_run", logged_run)
-    cli.tune(cfg, max_iter=30)
+    with logged_cells() as cells:
+        cli.tune(cfg, max_iter=30)
     seen = {r.reason.split(":")[0] for *_, r in cells
             if r.status == "diverged"}
     assert reasons <= seen, seen
-    for spec, seed, eta, delta, got in cells:
-        alone, _ = execute_run(cfg, spec, seed, max_iter=30,
-                               record_every=0, eta=eta, delta=delta)
+    for spec, seed, kwargs, got in cells:
+        eta, delta = kwargs["eta"], kwargs["delta"]
+        alone, _ = cli.execute_run(cfg, spec, seed, max_iter=30,
+                                   record_every=0, eta=eta, delta=delta)
         cell = (spec["kind"], seed, eta, delta)
         assert (got.status, got.diverged_at, got.reason, got.system.t) \
             == (alone.status, alone.diverged_at, alone.reason,
@@ -780,21 +768,13 @@ seeds: [1, 2]
 
 
 @pytest.mark.parametrize("command", ["run", "tune"])
-def test_the_seed_flag_replaces_the_seed_list(command, tmp_path,
-                                              monkeypatch):
+def test_the_seed_flag_replaces_the_seed_list(command, tmp_path):
     cfgfile = _write(tmp_path, MINIMAL + "seeds: [1, 2]\n")
-    execute_run = cli.execute_run
-    seeds = set()
-
-    def logged_run(c, spec, seed, **kwargs):
-        seeds.add(seed)
-        return execute_run(c, spec, seed, **kwargs)
-
-    monkeypatch.setattr(cli, "execute_run", logged_run)
     out = tmp_path / "o"
-    assert cli.main([command, str(cfgfile), "--seed", "5", "--max-iter", "3",
-                     "--out", str(out)]) == 0
-    assert seeds == {5}
+    with logged_cells() as calls:
+        assert cli.main([command, str(cfgfile), "--seed", "5", "--max-iter",
+                         "3", "--out", str(out)]) == 0
+    assert {seed for _, seed, _, _ in calls} == {5}
     if command == "run":
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [5]

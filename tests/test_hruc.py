@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import catalogue
 import oracles
 from dualmix import domains, hruc, invariants, kernels, problems
 from dualmix.errors import SamplingExhausted
@@ -21,10 +20,9 @@ def test_gap_frozen_values():
     assert hruc.relative_hessian_gap(kernels.burg(2), x, x) == 0.0
 
 
-# every table row, Fermi-Dirac and the composites: diagonal and dense
-# Hessians, closed-form and iterative inverses
-KERNELS = {**catalogue(5),
-           **{k.name: k for k in invariants._composite_kernels(4)}}
+# the catalogue and the composites: diagonal and dense Hessians, closed-form
+# and iterative inverses
+KERNELS = invariants.all_kernels(5)
 
 
 def loop_gap(kernel, x, y):
@@ -81,7 +79,7 @@ def test_gap_asymmetry_one_sided():
 
 def test_certify_catalogue_smoke():
     # the full-scale sweep lives in the acceptance suite; this one is quick
-    for name, k in catalogue(4).items():
+    for name, k in kernels.catalogue(4).items():
         report = hruc.certify(k, [0.05, 0.5], 100, seed=7)
         assert report.consistent, f"{name}: {report.violations[:1]}"
         assert report.n_samples == 100

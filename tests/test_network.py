@@ -195,7 +195,7 @@ def test_contraction_random_instances():
         H_plus = Hs @ (np.eye(d) + E) @ Hs
         V = 3.0 * rng.standard_normal((m, d))
         U = rng.standard_normal((m, d))
-        assert network.contraction_check(mix, H, H_plus, V, U, slack=1e-10)
+        assert network.contraction_check(mix, H, H_plus, V, U)
         count += 1
 
 
