@@ -41,12 +41,12 @@ def _grow(f, z, t, end, side):
     return side * u
 
 
-def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_ITER):
+def solve_increasing(f, fprime, z, lo, hi, t0=None, max_iter=MAX_ITER):
     """Solve ``f(t) = z`` elementwise for strictly increasing ``f``.
 
     ``lo``/``hi`` are the (open) interval endpoints, broadcastable to
     ``z.shape``; infinite endpoints are allowed.  Returns ``t`` with
-    ``|f(t) - z| <= tol * (1 + |z|)`` elementwise, raising
+    ``|f(t) - z| <= TOL_INV * (1 + |z|)`` elementwise, raising
     :class:`NoConvergence` with the worst residual otherwise.
 
     The bracket is grown geometrically from ``t0`` (finite intervals shrink
@@ -70,7 +70,7 @@ def solve_increasing(f, fprime, z, lo, hi, t0=None, tol=TOL_INV, max_iter=MAX_IT
     b = _grow(f, z, t, hi, 1)
 
     t = 0.5 * (a + b)
-    tol_vec = tol * (1.0 + np.abs(z))
+    tol_vec = TOL_INV * (1.0 + np.abs(z))
     for _ in range(max_iter):
         resid = f(t) - z
         converged = np.abs(resid) <= tol_vec

@@ -353,22 +353,24 @@ def run(prob, kernel, mixing, cfg, x0, L, run_id="run",
     :class:`RunResult`, or a sequence of them that share the algorithm,
     ``max_iter`` and ``y0``, which returns one result per config.  Those
     cells are stepped together as one batch, and each cell's result equals
-    bit for bit its run alone.  ``record_every=1`` emits a full diagnostics
-    record per iteration (plus the initial state); ``record_every=0``
-    records only the initial and final states, which is what grid tuning
-    needs.  Other values raise ``ValueError``: a stride k > 1 is not
-    implemented yet.  Recorded states are buffered and evaluated
-    ``diagnostics.CHUNK`` at a time, when a cell ends and at the end of the
-    run; a state whose objective or stationarity is not finite ends its
-    cell there, and the steps taken after it are dropped.
+    bit for bit its run alone.  ``record_every`` picks the states the
+    engine observes: every state at 1; at 0, what grid tuning needs, the
+    initial state and the state each cell ends on, when it ends (the state
+    before a step that raised, or the last state at ``max_iter``).  Other
+    values raise ``ValueError``: a stride k > 1 is not implemented yet.
+    Observed states are evaluated ``diagnostics.CHUNK`` at a time at most.
+    One whose objective or stationarity is not finite, or whose evaluation
+    raises a divergence error, ends its cell there unless a step ended it
+    first, and the steps taken after it are dropped.
 
     Hooks are called as ``hook(t, prev_system, next_system)`` with one
     cell's systems for each of its accepted steps, in step order.  With
     ``record_every=0`` they run after each step.  With ``record_every=1``
     they run when the steps' states are evaluated, for each step up to the
     state that ends the cell, the cells of a step in batch order.
-    Divergence (domain exit, failed inversion, non-finite state) freezes a
-    cell with status ``diverged`` and takes it out of the batch.
+    Divergence (domain exit, failed inversion, non-finite state or metric,
+    a state the recorder cannot evaluate) freezes a cell with status
+    ``diverged`` and takes it out of the batch; the other cells go on.
     Everything is deterministic given the inputs; no randomness is
     consumed here.
     """
@@ -399,6 +401,12 @@ def run(prob, kernel, mixing, cfg, x0, L, run_id="run",
         recorder.observe(system, c)
     emit_all = record_every == 1
 
+    def end(c, t, reason, batch, q):
+        """End cell ``c`` diverged at ``t`` on a copy of cell ``q`` of
+        ``batch``, unless it has ended already."""
+        if c not in ends:
+            ends[c] = ("diverged", t, reason, batch.cell(q, copy=True))
+
     def drop(*systems):
         """``systems`` (batches whose cells are the live ones) without the
         cells that have ended."""
@@ -410,22 +418,22 @@ def run(prob, kernel, mixing, cfg, x0, L, run_id="run",
         delta = None if deltas is None else deltas[live]
         return tuple(s.cells(keep) for s in systems)
 
-    def record():
-        """Evaluate the live cells' buffered states, call the hooks on their
-        steps, and end each cell at a state whose metrics are not finite."""
-        flushed = [(c, *recorders[c].flush()) for c in live]
+    def record(cells):
+        """Evaluate the buffered states of ``cells``, call the hooks of a
+        recorded run on their steps, and end each cell at the state that
+        ends its record stream."""
+        flushed = [(c, *recorders[c].flush()) for c in cells]
         longest = max((len(states) for _, states, _ in flushed), default=0)
-        for i in range(1, longest if hooks else 0):
+        for i in range(1, longest if emit_all and hooks else 0):
             for _, states, _ in flushed:
                 if i < len(states):
                     (prev, p), (cur, q) = states[i - 1], states[i]
                     for hook in hooks:
                         hook(prev.t, prev.cell(p), cur.cell(q))
-        for c, states, cut in flushed:
-            if cut:
+        for c, states, reason in flushed:
+            if reason:
                 cur, q = states[-1]
-                ends[c] = ("diverged", cur.t, "non-finite metric",
-                           cur.cell(q, copy=True))
+                end(c, cur.t, reason, cur, q)
 
     for t in range(head.max_iter):
         # a diverging cell overflows anywhere in its step; every output is
@@ -436,48 +444,33 @@ def run(prob, kernel, mixing, cfg, x0, L, run_id="run",
         keep = _finite(new)
         if raised or not keep.all():
             if emit_all:
-                record()  # a non-finite metric up to t ends a cell first
+                record(live)  # a metric up to t ends a cell first
             for q, reason in raised.items():
-                ends.setdefault(live[q], ("diverged", t, reason,
-                                          system.cell(q, copy=True)))
+                end(live[q], t, reason, system, q)
+                if t and not emit_all:  # the state it ends on, end's copy
+                    recorders[live[q]].observe(ends[live[q]][3])
             for q in np.flatnonzero(~keep):
-                ends.setdefault(live[q], ("diverged", t + 1,
-                                          "non-finite iterate",
-                                          new.cell(q, copy=True)))
+                end(live[q], t + 1, "non-finite iterate", new, q)
             system, new = drop(system, new)
         if hooks and not emit_all:
             for q in range(len(live)):
                 for hook in hooks:
                     hook(t, system.cell(q), new.cell(q))
         system = new
-        if emit_all and len(live):
+        if len(live) and (emit_all or t + 1 == head.max_iter):
             for q, c in enumerate(live):
                 recorders[c].observe(system, q)
             if recorders[live[0]].pending >= diagnostics.CHUNK:
-                record()
+                record(live)
                 system, = drop(system)
         if not len(live):
             break
-    if emit_all:
-        record()
+    record(range(len(cfgs)))
     for q, c in enumerate(live):
         ends.setdefault(c, ("done", None, "", system.cell(q)))
     results = []
     for c, recorder in enumerate(recorders):
         status, diverged_at, reason, final = ends[c]
-        if not emit_all:
-            if final.t > 0 and _finite(final):
-                recorder.observe(final)  # the final state, observed once
-            try:
-                cut = recorder.flush()[1]
-            except DIVERGENCE:
-                # a diverged run's final state may admit no record
-                if status == "done" or not recorder.records:
-                    raise
-                cut = False
-            if cut and status == "done":
-                status, diverged_at = "diverged", final.t
-                reason = "non-finite metric"
         recorder.mark_final(status)
         results.append(RunResult(records=recorder.records, system=final,
                                  status=status, diverged_at=diverged_at,

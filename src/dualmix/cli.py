@@ -66,17 +66,23 @@ class Assembly:
     """One seed's ``(prob, kernel, mix, x0, L)``, shared by all of its cells:
     everything a cell needs that does not depend on its algorithm.
 
-    ``batch`` holds the configs of cells planned to step together (see
-    :func:`execute_run`) and ``stepped`` their results until each cell's
-    call collects its own."""
+    ``stepped`` maps the configs of cells already stepped in a batch (see
+    :func:`tune`) to their results, until each cell's
+    :func:`execute_run` collects its own."""
 
     prob: object
     kernel: object
     mix: object
     x0: np.ndarray
     L: float
-    batch: list = field(default_factory=list)
     stepped: dict = field(default_factory=dict)
+
+    def run(self, cfgs, run_id, record_every):
+        """Step the cells ``cfgs``, :class:`algorithms.AlgoConfig` of one
+        algorithm, as one batch; returns one result per config."""
+        kernel = kernel_for_algorithm(cfgs[0].algorithm, self.kernel, self.x0)
+        return algorithms.run(self.prob, kernel, self.mix, cfgs, self.x0,
+                              self.L, run_id, record_every)
 
     def algo_config(self, algo_spec, max_iter=None, eta=None, delta=None):
         """The :class:`algorithms.AlgoConfig` of a cell, with ``eta`` and
@@ -112,10 +118,8 @@ def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
     ``meta`` is the cell's entry in a batch manifest's ``runs``.
 
     ``assembly`` is the seed's :class:`Assembly`, built here when it is not
-    given.  The call for a cell among the configs in ``assembly.batch``
-    steps that whole batch together, with this call's ``record_every`` and
-    run id; the other cells' results wait in ``assembly.stepped`` for their
-    own calls.  Each equals its run alone bit for bit.
+    given.  A cell whose result waits in ``assembly.stepped`` collects it;
+    any other cell is stepped here, alone.
     """
     if assembly is None:
         assembly = assemble(cfg, seed)
@@ -123,16 +127,7 @@ def execute_run(cfg, algo_spec, seed, *, max_iter=None, record_every=1,
     rid = run_id or f"{acfg.algorithm}_s{seed}"
     result = assembly.stepped.pop(acfg, None)
     if result is None:
-        cfgs = [acfg]
-        if acfg in assembly.batch:
-            cfgs, assembly.batch = assembly.batch, []
-        kernel = kernel_for_algorithm(acfg.algorithm, assembly.kernel,
-                                      assembly.x0)
-        results = dict(zip(cfgs, algorithms.run(
-            assembly.prob, kernel, assembly.mix, cfgs, assembly.x0,
-            L=assembly.L, run_id=rid, record_every=record_every)))
-        result = results.pop(acfg)
-        assembly.stepped.update(results)
+        result, = assembly.run([acfg], rid, record_every)
     meta = {"rho": assembly.mix.rho, "L": assembly.L, "eta": acfg.eta,
             "delta": acfg.delta,
             "graph_retries": getattr(assembly.mix.graph, "retries", 0),
@@ -200,8 +195,10 @@ def tune(cfg: config.ExperimentConfig, threads=1, max_iter=None) -> dict:
         assembly = assemble(cfg, seed)
         for ai, spec in enumerate(cfg.algorithms):
             cells = [(eta, delta) for a, eta, delta in grid if a == ai]
-            assembly.batch = [assembly.algo_config(spec, max_iter, eta, delta)
-                              for eta, delta in cells]
+            cfgs = [assembly.algo_config(spec, max_iter, eta, delta)
+                    for eta, delta in cells]
+            assembly.stepped = dict(zip(cfgs, assembly.run(
+                cfgs, f"{spec['kind']}_s{seed}", record_every=0)))
             for eta, delta in cells:
                 result, _ = execute_run(
                     cfg, spec, seed, max_iter=max_iter, record_every=0,
@@ -284,7 +281,7 @@ def run_batch(cfg: config.ExperimentConfig, out_dir, threads=1,
             write(fname, diagnostics.records_to_csv(result.records))
             csv_files.append(fname)
 
-        for metric in ("stationarity", "rel_error", "f_bar"):
+        for metric in diagnostics.SUMMARY_METRICS:
             write(f"plot_{metric}.csv", _plot_data(results, metric))
 
         manifest = {

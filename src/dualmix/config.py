@@ -15,13 +15,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
-from . import _spec, algorithms, kernels, network, problems
+from . import _spec, algorithms, diagnostics, kernels, network, problems
 from .errors import ParseError, ValidationError
 
 # an algorithms entry's keys: ``kind``, which AlgoConfig calls ``algorithm``,
 # and AlgoConfig's other parameters
 _ALGO_KEYS = ["kind"] + [f.name for f in fields(algorithms.AlgoConfig)][1:]
-_SELECT_METRICS = {"stationarity", "f_bar", "rel_error"}
 
 DEFAULT_TUNING = {
     "eta_grid": [10.0**k for k in range(-4, 5)],
@@ -79,9 +78,9 @@ def validate(raw: dict) -> ExperimentConfig:
                or not (isinstance(v, float) or _is_finite(v)) for v in values):
             raise ValidationError(f"tuning.{grid}", "entries must be "
                                   "positive numbers within float range")
-    if cfg.tuning["select_by"] not in _SELECT_METRICS:
-        raise ValidationError("tuning.select_by",
-                              f"must be one of {sorted(_SELECT_METRICS)}")
+    if cfg.tuning["select_by"] not in diagnostics.SUMMARY_METRICS:
+        raise ValidationError("tuning.select_by", "must be one of "
+                              f"{sorted(diagnostics.SUMMARY_METRICS)}")
     if not isinstance(cfg.seeds, list) or not cfg.seeds or \
             any(not _is_number(s, int) or s < 0 for s in cfg.seeds) or \
             len(set(cfg.seeds)) < len(cfg.seeds):

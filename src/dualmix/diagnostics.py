@@ -51,6 +51,8 @@ class RunRecord:
 
 
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
+# the columns a tune can select by and a batch plots
+SUMMARY_METRICS = ("stationarity", "rel_error", "f_bar")
 # a record's values in column order (vars() would keep a dict per record)
 _column_values = operator.attrgetter(*CSV_COLUMNS)
 # each column's conversion, by its field's declared type
@@ -203,7 +205,8 @@ class Recorder:
     problem there, and from these every column of the records.  The
     optimality measure of iteration t needs the successor state, so a chunk
     starts with the state recorded last before it, evaluated again, whose
-    G it back-fills; the final record keeps G = nan.  Its Bregman term
+    G it back-fills; a record whose successor (t + 1) is not evaluated
+    next keeps G = nan.  Its Bregman term
     evaluates grad h at each new xbar unchecked.  Every record has the bits
     of its state evaluated alone.
     """
@@ -238,17 +241,17 @@ class Recorder:
     def flush(self):
         """Record the buffered states.
 
-        Returns ``(states, cut)``: the states now recorded, preceded by the
+        Returns ``(states, reason)``: the states evaluated, preceded by the
         one recorded last before them (if any), as ``(system, cell)`` pairs,
-        and whether the last of them ends the record stream because its
-        f_bar or stationarity is not finite (past t = 0).  The states
-        buffered after it are dropped.  A chunk whose evaluation raises a
-        divergence error is redone state by state, so the state that raises
-        does so as if alone, after the states before it are recorded.
+        and why the last of them ends the record stream, or None: its f_bar
+        or stationarity is not finite past t = 0 (``"non-finite metric"``),
+        or its evaluation raises a divergence error (``"Type: message"``,
+        and no record).  The states buffered after it are dropped.  A chunk
+        that raises is redone state by state, so that state raises alone.
         """
         new, self._buffer = self._buffer, []
         if not new:
-            return [], False
+            return [], None
         try:
             return self._record(new)
         except DIVERGENCE:
@@ -256,9 +259,13 @@ class Recorder:
         states = [] if self._last is None else [self._last]
         for state in new:
             states.append(state)
-            if self._record([state])[1]:
-                return states, True
-        return states, False
+            try:
+                reason = self._record([state])[1]
+            except DIVERGENCE as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+            if reason:
+                return states, reason
+        return states, None
 
     def _record(self, new):
         """Evaluate the states ``new`` after the last recorded one, append
@@ -266,7 +273,8 @@ class Recorder:
         the G of the record before them."""
         states = new if self._last is None else [self._last] + new
         cols = self._evaluate(states)
-        G = cols.pop("G_proxy")
+        G = [g if nxt.t == cur.t + 1 else math.nan for g, (cur, _), (nxt, _)
+             in zip(cols.pop("G_proxy"), states, states[1:])] + [math.nan]
         if self._last is not None:
             self.records[-1].G_proxy = G[0]
         for i in range(len(states) - len(new), len(states)):
@@ -277,14 +285,14 @@ class Recorder:
             self.records.append(RunRecord(
                 run_id=self.run_id, algorithm=self.algorithm,
                 kernel=self.kernel.name, t=system.t,
-                G_proxy=G[i] if i < len(G) and not cut else math.nan,
+                G_proxy=math.nan if cut else G[i],
                 clipped=bool(system.clipped if cell is None
                              else system.clipped[cell]), **row))
             if cut:
                 self._last = states[i]
-                return states[:i + 1], True
+                return states[:i + 1], "non-finite metric"
         self._last = states[-1]
-        return states, False
+        return states, None
 
     def _evaluate(self, states):
         """The record columns of ``states``, ``(system, cell)`` pairs, as

@@ -429,10 +429,11 @@ def test_batched_record_forms_round_like_one_state():
             assert means[k].tobytes() == Z[k].mean(axis=0).tobytes()
 
 
-def test_a_chunk_state_that_raises_raises_alone(monkeypatch):
+def test_a_chunk_state_that_raises_ends_the_stream_alone(monkeypatch):
     # a divergence error in a chunk's pass is redone state by state: the
-    # state that raises does so after the states before it are recorded,
-    # with the records of a clean run (the last one awaiting its G)
+    # state that raises ends the stream, with no record of its own, after
+    # the states before it are recorded with the records of a clean run
+    # (the last one without its G)
     prob = problems.quadratic_consensus(d=5, m=4, seed=1)
     mix = network.metropolis_weights(network.ring_graph(4))
     k = kernels.euclidean(5)
@@ -457,16 +458,108 @@ def test_a_chunk_state_that_raises_raises_alone(monkeypatch):
     rec.flush()
     for s in states[15:31]:
         rec.observe(s)
-    with pytest.raises(SingularHessian, match="marked state"):
-        rec.flush()
+    reason = "SingularHessian: singular at the marked state"
+    assert rec.flush()[1] == reason
     assert [r.t for r in rec.records] == list(range(21))
     want = [r.csv_row() for r in clean.records[:21]]
     clean.records[20].G_proxy = math.nan
     assert [r.csv_row() for r in rec.records] == \
         want[:20] + [clean.records[20].csv_row()]
-    # a recorded run raises it as well
-    with pytest.raises(SingularHessian, match="marked state"):
-        algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0)
+    # a recorded run ends diverged there
+    res = algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0)
+    assert (res.status, res.diverged_at, res.reason, res.system.t) == \
+        ("diverged", 21, reason, 21)
+    assert [r.t for r in res.records] == list(range(21))
+
+
+def _quad_dmgt(max_iter=40):
+    prob = problems.quadratic_consensus(d=5, m=4, seed=1)
+    mix = network.metropolis_weights(network.ring_graph(4))
+    cfg = AlgoConfig("dmgt", eta=0.05, delta=0.7, max_iter=max_iter)
+    return prob, mix, kernels.euclidean(5), cfg
+
+
+def test_a_G_pairs_a_state_only_with_its_successor():
+    # an unrecorded run evaluates states 0 and T together: G_0 pairs state 0
+    # with its successor only at T = 1, where it has the recorded run's bits
+    for max_iter in (40, 1):
+        prob, mix, k, cfg = _quad_dmgt(max_iter)
+        rows = [algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0,
+                               record_every=every).records
+                for every in (0, 1)]
+        unrecorded, recorded = rows[0], [rows[1][0], rows[1][-1]]
+        assert [r.t for r in unrecorded] == [0, max_iter]
+        assert math.isfinite(recorded[0].G_proxy)
+        if max_iter > 1:
+            recorded[0].G_proxy = math.nan
+        assert math.isnan(unrecorded[-1].G_proxy)
+        assert [r.csv_row() for r in unrecorded] == \
+            [r.csv_row() for r in recorded]
+
+
+def test_a_chunk_ends_at_a_nonfinite_metric_before_a_state_that_raises(
+        monkeypatch):
+    # the chunk's pass raises at state 12, so it is redone state by state,
+    # and the stream ends first at state 10, whose objective is not finite
+    prob, mix, k, cfg = _quad_dmgt()
+    states = []
+    algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0,
+                   hooks=[lambda t, prev, cur: states.append(cur)])
+    inf_at, raise_at = (k.grad_conj(states[t - 1].Z.mean(axis=0))
+                        for t in (10, 12))
+    value_and_grad, hess_solver = prob.value_and_grad, k.hess_solver
+
+    def value_inf_at_state_10(x):
+        f, g = value_and_grad(x)
+        return np.where((x == inf_at).all(axis=-1), math.inf, f), g
+
+    def singular_at_state_12(x):
+        if (np.asarray(x) == raise_at).all(axis=-1).any():
+            raise SingularHessian("singular at state 12")
+        return hess_solver(x)
+
+    monkeypatch.setattr(prob, "value_and_grad", value_inf_at_state_10)
+    monkeypatch.setattr(k, "hess_solver", singular_at_state_12)
+    rec = diagnostics.Recorder(prob, k, mix.rho, 1.0, cfg.eta, cfg.delta)
+    rec.observe(algorithms.init_system(prob, k, np.zeros(5), cfg))
+    for s in states[:20]:
+        rec.observe(s)
+    got, reason = rec.flush()
+    assert reason == "non-finite metric" and got[-1][0].t == 10
+    assert [r.t for r in rec.records] == list(range(11))
+    assert rec.records[-1].f_bar == math.inf
+
+
+def test_an_unrecorded_final_state_that_raises_ends_its_cell_alone(
+        monkeypatch):
+    # cell 0's state at max_iter cannot be evaluated: it ends diverged
+    # there, without a record of it, and cell 1 finishes; a recorded run
+    # ends cell 0 at the same t, with the same reason
+    prob, mix, k, cfg = _quad_dmgt(max_iter=10)
+    cfgs = [cfg, AlgoConfig("dmgt", eta=0.02, delta=0.7, max_iter=10)]
+    states = []
+    algorithms.run(prob, k, mix, cfg, np.zeros(5), L=1.0,
+                   hooks=[lambda t, prev, cur: states.append(cur)])
+    bad = k.grad_conj(states[-1].Z.mean(axis=0))
+    hess_solver = k.hess_solver
+
+    def singular_at_bad(x):
+        if (np.asarray(x) == bad).all(axis=-1).any():
+            raise SingularHessian("singular at the final state")
+        return hess_solver(x)
+
+    monkeypatch.setattr(k, "hess_solver", singular_at_bad)
+    reason = "SingularHessian: singular at the final state"
+    for every, ts, good_ts in ((0, [0], [0, 10]),
+                               (1, list(range(10)), list(range(11)))):
+        bad_cell, good = algorithms.run(prob, k, mix, cfgs, np.zeros(5),
+                                        L=1.0, record_every=every)
+        assert (bad_cell.status, bad_cell.diverged_at, bad_cell.reason,
+                bad_cell.system.t) == ("diverged", 10, reason, 10)
+        assert [r.t for r in bad_cell.records] == ts
+        assert bad_cell.records[-1].status == "diverged"
+        assert good.status == "done"
+        assert [r.t for r in good.records] == good_ts
 
 
 def test_a_diverged_cell_skips_its_final_observation_alone(monkeypatch):
